@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, features, pairs, train, eval, analyze, gradcheck.
 
 Each subcommand writes the fully resolved configuration next to its
-outputs.  Exit codes: 0 on success, 1 on usage errors, 2 on data or
-validation errors.
+outputs.  Exit codes: 0 on success, 1 on usage errors, 2 on data,
+validation and file errors.
 """
 
 from __future__ import annotations
@@ -217,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
             "gradcheck verifies the gradient machinery."
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap worker threads globally (also caps BLAS thread pools)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("train", help="train the Siamese verifier")
-    p.add_argument("--manifest", help="unused convenience reference, kept for provenance")
     p.add_argument("--features", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--val-pairs")
@@ -292,15 +285,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         args.func(args)
-    except PhonosimError as exc:
+    except (PhonosimError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,14 +1,15 @@
-"""Siamese bi-directional RNN forward pass and model persistence.
+"""Siamese bi-directional RNN: the one forward/backward kernel, and checkpoints.
 
-One shared parameter store drives both branches: masked variable-length
-input, tied-weight forward/backward tanh recurrences, dropout and batch
-normalization on the concatenated final hidden state, a tanh feedforward
-layer, a sigmoid embedding layer, and cosine similarity between the two
-branch embeddings.
+``_embed_forward``/``_embed_backward`` take a zero-padded batch of
+variable-length utterances through tied-weight forward/backward tanh
+recurrences read at each utterance's true last frame, dropout and batch
+normalization, a tanh feedforward layer and a sigmoid embedding layer.
+The public per-utterance functions wrap that kernel with a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -67,42 +68,174 @@ class ModelParams:
     bn_mean: np.ndarray   # running statistics, not trainable
     bn_var: np.ndarray
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in ALL_TENSORS}
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             dims=self.dims, **{n: getattr(self, n).copy() for n in ALL_TENSORS}
         )
 
 
+def _tensor_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in ALL_TENSORS order."""
+    dh, di, dr = dims.d_hidden, dims.d_in, dims.d_rep
+    return dict(
+        wf=(dh, di), uf=(dh, dh), bf=(dh,),
+        wb=(dh, di), ub=(dh, dh), bb=(dh,),
+        wy=(dr, 2 * dh), by=(dr,),
+        we=(dr, dr), be=(dr,),
+        **{name: (2 * dh,) for name in ("bn_scale", "bn_shift") + RUNNING_TENSORS},
+    )
+
+
 def init_params(dims: ModelDims, seed: int) -> ModelParams:
     """Small random normal weights (std 0.05), zero biases, identity batch-norm."""
     rng = np.random.default_rng(seed)
-    dh, di, dr = dims.d_hidden, dims.d_in, dims.d_rep
-
-    def w(*shape):
-        return rng.normal(0.0, INIT_STD, size=shape)
-
-    return ModelParams(
-        dims=dims,
-        wf=w(dh, di), uf=w(dh, dh), bf=np.zeros(dh),
-        wb=w(dh, di), ub=w(dh, dh), bb=np.zeros(dh),
-        wy=w(dr, 2 * dh), by=np.zeros(dr),
-        we=w(dr, dr), be=np.zeros(dr),
-        bn_scale=np.ones(2 * dh), bn_shift=np.zeros(2 * dh),
-        bn_mean=np.zeros(2 * dh), bn_var=np.ones(2 * dh),
-    )
+    tensors = {}
+    for name, shape in _tensor_shapes(dims).items():
+        if name in WEIGHT_TENSORS:
+            tensors[name] = rng.normal(0.0, INIT_STD, size=shape)
+        else:
+            tensors[name] = np.ones(shape) if name in ("bn_scale", "bn_var") else np.zeros(shape)
+    return ModelParams(dims=dims, **tensors)
 
 
 def parameter_count(dims: ModelDims) -> int:
     """Trainable parameter total for this architecture's accounting."""
-    dh, di, dr = dims.d_hidden, dims.d_in, dims.d_rep
-    rnn = 2 * (dh * di + dh * dh + dh)
-    ff = dr * 2 * dh + dr
-    emb = dr * dr + dr
-    bn = 2 * (2 * dh)
-    return rnn + ff + emb + bn
+    shapes = _tensor_shapes(dims)
+    return sum(math.prod(shapes[name]) for name in TRAINABLE_TENSORS)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _pack(feats: list[np.ndarray]):
+    """Zero-padded (n, lmax, d_in) batch, its time-reversed twin, and lengths."""
+    lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
+    if (lengths < 1).any():
+        raise DataError("utterance with zero frames")
+    d_in = feats[0].shape[1]
+    n = len(feats)
+    lmax = int(lengths.max())
+    x = np.zeros((n, lmax, d_in))
+    xrev = np.zeros((n, lmax, d_in))
+    for i, f in enumerate(feats):
+        li = lengths[i]
+        x[i, :li] = f
+        xrev[i, :li] = f[::-1]
+    return x, xrev, lengths
+
+
+def _run_direction(x, w, u, b):
+    """Hidden states of one tanh recurrence over a padded batch.  Rows step on
+    through their padding; only each row's state at ``lengths - 1`` is read."""
+    n, lmax, _ = x.shape
+    dh = w.shape[0]
+    hseq = np.zeros((n, lmax, dh))
+    h = np.zeros((n, dh))
+    for t in range(lmax):
+        h = np.tanh(x[:, t] @ w.T + h @ u.T + b)
+        hseq[:, t] = h
+    return hseq
+
+
+def _direction_backward(x, hseq, lengths, u, d_final):
+    """BPTT of one direction; ``d_final`` enters each row at its last true step,
+    so ``dh_t`` is zero on the row's padded steps and they add no gradient."""
+    n, lmax, dh = hseq.shape
+    dw = np.zeros((dh, x.shape[2]))
+    du = np.zeros((dh, dh))
+    db = np.zeros(dh)
+    dh_t = np.zeros((n, dh))
+    for t in range(lmax - 1, -1, -1):
+        at_final = lengths - 1 == t
+        if at_final.any():
+            dh_t[at_final] += d_final[at_final]
+        da = dh_t * (1.0 - hseq[:, t] ** 2)
+        hprev = hseq[:, t - 1] if t > 0 else np.zeros((n, dh))
+        dw += da.T @ x[:, t]
+        du += da.T @ hprev
+        db += da.sum(axis=0)
+        dh_t = da @ u
+    return dw, du, db
+
+
+def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None):
+    """Embeddings for a batch of utterances; returns (e, cache).
+
+    Batch-norm uses the batch statistics (cache ``mu``, ``var``) when
+    ``training``, else the running ones.  ``dropout_masks``: one row per utterance.
+    """
+    x, xrev, lengths = _pack(feats)
+    hf = _run_direction(x, params.wf, params.uf, params.bf)
+    hb = _run_direction(xrev, params.wb, params.ub, params.bb)
+    rows = np.arange(len(feats))
+    hcat = np.concatenate([hf[rows, lengths - 1], hb[rows, lengths - 1]], axis=1)
+
+    dropped = hcat if dropout_masks is None else hcat * dropout_masks
+    if training:
+        mu, var = dropped.mean(axis=0), dropped.var(axis=0)
+    else:
+        mu, var = params.bn_mean, params.bn_var
+    istd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (dropped - mu) * istd
+    z = params.bn_scale * xhat + params.bn_shift
+    y = np.tanh(z @ params.wy.T + params.by)
+    e = _sigmoid(y @ params.we.T + params.be)
+    cache = dict(
+        x=x, xrev=xrev, lengths=lengths, hf=hf, hb=hb,
+        dropout_masks=dropout_masks,
+        mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
+    )
+    return e, cache
+
+
+def _embed_backward(params: ModelParams, de, cache):
+    """Gradients of all trainable tensors given d(loss)/d(embeddings), training mode."""
+    e, y, z, xhat = cache["e"], cache["y"], cache["z"], cache["xhat"]
+    s = de * e * (1.0 - e)
+    grads = {
+        "we": s.T @ y,
+        "be": s.sum(axis=0),
+    }
+    dy = s @ params.we
+    dt = dy * (1.0 - y * y)
+    grads["wy"] = dt.T @ z
+    grads["by"] = dt.sum(axis=0)
+    dz = dt @ params.wy
+
+    grads["bn_scale"] = (dz * xhat).sum(axis=0)
+    grads["bn_shift"] = dz.sum(axis=0)
+    dxhat = dz * params.bn_scale
+    ddrop = cache["istd"] * (
+        dxhat
+        - dxhat.mean(axis=0)
+        - xhat * (dxhat * xhat).mean(axis=0)
+    )
+    dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
+
+    dh = params.dims.d_hidden
+    dwf, duf, dbf = _direction_backward(
+        cache["x"], cache["hf"], cache["lengths"], params.uf, dhcat[:, :dh]
+    )
+    dwb, dub, dbb = _direction_backward(
+        cache["xrev"], cache["hb"], cache["lengths"], params.ub, dhcat[:, dh:]
+    )
+    grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
+    return grads
+
+
+def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:
+    frames = np.asarray(frames, dtype=np.float64)
+    if not 1 <= true_length <= frames.shape[0]:
+        raise DataError(
+            f"true_length {true_length} outside [1, {frames.shape[0]}]"
+        )
+    return frames[:true_length]
 
 
 def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
@@ -112,28 +245,9 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if not 1 <= true_length <= frames.shape[0]:
-        raise DataError(
-            f"true_length {true_length} outside [1, {frames.shape[0]}]"
-        )
-    x = frames[:true_length]
-    dh = params.dims.d_hidden
-    L = true_length
-
-    hf = np.zeros((L, dh))
-    h = np.zeros(dh)
-    for t in range(L):
-        h = np.tanh(params.wf @ x[t] + params.uf @ h + params.bf)
-        hf[t] = h
-
-    hb = np.zeros((L, dh))
-    h = np.zeros(dh)
-    for t in range(L - 1, -1, -1):
-        h = np.tanh(params.wb @ x[t] + params.ub @ h + params.bb)
-        hb[t] = h
-
-    return np.hstack([hf, hb])
+    x, xrev, _ = _pack([_true_frames(frames, true_length)])
+    hb = _run_direction(xrev, params.wb, params.ub, params.bb)
+    return np.hstack([_run_direction(x, params.wf, params.uf, params.bf)[0], hb[0, ::-1]])
 
 
 def final_hidden(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
@@ -147,49 +261,13 @@ def final_hidden(params: ModelParams, frames: np.ndarray, true_length: int) -> n
     return np.concatenate([h[-1, :dh], h[0, dh:]])
 
 
-def batchnorm_infer(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    xhat = (x - params.bn_mean) / np.sqrt(params.bn_var + BN_EPS)
-    return params.bn_scale * xhat + params.bn_shift
+def embed_utterance(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
+    """Infer-mode embedding of one utterance; every entry lies in (0, 1).
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def embed_utterance(
-    params: ModelParams,
-    frames: np.ndarray,
-    true_length: int,
-    mode: str = "infer",
-    dropout_rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.2,
-) -> np.ndarray:
-    """Embedding vector for one utterance; every entry lies in (0, 1).
-
-    In train mode an inverted dropout mask is applied to the final hidden
-    state and batch statistics are degenerate (single sample); batched
-    training uses the pooled path in :mod:`phonosim.train`.  Infer mode is a
-    deterministic pure function of (params, input).
+    A deterministic pure function of (params, input).
     """
-    h = final_hidden(params, frames, true_length)
-    if mode == "train":
-        if dropout_rng is not None and dropout_rate > 0.0:
-            mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            h = h * mask
-        mu = h  # batch of one: batch mean is the sample itself
-        xhat = (h - mu) / np.sqrt(0.0 + BN_EPS)
-        h = params.bn_scale * xhat + params.bn_shift
-    elif mode == "infer":
-        h = batchnorm_infer(params, h)
-    else:
-        raise DataError(f"unknown mode {mode!r}")
-    y = np.tanh(params.wy @ h + params.by)
-    return _sigmoid(params.we @ y + params.be)
+    e, _ = _embed_forward(params, [_true_frames(frames, true_length)], training=False)
+    return e[0]
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,14 +286,10 @@ def siamese_forward(
     params: ModelParams,
     left: tuple[np.ndarray, int],
     right: tuple[np.ndarray, int],
-    mode: str = "infer",
-    dropout_rng: np.random.Generator | None = None,
-    dropout_rate: float = 0.2,
 ) -> float:
-    """Similarity score for an utterance pair through the tied-weight branches."""
-    ea = embed_utterance(params, left[0], left[1], mode, dropout_rng, dropout_rate)
-    eb = embed_utterance(params, right[0], right[1], mode, dropout_rng, dropout_rate)
-    return cosine_similarity(ea, eb)
+    """Infer-mode similarity score for an utterance pair through the tied-weight branches."""
+    ea = embed_utterance(params, left[0], left[1])
+    return cosine_similarity(ea, embed_utterance(params, right[0], right[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +324,37 @@ def load_checkpoint(path: str) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     dims = ModelDims(d_in=d_in, d_hidden=d_hidden, d_rep=d_rep)
+    shapes = _tensor_shapes(dims)
     off = 20
     tensors: dict[str, np.ndarray] = {}
     for expected in ALL_TENSORS:
         try:
             (nlen,) = struct.unpack_from("<I", blob, off)
             off += 4
-            name = blob[off : off + nlen].decode("ascii")
+            name = blob[off : off + nlen]
             off += nlen
             (rank,) = struct.unpack_from("<I", blob, off)
             off += 4
             shape = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
-            if off + 8 * count > len(blob):
-                raise CheckpointError(f"truncated payload for tensor {expected!r} in {path}")
-            t = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-            off += 8 * count
         except struct.error:
             raise CheckpointError(f"truncated tensor record in {path}")
-        if name != expected:
+        if name != expected.encode("ascii"):
             raise CheckpointError(f"unexpected tensor {name!r}, wanted {expected!r}")
-        tensors[name] = t.reshape(shape).astype(np.float64)
+        if shape != shapes[expected]:
+            raise CheckpointError(
+                f"tensor {expected!r} has shape {shape}, dims give {shapes[expected]}"
+            )
+        count = math.prod(shape)
+        if off + 8 * count > len(blob):
+            raise CheckpointError(f"truncated payload for tensor {expected!r} in {path}")
+        t = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        off += 8 * count
+        if not np.isfinite(t).all():
+            raise CheckpointError(f"non-finite value in tensor {expected!r} in {path}")
+        tensors[expected] = t.reshape(shape).astype(np.float64)
+    if off != len(blob):
+        raise CheckpointError(f"{len(blob) - off} trailing bytes in {path}")
+    if (tensors["bn_var"] < 0).any():
+        raise CheckpointError(f"negative batch-norm variance in {path}")
     return ModelParams(dims=dims, **tensors)

@@ -1,10 +1,9 @@
-"""Training machinery: batched BPTT, Adam, and verification metrics.
+"""Training machinery: the pair loss, Adam, the loop, and verification metrics.
 
 Gradients of binary cross-entropy over the cosine similarity of two
-tied-weight embeddings are computed analytically through batch-norm,
-dropout (mask held fixed), the feedforward layers, and both RNN direction
-unrollings.  Everything runs in 64-bit floats so the finite-difference
-check is meaningful.
+tied-weight embeddings are computed analytically, back through the kernel
+in :mod:`phonosim.net` (dropout masks held fixed).  Everything runs in
+64-bit floats so the finite-difference check is meaningful.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ from scipy.stats import rankdata
 
 from .errors import DataError
 from .net import (
-    BN_EPS,
     BN_MOMENTUM,
     ModelDims,
     ModelParams,
     TRAINABLE_TENSORS,
     WEIGHT_TENSORS,
-    _sigmoid,
+    _embed_backward,
+    _embed_forward,
     init_params,
 )
 
@@ -63,124 +62,15 @@ def bce_loss(similarity: float, label: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched forward / backward
+# the Siamese pair loss
 
 
-def _pack(feats: list[np.ndarray]):
-    lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
-    if (lengths < 1).any():
-        raise DataError("utterance with zero frames")
-    d_in = feats[0].shape[1]
-    n = len(feats)
-    lmax = int(lengths.max())
-    x = np.zeros((n, lmax, d_in))
-    xrev = np.zeros((n, lmax, d_in))
-    for i, f in enumerate(feats):
-        li = lengths[i]
-        x[i, :li] = f
-        xrev[i, :li] = f[::-1]
-    return x, xrev, lengths
-
-
-def _run_direction(x, lengths, w, u, b):
-    n, lmax, _ = x.shape
-    dh = w.shape[0]
-    hseq = np.zeros((n, lmax, dh))
-    h = np.zeros((n, dh))
-    for t in range(lmax):
-        hn = np.tanh(x[:, t] @ w.T + h @ u.T + b)
-        h = np.where((t < lengths)[:, None], hn, h)
-        hseq[:, t] = h
-    return hseq
-
-
-def _direction_backward(x, hseq, lengths, u, d_final):
-    n, lmax, dh = hseq.shape
-    dw = np.zeros((dh, x.shape[2]))
-    du = np.zeros((dh, dh))
-    db = np.zeros(dh)
-    dh_t = np.zeros((n, dh))
-    for t in range(lmax - 1, -1, -1):
-        at_final = lengths - 1 == t
-        if at_final.any():
-            dh_t[at_final] += d_final[at_final]
-        da = dh_t * (1.0 - hseq[:, t] ** 2)
-        da[t >= lengths] = 0.0
-        hprev = hseq[:, t - 1] if t > 0 else np.zeros((n, dh))
-        dw += da.T @ x[:, t]
-        du += da.T @ hprev
-        db += da.sum(axis=0)
-        dh_t = da @ u
-    return dw, du, db
-
-
-def _embed_forward(params: ModelParams, feats, mode: str, dropout_masks):
-    """Embeddings for a batch of utterances; returns (e, cache)."""
-    x, xrev, lengths = _pack(feats)
-    n = len(feats)
-    hf = _run_direction(x, lengths, params.wf, params.uf, params.bf)
-    hb = _run_direction(xrev, lengths, params.wb, params.ub, params.bb)
-    rows = np.arange(n)
-    hcat = np.concatenate([hf[rows, lengths - 1], hb[rows, lengths - 1]], axis=1)
-
-    dropped = hcat if dropout_masks is None else hcat * dropout_masks
-    if mode == "train":
-        mu = dropped.mean(axis=0)
-        var = dropped.var(axis=0)
-        istd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (dropped - mu) * istd
-        z = params.bn_scale * xhat + params.bn_shift
-    else:
-        mu = var = istd = None
-        xhat = (dropped - params.bn_mean) / np.sqrt(params.bn_var + BN_EPS)
-        z = params.bn_scale * xhat + params.bn_shift
-    y = np.tanh(z @ params.wy.T + params.by)
-    e = _sigmoid(y @ params.we.T + params.be)
-    cache = dict(
-        x=x, xrev=xrev, lengths=lengths, hf=hf, hb=hb,
-        dropout_masks=dropout_masks, mode=mode,
-        mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
-    )
-    return e, cache
-
-
-def _embed_backward(params: ModelParams, de, cache):
-    """Gradients of all trainable tensors given d(loss)/d(embeddings)."""
-    e, y, z, xhat = cache["e"], cache["y"], cache["z"], cache["xhat"]
-    s = de * e * (1.0 - e)
-    grads = {
-        "we": s.T @ y,
-        "be": s.sum(axis=0),
-    }
-    dy = s @ params.we
-    dt = dy * (1.0 - y * y)
-    grads["wy"] = dt.T @ z
-    grads["by"] = dt.sum(axis=0)
-    dz = dt @ params.wy
-
-    grads["bn_scale"] = (dz * xhat).sum(axis=0)
-    grads["bn_shift"] = dz.sum(axis=0)
-    dxhat = dz * params.bn_scale
-    if cache["mode"] == "train":
-        istd = cache["istd"]
-        ddrop = istd * (
-            dxhat
-            - dxhat.mean(axis=0)
-            - xhat * (dxhat * xhat).mean(axis=0)
-        )
-    else:
-        ddrop = dxhat / np.sqrt(params.bn_var + BN_EPS)
-    dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
-
-    dh = params.dims.d_hidden
-    dwf, duf, dbf = _direction_backward(
-        cache["x"], cache["hf"], cache["lengths"], params.uf, dhcat[:, :dh]
-    )
-    dwb, dub, dbb = _direction_backward(
-        cache["xrev"], cache["hb"], cache["lengths"], params.ub, dhcat[:, dh:]
-    )
-    grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
-    return grads
+def _dropout_masks(rng, n_utterances: int, params: ModelParams, rate: float):
+    """Inverted-dropout masks over the final hidden states; None at rate 0."""
+    if rate == 0.0:
+        return None
+    shape = (n_utterances, 2 * params.dims.d_hidden)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def pair_forward_backward(
@@ -190,9 +80,8 @@ def pair_forward_backward(
     labels: np.ndarray,
     l1_coeff: float = 0.0,
     dropout_masks: np.ndarray | None = None,
-    mode: str = "train",
 ):
-    """Loss, gradients, batch-norm batch statistics, and similarities.
+    """Training-mode loss, gradients, batch-norm batch statistics, and similarities.
 
     ``dropout_masks`` has one row per utterance in interleaved
     (left0, right0, left1, right1, ...) order; both Siamese branches
@@ -203,7 +92,7 @@ def pair_forward_backward(
         raise DataError("empty pair batch")
     labels = np.asarray(labels, dtype=np.float64)
     feats = [f for pair in zip(left_feats, right_feats) for f in pair]
-    e, cache = _embed_forward(params, feats, mode, dropout_masks)
+    e, cache = _embed_forward(params, feats, training=True, dropout_masks=dropout_masks)
 
     el, er = e[0::2], e[1::2]
     nl = np.linalg.norm(el, axis=1)
@@ -232,8 +121,7 @@ def pair_forward_backward(
     for name in TRAINABLE_TENSORS:
         if not np.isfinite(grads[name]).all():
             raise DataError(f"non-finite gradient in tensor {name!r}")
-    bn_stats = (cache["mu"], cache["var"]) if mode == "train" else None
-    return loss, grads, bn_stats, g
+    return loss, grads, (cache["mu"], cache["var"]), g
 
 
 def backward(
@@ -245,12 +133,9 @@ def backward(
     rng: np.random.Generator | None = None,
 ):
     """Single-pair convenience wrapper; returns (loss, gradients)."""
-    masks = None
-    if dropout_rate > 0.0:
-        if rng is None:
-            raise DataError("dropout requires an rng")
-        shape = (2, 2 * params.dims.d_hidden)
-        masks = (rng.random(shape) >= dropout_rate) / (1.0 - dropout_rate)
+    if dropout_rate > 0.0 and rng is None:
+        raise DataError("dropout requires an rng")
+    masks = _dropout_masks(rng, 2, params, dropout_rate)
     loss, grads, _, _ = pair_forward_backward(
         params, [pair[0]], [pair[1]], np.array([label]), l1_coeff, masks
     )
@@ -392,7 +277,7 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
         if key in out:
             continue
         frames = np.asarray(store[key], dtype=np.float64)
-        e, _ = _embed_forward(params, [frames], "infer", None)
+        e, _ = _embed_forward(params, [frames], training=False)
         out[key] = e[0]
     return out
 
@@ -448,7 +333,6 @@ def train(
     params = init.copy() if init is not None else init_params(dims or ModelDims(), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
-    dh2 = 2 * params.dims.d_hidden
 
     triples = [_pair_triple(p) for p in train_pairs]
     history = []
@@ -466,11 +350,7 @@ def train(
             lefts = [np.asarray(store[l], dtype=np.float64) for l, _, _ in batch]
             rights = [np.asarray(store[r], dtype=np.float64) for _, r, _ in batch]
             labels = np.array([y for _, _, y in batch], dtype=np.float64)
-            masks = None
-            if config.dropout_rate > 0.0:
-                masks = (
-                    rng.random((2 * len(batch), dh2)) >= config.dropout_rate
-                ) / (1.0 - config.dropout_rate)
+            masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
             loss, grads, bn_stats, sims = pair_forward_backward(
                 params, lefts, rights, labels, config.l1_coeff, masks
             )
@@ -535,11 +415,7 @@ def gradient_check(
     feats = [rng.normal(size=(t, dims.d_in)) for t in lengths]
     lefts, rights = feats[0::2], feats[1::2]
     labels = np.array([(1 if i % 2 == 0 else 0) for i in range(n_pairs)], dtype=float)
-    masks = None
-    if dropout_rate > 0.0:
-        masks = (
-            rng.random((2 * n_pairs, 2 * dims.d_hidden)) >= dropout_rate
-        ) / (1.0 - dropout_rate)
+    masks = _dropout_masks(rng, 2 * n_pairs, params, dropout_rate)
 
     def loss_of(p):
         loss, _, _, _ = pair_forward_backward(p, lefts, rights, labels, l1_coeff, masks)

@@ -122,13 +122,22 @@ def test_gradcheck_bad_dims():
 
 def test_usage_error_exit_code():
     assert cli.main(["unknown-subcommand"]) == 1
-    assert cli.main(["--threads", "0", "gradcheck"]) == 1
 
 
 def test_data_error_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["pairs", "--manifest", missing, "--condition", "solo",
                      "--out", str(tmp_path / "p.json")]) == 2
+
+
+def test_missing_input_file_exit_code(pipeline, capsys):
+    missing = str(pipeline["root"] / "missing.artm")
+    assert cli.main([
+        "eval", "--model", missing, "--pairs", pipeline["pairs"],
+        "--features", pipeline["features"],
+        "--report", str(pipeline["root"] / "missing_report.json"),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_condition_pairs_require_sessions(pipeline):

@@ -124,18 +124,6 @@ def test_embed_utterance_range_and_determinism(small_params):
     np.testing.assert_array_equal(e1, e2)
 
 
-def test_embed_utterance_train_mode_applies_dropout(small_params):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(9, 5))
-    e_inf = net.embed_utterance(small_params, x, 9, mode="infer")
-    e_tr = net.embed_utterance(
-        small_params, x, 9, mode="train", dropout_rng=np.random.default_rng(0)
-    )
-    assert not np.array_equal(e_inf, e_tr)
-    with pytest.raises(DataError):
-        net.embed_utterance(small_params, x, 9, mode="banana")
-
-
 def test_cosine_similarity_frozen_value():
     got = net.cosine_similarity([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert got == pytest.approx(0.9746318461970762, abs=1e-12)
@@ -215,3 +203,36 @@ def test_checkpoint_wrong_version(small_params, tmp_path):
     open(path, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         net.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
+    """Shapes that the header dims do not give, NaN/inf, negative running
+    variance, and trailing bytes are all rejected at load time."""
+    good = str(tmp_path / "good.artm")
+    net.save_checkpoint(small_params, good)
+    blob = open(good, "rb").read()
+
+    def rejects(data, match):
+        path = tmp_path / "bad.artm"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=match):
+            net.load_checkpoint(str(path))
+
+    # wf (4, 5) rewritten as a self-consistent (2, 2) record
+    wf_end = 20 + 4 + 2 + 4 + 8 + 8 * 20
+    wf_2x2 = (
+        blob[20:30] + (2).to_bytes(4, "little") * 2 + np.zeros(4).tobytes()
+    )
+    rejects(blob[:20] + wf_2x2 + blob[wf_end:], "shape")
+
+    for name, value, match in (
+        ("wf", np.nan, "non-finite"),
+        ("be", np.inf, "non-finite"),
+        ("bn_var", -1.0, "negative"),
+    ):
+        p = small_params.copy()
+        getattr(p, name)[0] = value
+        net.save_checkpoint(p, good)
+        rejects(open(good, "rb").read(), match)
+
+    rejects(blob + b"\x00", "trailing")

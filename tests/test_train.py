@@ -49,10 +49,12 @@ def test_bce_clamps_extremes():
 
 
 def test_gradient_check_all_tensors_under_tolerance():
-    errors = tr.gradient_check(net.ModelDims(5, 4, 3), seed=0)
-    assert set(errors) == set(net.TRAINABLE_TENSORS)
-    worst = max(errors.values())
-    assert worst < 1e-4, f"worst relative error {worst:.3e}"
+    # the second batch mixes short and long rows, so padded steps occur
+    for lengths in ((7, 5, 6, 4), (2, 9, 3, 8)):
+        errors = tr.gradient_check(net.ModelDims(5, 4, 3), seed=0, lengths=lengths)
+        assert set(errors) == set(net.TRAINABLE_TENSORS)
+        worst = max(errors.values())
+        assert worst < 1e-4, f"{lengths}: worst relative error {worst:.3e}"
 
 
 def test_l1_penalty_additivity(small_params):
@@ -90,10 +92,55 @@ def test_batched_embeddings_match_single_path(small_params):
     """The padded batch path agrees with per-utterance inference."""
     rng = np.random.default_rng(3)
     feats = [rng.normal(size=(t, 5)) for t in (4, 9, 6)]
-    e_batch, _ = tr._embed_forward(small_params, feats, "infer", None)
+    e_batch, _ = net._embed_forward(small_params, feats, training=False)
     for i, f in enumerate(feats):
         single = net.embed_utterance(small_params, f, f.shape[0])
         np.testing.assert_allclose(e_batch[i], single, atol=1e-12)
+
+
+def test_pair_loss_matches_per_utterance_oracle():
+    """Independent oracle for the padded batch kernel in training mode.
+
+    Each utterance runs its own unpadded tanh loops; batch-norm uses the
+    statistics of the dropped-out batch; then the head, cosine and BCE.
+    """
+    dims = net.ModelDims(6, 5, 4)
+    p = net.init_params(dims, seed=3)
+    for name in net.WEIGHT_TENSORS:
+        getattr(p, name)[...] *= 6.0  # keep the cosine away from 1
+    rng = np.random.default_rng(8)
+    lengths = (2, 60, 17, 3, 45, 9, 31, 2)
+    feats = [rng.normal(size=(t, dims.d_in)) for t in lengths]
+    labels = np.array([1.0, 0.0, 0.0, 1.0])
+    masks = (rng.random((len(feats), 2 * dims.d_hidden)) >= 0.2) / 0.8
+    l1 = 1e-4
+
+    def final_states(x):
+        hf = np.zeros(dims.d_hidden)
+        for t in range(len(x)):
+            hf = np.tanh(p.wf @ x[t] + p.uf @ hf + p.bf)
+        hb = np.zeros(dims.d_hidden)
+        for t in range(len(x) - 1, -1, -1):
+            hb = np.tanh(p.wb @ x[t] + p.ub @ hb + p.bb)
+        return np.concatenate([hf, hb])
+
+    h = np.array([final_states(x) for x in feats]) * masks
+    mu, var = h.mean(axis=0), h.var(axis=0)
+    z = p.bn_scale * (h - mu) / np.sqrt(var + net.BN_EPS) + p.bn_shift
+    e = 1.0 / (1.0 + np.exp(-(np.tanh(z @ p.wy.T + p.by) @ p.we.T + p.be)))
+    want = 0.0
+    for i, y in enumerate(labels):
+        a, b = e[2 * i], e[2 * i + 1]
+        sim = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+        want += tr.bce_loss(sim, y) / len(labels)
+    want += l1 * sum(np.abs(getattr(p, n)).sum() for n in net.WEIGHT_TENSORS)
+
+    loss, _, (bn_mu, bn_var), _ = tr.pair_forward_backward(
+        p, feats[0::2], feats[1::2], labels, l1, masks
+    )
+    assert abs(loss - want) <= 1e-12
+    np.testing.assert_allclose(bn_mu, mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bn_var, var, rtol=0, atol=1e-12)
 
 
 def test_empty_batch_errors(small_params):
@@ -317,9 +364,7 @@ def test_full_batch_descent_loss_nonincreasing(tiny_features):
     params = net.init_params(net.ModelDims(), seed=0)
     losses = []
     for _ in range(5):
-        loss, grads, _, _ = tr.pair_forward_backward(
-            params, lefts, rights, labels, mode="train"
-        )
+        loss, grads, _, _ = tr.pair_forward_backward(params, lefts, rights, labels)
         losses.append(loss)
         for name in net.TRAINABLE_TENSORS:
             getattr(params, name)[...] -= 1e-4 * grads[name]
