@@ -231,23 +231,24 @@ def build_report(
         {u.session for u in manifest.utterances if u.condition == "imitation"}
     )
 
-    def prep(pairs):
-        scored = score_pairs(params, pairs, store, threshold)
-        return filter_scores(scored) if filtered else scored
-
-    solo = prep(build_solo_pairs(manifest, *solo_range))
-    inter = prep(build_condition_pairs(manifest, "interactive", sessions))
-    imit = (
-        prep(build_condition_pairs(manifest, "imitation", imit_sessions))
+    pair_sets = [
+        build_solo_pairs(manifest, *solo_range),
+        build_condition_pairs(manifest, "interactive", sessions),
+        build_condition_pairs(manifest, "imitation", imit_sessions)
         if imit_sessions
-        else []
-    )
-    inter_vs_solo = prep(cross_condition_pairs(manifest, "interactive", sessions))
-    imit_vs_solo = (
-        prep(cross_condition_pairs(manifest, "imitation", imit_sessions))
+        else [],
+        cross_condition_pairs(manifest, "interactive", sessions),
+        cross_condition_pairs(manifest, "imitation", imit_sessions)
         if imit_sessions
-        else []
-    )
+        else [],
+    ]
+    # one scoring call, so an utterance shared by several sets is embedded once
+    scored = score_pairs(params, [p for s in pair_sets for p in s], store, threshold)
+    ends = np.cumsum([len(s) for s in pair_sets]).tolist()
+    parts = [scored[a:b] for a, b in zip([0] + ends, ends)]
+    if filtered:
+        parts = [filter_scores(part) for part in parts]
+    solo, inter, imit, inter_vs_solo, imit_vs_solo = parts
 
     report = ConvergenceReport(threshold=threshold)
     within = {"solo": solo, "interactive": inter, "imitation": imit}

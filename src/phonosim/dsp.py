@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.io import wavfile
 
-from .errors import AudioError, FeatureIOError
+from .errors import AudioError, DataError, FeatureIOError
 
 PIPELINE_RATE = 16000
 
@@ -143,9 +143,15 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
     """Static 13-coefficient MFCCs on a 25 ms window with a 10 ms hop.
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
-    log (floored), DCT-II (ortho), keep coefficients 0-12.
+    log (floored), DCT-II (ortho), keep coefficients 0-12.  Raises
+    ``DataError`` when ``cfg.sample_rate`` is not the waveform's rate.
     """
     cfg = cfg or MfccConfig(sample_rate=w.sample_rate)
+    if cfg.sample_rate != w.sample_rate:
+        raise DataError(
+            f"MFCC config is for {cfg.sample_rate} Hz audio, "
+            f"waveform is {w.sample_rate} Hz"
+        )
     win = cfg.window_samples
     hop = cfg.hop_samples
     n = frame_count(len(w.samples), win, hop)

@@ -1,9 +1,11 @@
 """Siamese bi-directional RNN: the one forward/backward kernel, and checkpoints.
 
-``_embed_forward``/``_embed_backward`` take a zero-padded batch of
-variable-length utterances through tied-weight forward/backward tanh
-recurrences read at each utterance's true last frame, dropout and batch
-normalization, a tanh feedforward layer and a sigmoid embedding layer.
+``_embed_forward``/``_embed_backward`` take a batch of variable-length
+utterances through tied-weight forward/backward tanh recurrences read at
+each utterance's true last frame, dropout and batch normalization, a tanh
+feedforward layer and a sigmoid embedding layer.  The recurrences run
+time-major over the rows sorted longest first, and step ``t`` computes only
+the rows that still have a frame there.
 The public per-utterance functions wrap that kernel with a batch of one.
 """
 
@@ -113,55 +115,96 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(feats: list[np.ndarray]):
-    """Zero-padded (n, lmax, d_in) batch, its time-reversed twin, and lengths."""
-    lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
-    if (lengths < 1).any():
+def _pack(feats: list[np.ndarray], d_in: int):
+    """Time-major zero-padded batch, longest row first.
+
+    Returns ``x`` and its per-row time-reversed twin ``xrev``, both
+    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous; the sorted
+    ``lengths``; ``order``, the caller's index of each sorted row (a stable
+    sort, so ties keep the caller's order); and ``active``, the number of
+    rows with a frame at step ``t``, which are rows ``:active[t]``, for
+    ``t`` in ``0..lmax`` (``active[lmax]`` is 0).
+    """
+    for f in feats:
+        if f.ndim != 2 or f.shape[1] != d_in:
+            raise DataError(
+                f"feature matrix of shape {f.shape}, model expects (frames, {d_in})"
+            )
+    caller_lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
+    if (caller_lengths < 1).any():
         raise DataError("utterance with zero frames")
-    d_in = feats[0].shape[1]
+    order = np.argsort(-caller_lengths, kind="stable")
+    lengths = caller_lengths[order]
     n = len(feats)
-    lmax = int(lengths.max())
-    x = np.zeros((n, lmax, d_in))
-    xrev = np.zeros((n, lmax, d_in))
-    for i, f in enumerate(feats):
-        li = lengths[i]
-        x[i, :li] = f
-        xrev[i, :li] = f[::-1]
-    return x, xrev, lengths
+    lmax = int(lengths[0])
+    x = np.zeros((lmax, n, d_in))
+    xrev = np.zeros((lmax, n, d_in))
+    for j, i in enumerate(order):
+        f = feats[i]
+        x[: len(f), j] = f
+        xrev[: len(f), j] = f[::-1]
+    active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
+    return x, xrev, lengths, order, active.tolist()
 
 
-def _run_direction(x, w, u, b):
-    """Hidden states of one tanh recurrence over a padded batch.  Rows step on
-    through their padding; only each row's state at ``lengths - 1`` is read."""
-    n, lmax, _ = x.shape
+def _run_direction(x, w, u, b, active):
+    """Hidden states of one tanh recurrence over a ``_pack`` batch.
+
+    Step ``t`` computes only the live rows ``:active[t]``; a row's entries
+    past its last frame are never written, and no caller reads them.
+    """
+    lmax, n, _ = x.shape
     dh = w.shape[0]
-    hseq = np.zeros((n, lmax, dh))
-    h = np.zeros((n, dh))
-    for t in range(lmax):
-        h = np.tanh(x[:, t] @ w.T + h @ u.T + b)
-        hseq[:, t] = h
+    wt = np.ascontiguousarray(w.T)
+    ut = np.ascontiguousarray(u.T)
+    hseq = np.empty((lmax, n, dh))
+    rec = np.empty((n, dh))
+    h = hseq[0]  # h_{-1} = 0, so step 0 has no recurrent term
+    np.dot(x[0], wt, out=h)
+    h += b
+    np.tanh(h, out=h)
+    for t in range(1, lmax):
+        k = active[t]
+        h = hseq[t, :k]
+        np.dot(x[t, :k], wt, out=h)
+        h += np.dot(hseq[t - 1, :k], ut, out=rec[:k])
+        h += b
+        np.tanh(h, out=h)
     return hseq
 
 
-def _direction_backward(x, hseq, lengths, u, d_final):
-    """BPTT of one direction; ``d_final`` enters each row at its last true step,
-    so ``dh_t`` is zero on the row's padded steps and they add no gradient."""
-    n, lmax, dh = hseq.shape
+def _direction_backward(x, hseq, active, u, d_final):
+    """BPTT of one direction over a ``_pack`` batch.
+
+    ``d_final`` enters each row at its last frame: the rows ending at step
+    ``t`` are ``active[t + 1]:active[t]``.  Only live rows are stepped, so
+    padded steps add no gradient.
+    """
+    lmax, n, dh = hseq.shape
     dw = np.zeros((dh, x.shape[2]))
     du = np.zeros((dh, dh))
-    db = np.zeros(dh)
+    db = np.zeros((n, dh))
+    gw = np.empty_like(dw)
+    gu = np.empty_like(du)
     dh_t = np.zeros((n, dh))
+    da = np.empty((n, dh))
     for t in range(lmax - 1, -1, -1):
-        at_final = lengths - 1 == t
-        if at_final.any():
-            dh_t[at_final] += d_final[at_final]
-        da = dh_t * (1.0 - hseq[:, t] ** 2)
-        hprev = hseq[:, t - 1] if t > 0 else np.zeros((n, dh))
-        dw += da.T @ x[:, t]
-        du += da.T @ hprev
-        db += da.sum(axis=0)
-        dh_t = da @ u
-    return dw, du, db
+        k = active[t]
+        ended = active[t + 1]
+        if k > ended:
+            # these rows were not live at t + 1, so their dh_t is still zero
+            dh_t[ended:k] = d_final[ended:k]
+        h = hseq[t, :k]
+        d = da[:k]
+        np.multiply(h, h, out=d)
+        np.subtract(1.0, d, out=d)
+        d *= dh_t[:k]
+        dw += np.dot(d.T, x[t, :k], out=gw)
+        if t > 0:  # h_{-1} = 0
+            du += np.dot(d.T, hseq[t - 1, :k], out=gu)
+        db[:k] += d
+        np.dot(d, u, out=dh_t[:k])
+    return dw, du, db.sum(axis=0)
 
 
 def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None):
@@ -169,12 +212,15 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
 
     Batch-norm uses the batch statistics (cache ``mu``, ``var``) when
     ``training``, else the running ones.  ``dropout_masks``: one row per utterance.
+    Raises ``DataError`` for a feature matrix that is not ``(frames, d_in)``.
     """
-    x, xrev, lengths = _pack(feats)
-    hf = _run_direction(x, params.wf, params.uf, params.bf)
-    hb = _run_direction(xrev, params.wb, params.ub, params.bb)
-    rows = np.arange(len(feats))
-    hcat = np.concatenate([hf[rows, lengths - 1], hb[rows, lengths - 1]], axis=1)
+    x, xrev, lengths, order, active = _pack(feats, params.dims.d_in)
+    hf = _run_direction(x, params.wf, params.uf, params.bf, active)
+    hb = _run_direction(xrev, params.wb, params.ub, params.bb, active)
+    rows = np.empty_like(order)
+    rows[order] = np.arange(len(order))  # each caller row's sorted position
+    last = lengths[rows] - 1
+    hcat = np.concatenate([hf[last, rows], hb[last, rows]], axis=1)
 
     dropped = hcat if dropout_masks is None else hcat * dropout_masks
     if training:
@@ -187,7 +233,7 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
     y = np.tanh(z @ params.wy.T + params.by)
     e = _sigmoid(y @ params.we.T + params.be)
     cache = dict(
-        x=x, xrev=xrev, lengths=lengths, hf=hf, hb=hb,
+        x=x, xrev=xrev, order=order, active=active, hf=hf, hb=hb,
         dropout_masks=dropout_masks,
         mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
     )
@@ -217,13 +263,15 @@ def _embed_backward(params: ModelParams, de, cache):
         - xhat * (dxhat * xhat).mean(axis=0)
     )
     dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
+    dhcat = dhcat[cache["order"]]  # into the kernel's longest-first row order
 
     dh = params.dims.d_hidden
+    active = cache["active"]
     dwf, duf, dbf = _direction_backward(
-        cache["x"], cache["hf"], cache["lengths"], params.uf, dhcat[:, :dh]
+        cache["x"], cache["hf"], active, params.uf, dhcat[:, :dh]
     )
     dwb, dub, dbb = _direction_backward(
-        cache["xrev"], cache["hb"], cache["lengths"], params.ub, dhcat[:, dh:]
+        cache["xrev"], cache["hb"], active, params.ub, dhcat[:, dh:]
     )
     grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
     return grads
@@ -245,9 +293,10 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    x, xrev, _ = _pack([_true_frames(frames, true_length)])
-    hb = _run_direction(xrev, params.wb, params.ub, params.bb)
-    return np.hstack([_run_direction(x, params.wf, params.uf, params.bf)[0], hb[0, ::-1]])
+    x, xrev, _, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
+    hf = _run_direction(x, params.wf, params.uf, params.bf, active)
+    hb = _run_direction(xrev, params.wb, params.ub, params.bb, active)
+    return np.hstack([hf[:, 0], hb[::-1, 0]])
 
 
 def final_hidden(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:

@@ -222,6 +222,33 @@ def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
     assert rows[0] == ["speaker", "imitation_ability_norm", "convergence_degree_norm"]
 
 
+def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, monkeypatch):
+    from phonosim import train
+
+    rows = []
+    kernel = train._embed_forward
+
+    def counting(params, feats, *args, **kwargs):
+        rows.append(len(feats))
+        return kernel(params, feats, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_embed_forward", counting)
+    params = net.init_params(net.ModelDims(), seed=0)
+    analysis.build_report(params, tiny_corpus, tiny_features, sessions=[1])
+
+    solo = [u.sentence_index for u in tiny_corpus.utterances if u.condition == "solo"]
+    pair_sets = [
+        corpus.build_solo_pairs(tiny_corpus, min(solo), max(solo)),
+        corpus.build_condition_pairs(tiny_corpus, "interactive", [1]),
+        corpus.build_condition_pairs(tiny_corpus, "imitation", [1]),
+        analysis.cross_condition_pairs(tiny_corpus, "interactive", [1]),
+        analysis.cross_condition_pairs(tiny_corpus, "imitation", [1]),
+    ]
+    keys = {k for pairs in pair_sets for p in pairs for k in (p.left.key, p.right.key)}
+    assert all(pair_sets) and len(rows) > 1
+    assert sum(rows) == len(keys)
+
+
 def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     pairs = corpus.build_solo_pairs(tiny_corpus, 1, 2)
     params = net.init_params(net.ModelDims(), seed=0)

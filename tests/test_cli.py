@@ -7,10 +7,11 @@ then exercises gradcheck and the error paths (exit code 2 for data errors,
 
 import json
 import os
+import shutil
 
 import pytest
 
-from phonosim import cli
+from phonosim import cli, dsp
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,30 @@ def test_missing_input_file_exit_code(pipeline, capsys):
         "eval", "--model", missing, "--pairs", pipeline["pairs"],
         "--features", pipeline["features"],
         "--report", str(pipeline["root"] / "missing_report.json"),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_wrong_feature_width_exit_code(pipeline, tmp_path, capsys):
+    narrow = tmp_path / "features"
+    shutil.copytree(pipeline["features"], narrow)
+    key = json.loads(open(pipeline["pairs"]).read())["pairs"][0]["left"]
+    path = narrow / (key + ".artf")
+    dsp.write_features(dsp.read_features(path).frames[:, :36], path)
+    assert cli.main([
+        "eval", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--pairs", pipeline["pairs"], "--features", str(narrow),
+        "--report", str(tmp_path / "report.json"),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):
+    config = tmp_path / "mfcc.json"
+    config.write_text(json.dumps({"sample_rate": 8000}))
+    assert cli.main([
+        "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
+        "--config", str(config), "--out", str(tmp_path / "features"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -110,6 +110,16 @@ def test_final_hidden_takes_both_fully_processed_states(small_params):
     np.testing.assert_array_equal(final[4:], h[0, 4:])  # backward at first frame
 
 
+def test_kernel_rejects_wrong_feature_width(small_params):
+    rng = np.random.default_rng(5)
+    good = rng.normal(size=(6, 5))
+    for bad in (rng.normal(size=(4, 3)), rng.normal(size=5), rng.normal(size=(2, 4, 5))):
+        with pytest.raises(DataError):
+            net._embed_forward(small_params, [good, bad], training=False)
+    with pytest.raises(DataError):
+        net.embed_utterance(small_params, rng.normal(size=(6, 7)), 6)
+
+
 # ---------------------------------------------------------------------------
 # embedding and similarity
 

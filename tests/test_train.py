@@ -49,8 +49,9 @@ def test_bce_clamps_extremes():
 
 
 def test_gradient_check_all_tensors_under_tolerance():
-    # the second batch mixes short and long rows, so padded steps occur
-    for lengths in ((7, 5, 6, 4), (2, 9, 3, 8)):
+    # the second batch mixes short and long rows, so padded steps occur; the
+    # third has one-frame rows and ties, out of length order
+    for lengths in ((7, 5, 6, 4), (2, 9, 3, 8), (1, 6, 3, 6, 1, 3)):
         errors = tr.gradient_check(net.ModelDims(5, 4, 3), seed=0, lengths=lengths)
         assert set(errors) == set(net.TRAINABLE_TENSORS)
         worst = max(errors.values())
@@ -96,6 +97,24 @@ def test_batched_embeddings_match_single_path(small_params):
     for i, f in enumerate(feats):
         single = net.embed_utterance(small_params, f, f.shape[0])
         np.testing.assert_allclose(e_batch[i], single, atol=1e-12)
+
+
+def test_embed_all_batches_match_single_path(small_params):
+    """Length-sorted inference batches agree with one utterance at a time,
+    and a key's embedding does not depend on the order of the keys."""
+    rng = np.random.default_rng(12)
+    lengths = [1, 7, 7, 3, 30, 1, 12, 7, 19, 2, 30, 5] * 3
+    assert len(lengths) > 2 * tr.EMBED_ROWS
+    store = {f"u{i:02d}": rng.normal(size=(t, 5)) for i, t in enumerate(lengths)}
+    keys = list(store)
+    emb = tr.embed_all(small_params, keys + keys[:4], store)
+    assert set(emb) == set(keys)
+    for key, frames in store.items():
+        single = net.embed_utterance(small_params, frames, len(frames))
+        np.testing.assert_allclose(emb[key], single, rtol=0, atol=1e-12)
+    shuffled = tr.embed_all(small_params, list(rng.permutation(keys)), store)
+    for key in keys:
+        np.testing.assert_array_equal(shuffled[key], emb[key])
 
 
 def test_pair_loss_matches_per_utterance_oracle():
