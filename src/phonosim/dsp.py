@@ -219,7 +219,10 @@ def write_features(f: FeatureMatrix | np.ndarray, path: str | os.PathLike) -> No
 
 
 def read_features(path: str | os.PathLike) -> FeatureMatrix:
-    """Read a feature matrix written by :func:`write_features`."""
+    """Read a feature matrix written by :func:`write_features`.
+
+    Raises ``FeatureIOError`` for a malformed file or a NaN or infinite value.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != FEATURE_MAGIC:
@@ -233,6 +236,8 @@ def read_features(path: str | os.PathLike) -> FeatureMatrix:
             f"truncated payload in {path}: have {len(blob)} bytes, want {expected}"
         )
     frames = np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, cols)
+    if not np.isfinite(frames).all():
+        raise FeatureIOError(f"non-finite value in {path}")
     return FeatureMatrix(frames=frames.astype(np.float64))
 
 

@@ -5,7 +5,8 @@ utterances through tied-weight forward/backward tanh recurrences read at
 each utterance's true last frame, dropout and batch normalization, a tanh
 feedforward layer and a sigmoid embedding layer.  The recurrences run
 time-major over the rows sorted longest first, and step ``t`` computes only
-the rows that still have a frame there.
+the rows that still have a frame there, and a matrix object that fills
+several slots of a batch runs through them once.
 The public per-utterance functions wrap that kernel with a batch of one.
 """
 
@@ -119,11 +120,11 @@ def _pack(feats: list[np.ndarray], d_in: int):
     """Time-major zero-padded batch, longest row first.
 
     Returns ``x`` and its per-row time-reversed twin ``xrev``, both
-    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous; the sorted
-    ``lengths``; ``order``, the caller's index of each sorted row (a stable
-    sort, so ties keep the caller's order); and ``active``, the number of
-    rows with a frame at step ``t``, which are rows ``:active[t]``, for
-    ``t`` in ``0..lmax`` (``active[lmax]`` is 0).
+    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous; ``order``,
+    the caller's index of each sorted row (a stable sort, so ties keep the
+    caller's order); and ``active``, the number of rows with a frame at step
+    ``t``, which are rows ``:active[t]``, for ``t`` in ``0..lmax``
+    (``active[lmax]`` is 0).
     """
     for f in feats:
         if f.ndim != 2 or f.shape[1] != d_in:
@@ -144,33 +145,37 @@ def _pack(feats: list[np.ndarray], d_in: int):
         x[: len(f), j] = f
         xrev[: len(f), j] = f[::-1]
     active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
-    return x, xrev, lengths, order, active.tolist()
+    return x, xrev, order, active.tolist()
 
 
-def _run_direction(x, w, u, b, active):
-    """Hidden states of one tanh recurrence over a ``_pack`` batch.
+def _run_direction(x, w, u, b, active, hseq):
+    """One tanh recurrence over a ``_pack`` batch; returns each row's final state.
 
-    Step ``t`` computes only the live rows ``:active[t]``; a row's entries
-    past its last frame are never written, and no caller reads them.
+    Step ``t`` computes only the live rows ``:active[t]`` into
+    ``hseq[t % len(hseq)]``, so a ``(lmax, n, dh)`` buffer keeps every state
+    (BPTT needs them) and a ``(2, n, dh)`` one only the running state.  A
+    row's final state is copied out at the step it ends, which for rows
+    ``active[t + 1]:active[t]`` is ``t``; entries past a row's last frame are
+    never written, and no caller reads them.
     """
-    lmax, n, _ = x.shape
-    dh = w.shape[0]
+    n = x.shape[1]
+    steps = len(hseq)
     wt = np.ascontiguousarray(w.T)
     ut = np.ascontiguousarray(u.T)
-    hseq = np.empty((lmax, n, dh))
-    rec = np.empty((n, dh))
-    h = hseq[0]  # h_{-1} = 0, so step 0 has no recurrent term
-    np.dot(x[0], wt, out=h)
-    h += b
-    np.tanh(h, out=h)
-    for t in range(1, lmax):
+    rec = np.empty((n, w.shape[0]))
+    final = np.empty_like(rec)
+    for t in range(len(x)):
         k = active[t]
-        h = hseq[t, :k]
+        h = hseq[t % steps, :k]
         np.dot(x[t, :k], wt, out=h)
-        h += np.dot(hseq[t - 1, :k], ut, out=rec[:k])
+        if t > 0:  # h_{-1} = 0
+            h += np.dot(hseq[(t - 1) % steps, :k], ut, out=rec[:k])
         h += b
         np.tanh(h, out=h)
-    return hseq
+        ended = active[t + 1]
+        if ended < k:
+            final[ended:k] = h[ended:]
+    return final
 
 
 def _direction_backward(x, hseq, active, u, d_final):
@@ -210,17 +215,30 @@ def _direction_backward(x, hseq, active, u, d_final):
 def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None):
     """Embeddings for a batch of utterances; returns (e, cache).
 
-    Batch-norm uses the batch statistics (cache ``mu``, ``var``) when
-    ``training``, else the running ones.  ``dropout_masks``: one row per utterance.
-    Raises ``DataError`` for a feature matrix that is not ``(frames, d_in)``.
+    The recurrences run once per distinct matrix object in ``feats``: an
+    object that fills several slots shares its recurrent states, since
+    dropout acts only after them.  Batch-norm uses the batch statistics
+    (cache ``mu``, ``var``) when ``training``, else the running ones.
+    ``dropout_masks``: one row per slot.  Inference keeps only the running
+    recurrent state.  Raises ``DataError`` for a feature matrix that is not
+    ``(frames, d_in)``.
     """
-    x, xrev, lengths, order, active = _pack(feats, params.dims.d_in)
-    hf = _run_direction(x, params.wf, params.uf, params.bf, active)
-    hb = _run_direction(xrev, params.wb, params.ub, params.bb, active)
-    rows = np.empty_like(order)
-    rows[order] = np.arange(len(order))  # each caller row's sorted position
-    last = lengths[rows] - 1
-    hcat = np.concatenate([hf[last, rows], hb[last, rows]], axis=1)
+    first = {}  # id of each distinct matrix -> its index in `distinct`
+    distinct = []
+    for f in feats:
+        if id(f) not in first:
+            first[id(f)] = len(distinct)
+            distinct.append(f)
+    x, xrev, order, active = _pack(distinct, params.dims.d_in)
+    steps = len(x) if training else 2
+    hf = np.empty((steps, len(distinct), params.dims.d_hidden))
+    hb = np.empty_like(hf)
+    final_f = _run_direction(x, params.wf, params.uf, params.bf, active, hf)
+    final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
+    sorted_row = np.empty_like(order)
+    sorted_row[order] = np.arange(len(order))
+    rows = sorted_row[[first[id(f)] for f in feats]]  # each slot's sorted row
+    hcat = np.concatenate([final_f[rows], final_b[rows]], axis=1)
 
     dropped = hcat if dropout_masks is None else hcat * dropout_masks
     if training:
@@ -233,7 +251,7 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
     y = np.tanh(z @ params.wy.T + params.by)
     e = _sigmoid(y @ params.we.T + params.be)
     cache = dict(
-        x=x, xrev=xrev, order=order, active=active, hf=hf, hb=hb,
+        x=x, xrev=xrev, rows=rows, active=active, hf=hf, hb=hb,
         dropout_masks=dropout_masks,
         mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
     )
@@ -263,15 +281,18 @@ def _embed_backward(params: ModelParams, de, cache):
         - xhat * (dxhat * xhat).mean(axis=0)
     )
     dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
-    dhcat = dhcat[cache["order"]]  # into the kernel's longest-first row order
+    # BPTT is linear in the injected gradient, so the slots that share a
+    # matrix add into its sorted row and it is back-propagated once
+    d_final = np.zeros((cache["x"].shape[1], dhcat.shape[1]))
+    np.add.at(d_final, cache["rows"], dhcat)
 
     dh = params.dims.d_hidden
     active = cache["active"]
     dwf, duf, dbf = _direction_backward(
-        cache["x"], cache["hf"], active, params.uf, dhcat[:, :dh]
+        cache["x"], cache["hf"], active, params.uf, d_final[:, :dh]
     )
     dwb, dub, dbb = _direction_backward(
-        cache["xrev"], cache["hb"], active, params.ub, dhcat[:, dh:]
+        cache["xrev"], cache["hb"], active, params.ub, d_final[:, dh:]
     )
     grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
     return grads
@@ -293,9 +314,11 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    x, xrev, _, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
-    hf = _run_direction(x, params.wf, params.uf, params.bf, active)
-    hb = _run_direction(xrev, params.wb, params.ub, params.bb, active)
+    x, xrev, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
+    hf = np.empty((len(x), 1, params.dims.d_hidden))
+    hb = np.empty_like(hf)
+    _run_direction(x, params.wf, params.uf, params.bf, active, hf)
+    _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
     return np.hstack([hf[:, 0], hb[::-1, 0]])
 
 

@@ -8,7 +8,7 @@ in :mod:`phonosim.net` (dropout masks held fixed).  Everything runs in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -89,7 +89,8 @@ def pair_forward_backward(
 
     ``dropout_masks`` has one row per utterance in interleaved
     (left0, right0, left1, right1, ...) order; both Siamese branches
-    accumulate into the same gradient tensors.
+    accumulate into the same gradient tensors.  A matrix object that fills
+    several slots runs through the recurrences and BPTT once.
     """
     n_pairs = len(left_feats)
     if n_pairs == 0:
@@ -152,17 +153,17 @@ def backward(
 
 @dataclass
 class AdamState:
+    """Step count and the moment estimates, one flat vector each over the
+    trainable tensors in ``TRAINABLE_TENSORS`` order."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    state = AdamState()
-    for name in TRAINABLE_TENSORS:
-        state.m[name] = np.zeros_like(getattr(params, name))
-        state.v[name] = np.zeros_like(getattr(params, name))
-    return state
+    size = sum(getattr(params, name).size for name in TRAINABLE_TENSORS)
+    return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -174,17 +175,34 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    One pass over the concatenated gradient; every element takes the same
+    operations in the same order as a per-tensor update, so the result is
+    bit-identical to one.
+    """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
+    g = np.concatenate([grads[name].ravel() for name in TRAINABLE_TENSORS])
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    g2 = (1.0 - beta2) * g
+    g2 *= g
+    v *= beta2
+    v += g2
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = m / bc1
+    step *= lr
+    step /= denom
+    start = 0
     for name in TRAINABLE_TENSORS:
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        getattr(params, name)[...] -= lr * mhat / (np.sqrt(vhat) + eps)
+        p = getattr(params, name)
+        p -= step[start : start + p.size].reshape(p.shape)
+        start += p.size
     return params, state
 
 
@@ -357,8 +375,13 @@ def train(
         done = 0
         for bi, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [triples[i] for i in order[start : start + config.batch_size]]
-            lefts = [np.asarray(store[l], dtype=np.float64) for l, _, _ in batch]
-            rights = [np.asarray(store[r], dtype=np.float64) for _, r, _ in batch]
+            # one float64 object per key, so a key's slots share its RNN pass
+            f64 = {
+                k: np.asarray(store[k], dtype=np.float64)
+                for l, r, _ in batch for k in (l, r)
+            }
+            lefts = [f64[l] for l, _, _ in batch]
+            rights = [f64[r] for _, r, _ in batch]
             labels = np.array([y for _, _, y in batch], dtype=np.float64)
             masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
             loss, grads, bn_stats, sims = pair_forward_backward(

@@ -10,13 +10,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_toy_desk_train_is_correct():
+@pytest.mark.parametrize("workload", ["desk-train", "long-utts"])
+def test_bench_toy_is_correct(workload):
+    # long-utts mixes lengths, and both workloads repeat utterances within a
+    # training batch
     proc = subprocess.run(
         [
-            sys.executable, "bench/run.py", "--workload", "desk-train",
+            sys.executable, "bench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "1", "--trace", "0", "--toy",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=300,

@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from phonosim import cli, dsp
@@ -153,6 +154,24 @@ def test_wrong_feature_width_exit_code(pipeline, tmp_path, capsys):
         "--report", str(tmp_path / "report.json"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_feature_exit_code(pipeline, tmp_path, capsys):
+    corrupt = tmp_path / "features"
+    shutil.copytree(pipeline["features"], corrupt)
+    key = json.loads(open(pipeline["pairs"]).read())["pairs"][0]["left"]
+    path = corrupt / (key + ".artf")
+    frames = dsp.read_features(path).frames.copy()
+    frames[3, 5] = np.nan
+    dsp.write_features(frames, path)
+    report = tmp_path / "report.json"
+    assert cli.main([
+        "eval", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--pairs", pipeline["pairs"], "--features", str(corrupt),
+        "--report", str(report),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):

@@ -248,6 +248,16 @@ def test_feature_file_truncated_payload(tmp_path):
         dsp.read_features(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_file_rejects_non_finite(tmp_path, bad):
+    frames = np.zeros((4, 3))
+    frames[2, 1] = bad
+    path = tmp_path / "bad.artf"
+    dsp.write_features(frames, path)
+    with pytest.raises(FeatureIOError, match="non-finite"):
+        dsp.read_features(path)
+
+
 def test_feature_store(tmp_path):
     frames = np.arange(12.0).reshape(3, 4)
     dsp.write_features(frames, tmp_path / "spk__solo__1__001.artf")

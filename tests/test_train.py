@@ -162,6 +162,67 @@ def test_pair_loss_matches_per_utterance_oracle():
     np.testing.assert_allclose(bn_var, var, rtol=0, atol=1e-12)
 
 
+def _repeated_batch():
+    """A batch in which one matrix object fills four slots, one pair being
+    (a, a), and a second object fills three."""
+    dims = net.ModelDims(6, 5, 4)
+    p = net.init_params(dims, seed=4)
+    for name in net.WEIGHT_TENSORS:
+        getattr(p, name)[...] *= 6.0  # keep the cosine away from 1
+    rng = np.random.default_rng(21)
+    a, b, c, d = (rng.normal(size=(t, dims.d_in)) for t in (9, 3, 14, 1))
+    lefts, rights = [a, a, c, b, c], [a, b, a, d, c]
+    labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    masks = (rng.random((2 * len(lefts), 2 * dims.d_hidden)) >= 0.2) / 0.8
+    return p, lefts, rights, labels, masks
+
+
+def test_repeated_matrices_match_distinct_copies(monkeypatch):
+    """Slots sharing a matrix object run the recurrences once; loss, batch
+    statistics and gradients equal those of a batch of separate copies."""
+    p, lefts, rights, labels, masks = _repeated_batch()
+    packed = []
+    pack = net._pack
+
+    def counting_pack(feats, d_in):
+        packed.append(len(feats))
+        return pack(feats, d_in)
+
+    monkeypatch.setattr(net, "_pack", counting_pack)
+    loss, grads, (mu, var), sims = tr.pair_forward_backward(
+        p, lefts, rights, labels, 1e-4, masks
+    )
+    loss_c, grads_c, (mu_c, var_c), sims_c = tr.pair_forward_backward(
+        p, [f.copy() for f in lefts], [f.copy() for f in rights], labels, 1e-4, masks
+    )
+    assert packed == [4, 10]  # distinct objects, then one row per slot
+    assert abs(loss - loss_c) <= 1e-12
+    for got, want in ((mu, mu_c), (var, var_c), (sims, sims_c)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for name in net.TRAINABLE_TENSORS:
+        np.testing.assert_allclose(grads[name], grads_c[name], rtol=0, atol=1e-12)
+
+
+def test_repeated_matrices_gradient_central_differences():
+    p, lefts, rights, labels, masks = _repeated_batch()
+    _, grads, _, _ = tr.pair_forward_backward(p, lefts, rights, labels, 1e-4, masks)
+    rng = np.random.default_rng(22)
+    eps = 1e-5
+    for name in ("uf", "wb", "wy"):
+        tensor = getattr(p, name)
+        for flat in rng.choice(tensor.size, size=6, replace=False):
+            idx = np.unravel_index(flat, tensor.shape)
+            orig = tensor[idx]
+            tensor[idx] = orig + eps
+            up = tr.pair_forward_backward(p, lefts, rights, labels, 1e-4, masks)[0]
+            tensor[idx] = orig - eps
+            down = tr.pair_forward_backward(p, lefts, rights, labels, 1e-4, masks)[0]
+            tensor[idx] = orig
+            fd = (up - down) / (2.0 * eps)
+            g = grads[name][idx]
+            assert abs(g - fd) / max(abs(g), abs(fd), 1e-6) < 1e-4, (name, idx, g, fd)
+
+
 def test_empty_batch_errors(small_params):
     with pytest.raises(DataError):
         tr.pair_forward_backward(small_params, [], [], np.array([]))
@@ -207,6 +268,41 @@ def test_adam_deterministic(small_params):
     tr.adam_step(tr.adam_init(b), b, grads, lr=1e-3)
     for name in net.TRAINABLE_TENSORS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_adam_matches_per_tensor_reference(small_params):
+    """The flat update is bit-identical to Adam applied one tensor at a time."""
+    rng = np.random.default_rng(6)
+    ref = small_params.copy()
+    m = {n: np.zeros_like(getattr(ref, n)) for n in net.TRAINABLE_TENSORS}
+    v = {n: np.zeros_like(getattr(ref, n)) for n in net.TRAINABLE_TENSORS}
+    state = tr.adam_init(small_params)
+    beta1, beta2, eps = 0.8, 0.99, 1e-7
+    for t in range(1, 6):
+        lr = 1e-2 * 0.9**t
+        grads = {
+            n: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=getattr(ref, n).shape)
+            for n in net.TRAINABLE_TENSORS
+        }
+        tr.adam_step(state, small_params, grads, lr, beta1, beta2, eps)
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name in net.TRAINABLE_TENSORS:
+            g = grads[name]
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            mhat = m[name] / bc1
+            vhat = v[name] / bc2
+            getattr(ref, name)[...] -= lr * mhat / (np.sqrt(vhat) + eps)
+        assert state.t == t
+        for name in net.TRAINABLE_TENSORS:
+            np.testing.assert_array_equal(getattr(small_params, name), getattr(ref, name))
+        np.testing.assert_array_equal(
+            state.m, np.concatenate([m[n].ravel() for n in net.TRAINABLE_TENSORS])
+        )
+        np.testing.assert_array_equal(
+            state.v, np.concatenate([v[n].ravel() for n in net.TRAINABLE_TENSORS])
+        )
 
 
 # ---------------------------------------------------------------------------
