@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import Manifest, PairExample
 from .errors import DataError
@@ -151,6 +150,9 @@ def pearson(x, y) -> tuple[float, float]:
     df = n - 2
     if abs(r) == 1.0:
         return r, 0.0
+    # imported here so that only the analysis stage loads SciPy
+    from scipy.special import betainc
+
     t2 = r * r * df / (1.0 - r * r)
     p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
     return r, p

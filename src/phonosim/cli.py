@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
 
 from . import analysis, corpus, dsp, net, train as training
 from .errors import PhonosimError
@@ -48,9 +48,22 @@ def _load_pairs_file(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return [(p["left"], p["right"], int(p["label"])) for p in doc["pairs"]]
+        pairs = [(p["left"], p["right"], p["label"]) for p in doc["pairs"]]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise PhonosimError(f"cannot read pairs file {path}: {exc}")
+    for i, (left, right, label) in enumerate(pairs):
+        if not (isinstance(left, str) and isinstance(right, str)):
+            raise PhonosimError(f"pairs file {path}: pair {i} has a non-string key")
+        if type(label) is not int or label not in (0, 1):
+            raise PhonosimError(
+                f"pairs file {path}: pair {i} has label {label!r}, expected 0 or 1"
+            )
+    return pairs
+
+
+def _check_threshold(value: float) -> None:
+    if not math.isfinite(value):
+        raise PhonosimError(f"--threshold must be finite, got {value}")
 
 
 def _load_train_config(path: str | None, seed_override: int | None) -> training.TrainConfig:
@@ -61,6 +74,8 @@ def _load_train_config(path: str | None, seed_override: int | None) -> training.
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise PhonosimError(f"cannot read training config {path}: {exc}")
+        if not isinstance(values, dict):
+            raise PhonosimError(f"training config {path} is not a JSON object")
     if seed_override is not None:
         values["seed"] = seed_override
     try:
@@ -157,6 +172,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    _check_threshold(args.threshold)
     params = net.load_checkpoint(args.model)
     pairs = _load_pairs_file(args.pairs)
     store = dsp.FeatureStore(args.features)
@@ -172,6 +188,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    _check_threshold(args.threshold)
     params = net.load_checkpoint(args.model)
     manifest = corpus.load_manifest(args.manifest)
     store = dsp.FeatureStore(args.features)

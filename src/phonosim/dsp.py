@@ -7,15 +7,15 @@ persisted in a small binary format (magic ``ARTF``).
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.io import wavfile
 
-from .errors import AudioError, DataError, FeatureIOError
+from .errors import AudioError, DataError, FeatureIOError, check_numeric_fields
 
 PIPELINE_RATE = 16000
 
@@ -35,6 +35,36 @@ class MfccConfig:
     fmax: float = 8000.0
     log_floor: float = 1e-10
     delta_window: int = 4
+
+    def __post_init__(self):
+        # mel_filterbank and the DCT basis are cached by config, so a value
+        # that cannot produce features must fail here, before it is cached
+        check_numeric_fields(self)
+        try:
+            sizes = (
+                self.sample_rate, self.n_fft, self.n_mels, self.n_ceps,
+                self.window_samples, self.hop_samples, self.delta_window,
+            )
+        except OverflowError:
+            raise DataError("MFCC window or hop is too long")
+        if min(sizes) < 1:
+            raise DataError(
+                "MFCC sample_rate, n_fft, n_mels, n_ceps, window, hop and "
+                "delta_window must each be at least one (sample)"
+            )
+        if self.n_ceps > self.n_mels:
+            raise DataError(f"n_ceps {self.n_ceps} exceeds n_mels {self.n_mels}")
+        if self.window_samples > self.n_fft:
+            raise DataError(
+                f"window of {self.window_samples} samples exceeds n_fft {self.n_fft}"
+            )
+        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
+            raise DataError(
+                f"need 0 <= fmin < fmax <= {self.sample_rate / 2:g} Hz (Nyquist), "
+                f"got fmin {self.fmin}, fmax {self.fmax}"
+            )
+        if self.log_floor <= 0:
+            raise DataError("log_floor must be > 0")
 
     @property
     def window_samples(self) -> int:
@@ -92,6 +122,10 @@ def load_audio(path: str | os.PathLike) -> Waveform:
     Stereo channels are averaged; integer samples are scaled to [-1, 1];
     other sample rates are brought to 16 kHz by linear interpolation.
     """
+    # imported here so that only the stages that read audio load SciPy;
+    # stdlib wave cannot read float or 24-bit WAVs
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -125,8 +159,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1)."""
+    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1).
+
+    Built once per config; every caller gets the same read-only array.
+    """
     mel_pts = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
     bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / cfg.sample_rate)
@@ -136,7 +174,18 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
         rise = (bins - lo) / (mid - lo)
         fall = (hi - bins) / (hi - mid)
         fb[i] = np.maximum(0.0, np.minimum(rise, fall))
+    fb.flags.writeable = False
     return fb
+
+
+@functools.lru_cache(maxsize=8)
+def _dct_basis(n: int, k: int) -> np.ndarray:
+    """The first ``k`` orthonormal DCT-II vectors over ``n`` points, as columns."""
+    j = np.arange(k)
+    basis = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, j))
+    basis *= np.where(j == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    basis.flags.writeable = False
+    return basis
 
 
 def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
@@ -164,7 +213,7 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
     spec = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1))
     fb = mel_filterbank(cfg)
     energies = np.log(np.maximum(spec @ fb.T, cfg.log_floor))
-    ceps = dct(energies, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
+    ceps = energies @ _dct_basis(cfg.n_mels, cfg.n_ceps)
     return FeatureMatrix(frames=ceps, frame_hop=cfg.hop, frame_window=cfg.window)
 
 

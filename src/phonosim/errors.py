@@ -1,4 +1,10 @@
-"""Common exception types."""
+"""Common exception types, and the field check that config classes share."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import numbers
 
 
 class PhonosimError(Exception):
@@ -23,3 +29,29 @@ class CheckpointError(PhonosimError):
 
 class DataError(PhonosimError):
     """Dataset is empty, inconsistent, or produced a non-finite value."""
+
+
+def check_numeric_fields(config) -> None:
+    """Raise ``DataError`` unless every field of a dataclass is a finite number.
+
+    A field annotated ``int`` takes integers only; any other field takes
+    integers or floats.  A bool is neither, and neither is an integer too
+    large for a float.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind = numbers.Integral if f.type in ("int", int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DataError(
+                f"{type(config).__name__}.{f.name} must be "
+                f"{'an integer' if kind is numbers.Integral else 'a number'}, "
+                f"got {value!r}"
+            )
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DataError(
+                f"{type(config).__name__}.{f.name} must be finite, got {value!r}"
+            )

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import DataError
+from .errors import DataError, check_numeric_fields
 from .net import (
     BN_MOMENTUM,
     ModelDims,
@@ -47,6 +46,11 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        check_numeric_fields(self)
+        if self.epochs < 1:
+            raise DataError("epochs must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.lr0 < 0:
             raise DataError("lr0 must be >= 0")
         if not 0 < self.lr_decay <= 1:
@@ -57,6 +61,10 @@ class TrainConfig:
             raise DataError("dropout_rate must lie in [0, 1)")
         if self.l1_coeff < 0:
             raise DataError("l1_coeff must be >= 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise DataError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if self.adam_eps <= 0:
+            raise DataError("adam_eps must be > 0")
 
 
 def bce_loss(similarity: float, label: int) -> float:
@@ -243,7 +251,10 @@ class MetricsReport:
 
 
 def roc_auc(scores, labels) -> float:
-    """AUC as the Mann-Whitney statistic, ties counted half."""
+    """AUC as the Mann-Whitney statistic, ties counted half.
+
+    Raises ``DataError`` for a NaN or infinite score.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = labels == 1
@@ -251,7 +262,12 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    if not np.isfinite(scores).all():
+        raise DataError("AUC needs finite scores")
+    # 1-based ranks, ties averaged; every rank is an integer or a half, so
+    # exact in float64
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

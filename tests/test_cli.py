@@ -8,10 +8,13 @@ then exercises gradcheck and the error paths (exit code 2 for data errors,
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phonosim
 from phonosim import cli, dsp
 
 
@@ -176,7 +179,7 @@ def test_non_finite_feature_exit_code(pipeline, tmp_path, capsys):
 
 def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):
     config = tmp_path / "mfcc.json"
-    config.write_text(json.dumps({"sample_rate": 8000}))
+    config.write_text(json.dumps({"sample_rate": 8000, "fmax": 4000.0}))
     assert cli.main([
         "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
         "--config", str(config), "--out", str(tmp_path / "features"),
@@ -195,3 +198,94 @@ def test_condition_pairs_require_sessions(pipeline):
         "--sessions", "1", "--out", out,
     ]) == 0
     assert len(json.loads(open(out).read())["pairs"]) > 0
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI import without SciPy; only features and analyze load it."""
+    src = os.path.dirname(os.path.dirname(phonosim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, phonosim, phonosim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ('{"epochs": 0}', "epochs"), ('{"epochs": "5"}', "epochs"),
+        ('{"seed": -3}', "seed"), ('{"adam_beta1": 1.0}', "adam_beta1"),
+        ('{"batch_size": 2.5}', "batch_size"), ('{"lr0": NaN}', "lr0"),
+        ("[1, 2]", "training config"),
+    ],
+)
+def test_bad_train_config_exit_code(pipeline, tmp_path, capsys, config, named):
+    path = tmp_path / "train.json"
+    path.write_text(config)
+    assert cli.main([
+        "train", "--features", pipeline["features"], "--pairs", pipeline["pairs"],
+        "--config", str(path), "--out", str(tmp_path / "model"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"label": "x"}, {"label": 2}, {"label": True}, {"label": 1.0}, {"left": 5}],
+)
+def test_bad_pairs_entry_exit_code(pipeline, tmp_path, capsys, entry):
+    doc = json.loads(open(pipeline["pairs"]).read())
+    doc["pairs"][1].update(entry)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert cli.main([
+        "eval", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--pairs", str(pairs), "--features", pipeline["features"],
+        "--report", str(report),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"n_mels": 0}', '{"hop": -0.01}', '{"n_ceps": 41}', '{"window": 0.04}',
+        '{"fmin": 8000.0}', '{"fmax": 9000.0}', '{"preemphasis": NaN}',
+    ],
+)
+def test_bad_mfcc_config_exit_code(pipeline, tmp_path, capsys, config):
+    path = tmp_path / "mfcc.json"
+    path.write_text(config)
+    out = tmp_path / "features"
+    assert cli.main([
+        "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
+        "--config", str(path), "--out", str(out),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exit_code(pipeline, tmp_path, capsys, command, threshold):
+    model = os.path.join(pipeline["model_dir"], "model.artm")
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--model", model, "--pairs", pipeline["pairs"],
+                "--report", str(out)]
+    else:
+        argv = ["analyze", "--model", model, "--sessions", "1", "--out", str(out),
+                "--manifest", os.path.join(pipeline["corpus"], "manifest.json")]
+    argv += ["--features", pipeline["features"], f"--threshold={threshold}"]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -13,7 +13,7 @@ import pytest
 from scipy.io import wavfile
 
 from phonosim import dsp
-from phonosim.errors import AudioError, FeatureIOError
+from phonosim.errors import AudioError, DataError, FeatureIOError
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,29 @@ def test_mel_filterbank_triangle_peaks_at_centers():
         assert abs(peak_bin - centers_hz[i + 1]) <= bins[1]  # within one bin
 
 
+def test_mel_filterbank_built_once_per_config_and_read_only():
+    fb = dsp.mel_filterbank(dsp.MfccConfig())
+    assert dsp.mel_filterbank(dsp.MfccConfig()) is fb
+    assert dsp.mel_filterbank(dsp.MfccConfig(n_mels=30)) is not fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_mels": 0}, {"n_fft": -512}, {"hop": 0.0}, {"window": -0.025},
+        {"delta_window": 0}, {"sample_rate": 0}, {"n_ceps": 41},
+        {"window": 0.04}, {"fmin": 8000.0}, {"fmin": -1.0}, {"fmax": 9000.0},
+        {"preemphasis": float("nan")}, {"log_floor": 0.0}, {"n_mels": 40.0},
+        {"window": 1e300, "sample_rate": 10**10}, {"hop": "0.01"},
+    ],
+)
+def test_mfcc_config_rejects_unusable_values(bad):
+    with pytest.raises(DataError):
+        dsp.MfccConfig(**bad)
+
+
 def _delta_oracle(c, n):
     t = c.shape[0]
     out = np.zeros_like(c)
@@ -182,6 +205,23 @@ def test_mfcc_matches_naive_per_frame_oracle():
         logmel = np.log(np.maximum(fb @ spec, 1e-10))
         rows.append(dct(logmel, type=2, norm="ortho")[:13])
     np.testing.assert_allclose(got, np.array(rows), atol=1e-10)
+
+
+def test_mfcc_matches_scipy_dct_on_random_waveforms():
+    from scipy.fft import dct
+
+    rng = np.random.default_rng(12)
+    for cfg in (dsp.MfccConfig(), dsp.MfccConfig(n_mels=26, n_ceps=13)):
+        for n in (400, 4321, 16000):
+            x = rng.normal(size=n) * rng.uniform(0.01, 0.5)
+            got = dsp.compute_mfcc(dsp.Waveform(samples=x, sample_rate=16000), cfg).frames
+            win, hop = cfg.window_samples, cfg.hop_samples
+            emph = np.concatenate(([x[0]], x[1:] - cfg.preemphasis * x[:-1]))
+            idx = np.arange(win)[None, :] + hop * np.arange(1 + (n - win) // hop)[:, None]
+            spec = np.abs(np.fft.rfft(emph[idx] * np.hanning(win), n=cfg.n_fft, axis=1))
+            energies = np.log(np.maximum(spec @ dsp.mel_filterbank(cfg).T, cfg.log_floor))
+            want = dct(energies, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

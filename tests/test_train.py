@@ -360,6 +360,36 @@ def test_auc_frozen_examples():
         tr.roc_auc([0.1, 0.2], [1, 1])
 
 
+def _rankdata_auc(scores, labels):
+    from scipy.stats import rankdata
+
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
+    ranks = rankdata(np.asarray(scores, dtype=np.float64))
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auc_equals_rankdata_auc_under_heavy_ties():
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 17, 400, 20000):
+        for levels in (1, 2, 3, 16):  # levels 1: every score ties
+            scores = rng.integers(0, levels, size=n) / 7.0
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = 0, 1
+            assert tr.roc_auc(scores, labels) == _rankdata_auc(scores, labels)
+    scores = rng.random(5000)
+    scores[::3] = scores[1::3][: len(scores[::3])]
+    labels = rng.integers(0, 2, size=5000)
+    assert tr.roc_auc(scores, labels) == _rankdata_auc(scores, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(DataError):
+        tr.roc_auc([0.2, bad, 0.7, 0.4], [1, 0, 1, 0])
+
+
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(6)
     scores = rng.random(15)
@@ -439,6 +469,15 @@ def test_config_validation():
         tr.TrainConfig(dropout_rate=1.0)
     with pytest.raises(DataError):
         tr.TrainConfig(l1_coeff=-1.0)
+    for bad in (
+        {"epochs": 0}, {"epochs": "5"}, {"epochs": True}, {"batch_size": 2.5},
+        {"seed": -3}, {"lr0": float("nan")}, {"threshold": float("inf")},
+        {"adam_beta1": 1.0}, {"adam_beta2": -0.1}, {"adam_eps": 0.0},
+        {"lr0": 10**400},
+    ):
+        with pytest.raises(DataError):
+            tr.TrainConfig(**bad)
+    assert tr.TrainConfig(epochs=np.int64(2), lr0=1).epochs == 2
 
 
 def test_evaluate_invariant_to_pair_order(tiny_features):
