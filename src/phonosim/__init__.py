@@ -55,7 +55,7 @@ from .train import (
 )
 from .analysis import (
     ConvergenceReport,
-    ScoredPair,
+    PairTable,
     build_report,
     condition_summary,
     convergence_degree,

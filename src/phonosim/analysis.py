@@ -21,64 +21,60 @@ from .train import score_similarities
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    pair: PairExample
-    similarity: float
-    predicted_label: int
-    correct: bool
+class PairTable:
+    """Scored pairs of one pair set, one row per pair.
 
-    @property
-    def label(self) -> int:
-        return self.pair.label
+    ``left`` and ``right`` are the indices of the pair's two speakers in the
+    speaker list the pairs were scored against (``manifest.speakers``).
+    """
 
-    @property
-    def condition(self) -> str:
-        return self.pair.condition
+    similarity: np.ndarray
+    label: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
-    def speakers(self) -> tuple[str, str]:
-        return (self.pair.left.speaker_id, self.pair.right.speaker_id)
+    def __len__(self) -> int:
+        return len(self.similarity)
 
-
-def score_pairs(params, pairs, store, threshold: float = 0.5) -> list[ScoredPair]:
-    """Infer-mode similarity and thresholded prediction for each pair."""
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    sims = score_similarities(params, pairs, store)
-    out = []
-    for p, s in zip(pairs, sims):
-        pred = int(s >= threshold)
-        out.append(
-            ScoredPair(
-                pair=p, similarity=float(s), predicted_label=pred,
-                correct=pred == p.label,
-            )
+    def take(self, rows) -> PairTable:
+        """The rows picked by an index array, boolean mask or slice."""
+        return PairTable(
+            self.similarity[rows], self.label[rows], self.left[rows], self.right[rows]
         )
-    return out
 
 
-def filter_scores(scored: list[ScoredPair]) -> list[ScoredPair]:
-    """Drop misclassified pairs, then 1.5*IQR outliers per (condition, label)."""
-    correct = [s for s in scored if s.correct]
-    groups: dict[tuple[str, int], list[ScoredPair]] = {}
-    for s in correct:
-        groups.setdefault((s.condition, s.label), []).append(s)
-    keep = set()
-    for members in groups.values():
-        values = np.array([s.similarity for s in members])
+def score_pairs(params, pairs, store, speakers: list[str]) -> PairTable:
+    """Infer-mode similarity, label and speaker indices of each pair."""
+    pairs = list(pairs)
+    index = {s: i for i, s in enumerate(speakers)}
+    return PairTable(
+        similarity=score_similarities(params, pairs, store),
+        label=np.array([p.label for p in pairs], dtype=np.intp),
+        left=np.array([index[p.left.speaker_id] for p in pairs], dtype=np.intp),
+        right=np.array([index[p.right.speaker_id] for p in pairs], dtype=np.intp),
+    )
+
+
+def filter_scores(table: PairTable, threshold: float) -> PairTable:
+    """Drop misclassified pairs, then 1.5*IQR outliers per label.
+
+    A table holds one condition's pairs, so the label groups are the
+    (condition, label) groups of the whole analysis.
+    """
+    keep = (table.similarity >= threshold) == (table.label == 1)
+    for label in (0, 1):
+        group = keep & (table.label == label)
+        if not group.any():
+            continue
+        values = table.similarity[group]
         q1, q3 = np.percentile(values, [25, 75])
         fence = 1.5 * (q3 - q1)
-        lo, hi = q1 - fence, q3 + fence
-        for s in members:
-            if lo <= s.similarity <= hi:
-                keep.add(id(s))
-    return [s for s in correct if id(s) in keep]
+        keep[group] = (q1 - fence <= values) & (values <= q3 + fence)
+    return table.take(keep)
 
 
-def condition_summary(
-    scored: list[ScoredPair], condition: str, relation: str
-) -> tuple[float, float, int]:
-    """(mean, population std, n) of similarities for one condition/relation.
+def condition_summary(table: PairTable, relation: str) -> tuple[float, float, int]:
+    """(mean, population std, n) of one condition's similarities for a relation.
 
     ``intra_dyad`` uses different-speaker (label 0) pairs, ``intra_speaker``
     same-speaker (label 1) pairs.
@@ -86,39 +82,28 @@ def condition_summary(
     if relation not in ("intra_dyad", "intra_speaker"):
         raise DataError(f"unknown relation {relation!r}")
     want = 0 if relation == "intra_dyad" else 1
-    values = np.array(
-        [s.similarity for s in scored if s.condition == condition and s.label == want]
-    )
+    values = table.similarity[table.label == want]
     if len(values) == 0:
-        raise DataError(f"no surviving {relation} pairs for condition {condition!r}")
+        raise DataError(f"no surviving {relation} pairs")
     return float(values.mean()), float(values.std()), len(values)
 
 
-def _speaker_mean(scored: list[ScoredPair], speaker: str, label: int) -> float:
-    values = [
-        s.similarity for s in scored if s.label == label and speaker in s.speakers()
-    ]
-    if not values:
-        raise DataError(f"speaker {speaker!r} has no surviving label-{label} pairs")
-    return float(np.mean(values))
+def _speaker_mean(table: PairTable, speaker: int, label: int) -> float:
+    mine = (table.label == label) & ((table.left == speaker) | (table.right == speaker))
+    values = table.similarity[mine]
+    if len(values) == 0:
+        raise DataError(f"speaker {speaker} has no surviving label-{label} pairs")
+    return float(values.mean())
 
 
-def imitation_ability(
-    scored_solo: list[ScoredPair], scored_imitation: list[ScoredPair], speaker: str
-) -> float:
+def imitation_ability(solo: PairTable, imitation: PairTable, speaker: int) -> float:
     """Drop in a speaker's intra-speaker similarity from solo to imitation."""
-    return _speaker_mean(scored_solo, speaker, 1) - _speaker_mean(
-        scored_imitation, speaker, 1
-    )
+    return _speaker_mean(solo, speaker, 1) - _speaker_mean(imitation, speaker, 1)
 
 
-def convergence_degree(
-    scored_solo: list[ScoredPair], scored_interactive: list[ScoredPair], speaker: str
-) -> float:
+def convergence_degree(solo: PairTable, interactive: PairTable, speaker: int) -> float:
     """Rise in a speaker's intra-dyad similarity from solo to interactive."""
-    return _speaker_mean(scored_interactive, speaker, 0) - _speaker_mean(
-        scored_solo, speaker, 0
-    )
+    return _speaker_mean(interactive, speaker, 0) - _speaker_mean(solo, speaker, 0)
 
 
 def min_max_normalize(values) -> list[float]:
@@ -245,50 +230,47 @@ def build_report(
         else [],
     ]
     # one scoring call, so an utterance shared by several sets is embedded once
-    scored = score_pairs(params, [p for s in pair_sets for p in s], store, threshold)
+    speaker_ids = [s.id for s in manifest.speakers]
+    table = score_pairs(params, [p for s in pair_sets for p in s], store, speaker_ids)
     ends = np.cumsum([len(s) for s in pair_sets]).tolist()
-    parts = [scored[a:b] for a, b in zip([0] + ends, ends)]
+    parts = [table.take(slice(a, b)) for a, b in zip([0] + ends, ends)]
     if filtered:
-        parts = [filter_scores(part) for part in parts]
+        parts = [filter_scores(part, threshold) for part in parts]
     solo, inter, imit, inter_vs_solo, imit_vs_solo = parts
 
     report = ConvergenceReport(threshold=threshold)
     within = {"solo": solo, "interactive": inter, "imitation": imit}
     baseline = {"interactive": inter_vs_solo, "imitation": imit_vs_solo}
-    for condition, scored in within.items():
+    for condition, part in within.items():
         stats = {}
         for relation in ("intra_dyad", "intra_speaker"):
             try:
-                mean, std, n = condition_summary(scored, condition, relation)
+                mean, std, n = condition_summary(part, relation)
                 stats[relation] = {"mean": mean, "std": std, "n": n}
             except DataError:
                 stats[relation] = None
-        report.distributions += [
-            (condition, "intra_dyad", s.similarity) for s in scored if s.label == 0
-        ]
-        report.distributions += [
-            (condition, "intra_speaker", s.similarity) for s in scored if s.label == 1
-        ]
+        for relation, label in (("intra_dyad", 0), ("intra_speaker", 1)):
+            values = part.similarity[part.label == label].tolist()
+            report.distributions += [(condition, relation, v) for v in values]
         report.condition_stats[condition] = stats
-    for condition, scored in baseline.items():
-        if not scored:
+    for condition, part in baseline.items():
+        if not part:
             continue
-        values = [s.similarity for s in scored]
+        # every pair against the solo baseline is a same-speaker pair
+        mean, std, n = condition_summary(part, "intra_speaker")
         report.condition_stats[condition]["intra_speaker_vs_solo"] = {
-            "mean": float(np.mean(values)),
-            "std": float(np.std(values)),
-            "n": len(values),
+            "mean": mean, "std": std, "n": n
         }
         report.distributions += [
-            (condition, "intra_speaker_vs_solo", v) for v in values
+            (condition, "intra_speaker_vs_solo", v) for v in part.similarity.tolist()
         ]
 
     abilities = {}
     degrees = {}
-    for spk in [s.id for s in manifest.speakers]:
+    for i, spk in enumerate(speaker_ids):
         try:
-            ability = imitation_ability(solo, imit_vs_solo, spk)
-            degree = convergence_degree(solo, inter, spk)
+            ability = imitation_ability(solo, imit_vs_solo, i)
+            degree = convergence_degree(solo, inter, i)
         except DataError:
             continue
         abilities[spk] = ability

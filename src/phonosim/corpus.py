@@ -14,11 +14,11 @@ import json
 import os
 import wave
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ManifestError
+from .errors import DataError, ManifestError, check_numeric_fields
 
 CONDITIONS = ("solo", "interactive", "imitation")
 
@@ -119,12 +119,6 @@ class Manifest:
             out[b] = did
         return out
 
-    def dyad_of(self, speaker_id: str) -> tuple[str, str]:
-        for a, b in self.dyads:
-            if speaker_id in (a, b):
-                return (a, b)
-        raise ManifestError(f"speaker in no dyad: {speaker_id!r}")
-
     def resolve(self, path: str) -> str:
         if self.root is None or os.path.isabs(path):
             return path
@@ -135,30 +129,46 @@ def dyad_id(a: str, b: str) -> str:
     return f"{a}+{b}"
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; a bool does not count as an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ManifestError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _record(cls, obj, what: str):
+    """A ``cls`` from a JSON object whose fields hold their annotated types."""
+    obj = _typed(obj, dict, what)
+    return cls(**{
+        f.name: _typed(obj[f.name], int if f.type == "int" else str, f"{what} {f.name}")
+        for f in fields(cls)
+        if obj.get(f.name) is not None or f.default is MISSING
+    })
+
+
 def load_manifest(path: str | os.PathLike) -> Manifest:
     """Load and validate a JSON manifest; paths stay relative to its directory."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ManifestError(f"cannot parse manifest {path}: {exc}")
     try:
-        speakers = [Speaker(id=s["id"]) for s in doc["speakers"]]
-        dyads = [(a, b) for a, b in doc["dyads"]]
-        utterances = [
-            Utterance(
-                speaker_id=u["speaker_id"],
-                dyad_id=u["dyad_id"],
-                condition=u["condition"],
-                session=int(u["session"]),
-                sentence_index=int(u["sentence_index"]),
-                audio_path=u.get("audio_path"),
-                feature_path=u.get("feature_path"),
-            )
-            for u in doc["utterances"]
+        doc = _typed(doc, dict, "manifest")
+        speakers = [
+            _record(Speaker, s, "speaker") for s in _typed(doc["speakers"], list, "speakers")
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"malformed manifest {path}: {exc}")
+        dyads = []
+        for d in _typed(doc["dyads"], list, "dyads"):
+            if len(_typed(d, list, "dyad")) != 2:
+                raise ManifestError(f"dyad must list two speaker ids, got {d!r}")
+            dyads.append(tuple(_typed(s, str, "dyad member") for s in d))
+        utterances = [
+            _record(Utterance, u, "utterance")
+            for u in _typed(doc["utterances"], list, "utterances")
+        ]
+    except KeyError as exc:
+        raise ManifestError(f"malformed manifest {path}: missing field {exc}")
     return Manifest(
         speakers=speakers,
         dyads=dyads,
@@ -280,6 +290,19 @@ class SynthConfig:
     interactive_sessions: int = 2
     imitation_sessions: int = 1
     n_vowels: int = 3
+
+    def __post_init__(self):
+        check_numeric_fields(self)
+        if not 1 <= self.n_sentences <= SCRIPT_SENTENCES:
+            raise DataError(
+                f"sentence count must lie in 1-{SCRIPT_SENTENCES}, got {self.n_sentences}"
+            )
+        if self.interactive_sessions < 0 or self.imitation_sessions < 0:
+            raise DataError("session counts must be >= 0")
+        if self.n_speakers % 2 != 0 or self.n_speakers < 2:
+            raise DataError(f"speaker count must be even and >= 2, got {self.n_speakers}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise DataError(f"convergence parameter must lie in [0, 1], got {self.lam}")
 
 
 _FORMANT_RANGES = ((300.0, 900.0), (1100.0, 2200.0), (2500.0, 3600.0))
@@ -419,11 +442,6 @@ def generate_synthetic_corpus(
     with envelope and rate interpolated toward the partner by the convergence
     parameter ``lam``.  Identical (config, seed) gives byte-identical output.
     """
-    if config.n_speakers % 2 != 0 or config.n_speakers < 2:
-        raise DataError(f"speaker count must be even and >= 2, got {config.n_speakers}")
-    if not 0.0 <= config.lam <= 1.0:
-        raise DataError(f"convergence parameter must lie in [0, 1], got {config.lam}")
-
     out_dir = str(out_dir)
     audio_dir = os.path.join(out_dir, "audio")
     os.makedirs(audio_dir, exist_ok=True)

@@ -83,7 +83,7 @@ class Waveform:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    frames: np.ndarray  # (T, d) float64
+    frames: np.ndarray  # (T, d) float64; float32 as read from a feature file
     frame_hop: float = 0.010
     frame_window: float = 0.025
 
@@ -268,7 +268,7 @@ def write_features(f: FeatureMatrix | np.ndarray, path: str | os.PathLike) -> No
 
 
 def read_features(path: str | os.PathLike) -> FeatureMatrix:
-    """Read a feature matrix written by :func:`write_features`.
+    """Read a feature matrix written by :func:`write_features` as read-only float32.
 
     Raises ``FeatureIOError`` for a malformed file or a NaN or infinite value.
     """
@@ -287,11 +287,11 @@ def read_features(path: str | os.PathLike) -> FeatureMatrix:
     frames = np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, cols)
     if not np.isfinite(frames).all():
         raise FeatureIOError(f"non-finite value in {path}")
-    return FeatureMatrix(frames=frames.astype(np.float64))
+    return FeatureMatrix(frames=frames)
 
 
 class FeatureStore:
-    """Lazy dictionary of utterance key -> feature array from a directory."""
+    """Lazy dictionary of utterance key -> its file's float32 feature frames."""
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = str(directory)

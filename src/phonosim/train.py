@@ -320,8 +320,7 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
     out = {}
     for start in range(0, len(ordered), EMBED_ROWS):
         chunk = ordered[start : start + EMBED_ROWS]
-        batch = [np.asarray(feats[k], dtype=np.float64) for k in chunk]
-        e, _ = _embed_forward(params, batch, training=False)
+        e, _ = _embed_forward(params, [feats[k] for k in chunk], training=False)
         out.update(zip(chunk, e))
     return out
 
@@ -329,12 +328,11 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
 def score_similarities(params: ModelParams, pairs, store) -> np.ndarray:
     """Infer-mode cosine similarity for every pair; deterministic."""
     triples = [_pair_triple(p) for p in pairs]
-    keys = [k for l, r, _ in triples for k in (l, r)]
-    emb = embed_all(params, keys, store)
+    emb = embed_all(params, {k for l, r, _ in triples for k in (l, r)}, store)
+    norms = {k: np.linalg.norm(e) for k, e in emb.items()}
     sims = np.empty(len(triples))
     for i, (l, r, _) in enumerate(triples):
-        a, b = emb[l], emb[r]
-        sims[i] = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+        sims[i] = emb[l] @ emb[r] / (norms[l] * norms[r])
     return sims
 
 
@@ -391,13 +389,10 @@ def train(
         done = 0
         for bi, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [triples[i] for i in order[start : start + config.batch_size]]
-            # one float64 object per key, so a key's slots share its RNN pass
-            f64 = {
-                k: np.asarray(store[k], dtype=np.float64)
-                for l, r, _ in batch for k in (l, r)
-            }
-            lefts = [f64[l] for l, _, _ in batch]
-            rights = [f64[r] for _, r, _ in batch]
+            # the store returns one object per key, so a key's slots share
+            # its RNN pass
+            lefts = [store[l] for l, _, _ in batch]
+            rights = [store[r] for _, r, _ in batch]
             labels = np.array([y for _, _, y in batch], dtype=np.float64)
             masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
             loss, grads, bn_stats, sims = pair_forward_backward(

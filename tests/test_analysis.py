@@ -3,7 +3,9 @@
 Oracles:
   - scipy.stats.pearsonr for r and the two-tailed p-value
   - scipy.stats.t survival function for the constructed (r=0.51, n=43) case
-  - hand-built ScoredPair sets with known means for the per-speaker scores
+  - hand-built PairTables with known means for the per-speaker scores
+  - a per-pair Python loop for the filter, the summaries and the
+    per-speaker means over a random PairTable
 """
 
 import csv
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from phonosim import analysis, corpus, net
+from phonosim import analysis, corpus, net, train
 from phonosim.errors import DataError
 
 
@@ -27,13 +29,17 @@ def _utt(spk, cond="solo", sess=1, sent=1):
     )
 
 
-def _scored(spk_l, spk_r, label, sim, cond="solo", correct=True):
-    pair = corpus.PairExample(
-        left=_utt(spk_l, cond), right=_utt(spk_r, cond), label=label, condition=cond
-    )
-    pred = label if correct else 1 - label
-    return analysis.ScoredPair(
-        pair=pair, similarity=sim, predicted_label=pred, correct=correct
+SPEAKERS = ["A", "B", "C", "D"]
+
+
+def _table(*rows):
+    """PairTable from (left speaker, right speaker, label, similarity) rows."""
+    left, right, label, sim = zip(*rows)
+    return analysis.PairTable(
+        similarity=np.array(sim, dtype=np.float64),
+        label=np.array(label, dtype=np.intp),
+        left=np.array([SPEAKERS.index(s) for s in left], dtype=np.intp),
+        right=np.array([SPEAKERS.index(s) for s in right], dtype=np.intp),
     )
 
 
@@ -103,28 +109,29 @@ def test_min_max_normalize():
 
 
 def test_filter_drops_misclassified():
-    good = [_scored("A", "A", 1, 0.9), _scored("A", "B", 0, 0.2)]
-    bad = [_scored("A", "A", 1, 0.1, correct=False)]
-    kept = analysis.filter_scores(good + bad)
+    # at threshold 0.5 the last pair, label 1 with similarity 0.1, is wrong
+    table = _table(("A", "A", 1, 0.9), ("A", "B", 0, 0.2), ("A", "A", 1, 0.1))
+    kept = analysis.filter_scores(table, 0.5)
     assert len(kept) == 2
-    assert all(s.correct for s in kept)
+    assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
 
 
 def test_filter_drops_iqr_outliers():
     sims = [0.80, 0.81, 0.82, 0.83, 0.84, 0.85, 0.99]
-    scored = [_scored("A", "A", 1, s) for s in sims]
+    table = _table(*[("A", "A", 1, s) for s in sims])
     q1, q3 = np.percentile(sims, [25, 75])
     assert 0.99 > q3 + 1.5 * (q3 - q1)  # the constructed outlier is outside
-    kept = analysis.filter_scores(scored)
-    assert sorted(s.similarity for s in kept) == sims[:-1]
+    kept = analysis.filter_scores(table, 0.5)
+    assert sorted(kept.similarity.tolist()) == sims[:-1]
 
 
-def test_filter_groups_by_condition_and_label():
-    # an outlier in one group must not shadow a tight group elsewhere
-    tight = [_scored("A", "B", 0, 0.2 + 0.001 * i) for i in range(5)]
-    spread = [_scored("A", "A", 1, s) for s in (0.1, 0.5, 0.6, 0.7, 0.9)]
-    kept = analysis.filter_scores(tight + spread)
-    assert len([s for s in kept if s.label == 0]) == 5
+def test_filter_groups_by_label():
+    # an outlier in one group must not shadow a tight group elsewhere (the
+    # label-1 pair at 0.1 is misclassified and dropped first)
+    tight = [("A", "B", 0, 0.2 + 0.001 * i) for i in range(5)]
+    spread = [("A", "A", 1, s) for s in (0.1, 0.5, 0.6, 0.7, 0.9)]
+    kept = analysis.filter_scores(_table(*tight, *spread), 0.5)
+    assert int((kept.label == 0).sum()) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +139,90 @@ def test_filter_groups_by_condition_and_label():
 
 
 def test_condition_summary_population_stats():
-    scored = [
-        _scored("A", "A", 1, 0.8),
-        _scored("A", "A", 1, 0.6),
-        _scored("A", "B", 0, 0.3),
-    ]
-    mean, std, n = analysis.condition_summary(scored, "solo", "intra_speaker")
+    table = _table(("A", "A", 1, 0.8), ("A", "A", 1, 0.6), ("A", "B", 0, 0.3))
+    mean, std, n = analysis.condition_summary(table, "intra_speaker")
     assert (mean, n) == (pytest.approx(0.7), 2)
     assert std == pytest.approx(0.1)  # population std of {0.6, 0.8}
-    mean, std, n = analysis.condition_summary(scored, "solo", "intra_dyad")
+    mean, std, n = analysis.condition_summary(table, "intra_dyad")
     assert (mean, std, n) == (pytest.approx(0.3), 0.0, 1)
     with pytest.raises(DataError):
-        analysis.condition_summary(scored, "solo", "bogus")
+        analysis.condition_summary(table, "bogus")
     with pytest.raises(DataError):
-        analysis.condition_summary(scored, "imitation", "intra_dyad")
+        analysis.condition_summary(_table(("A", "A", 1, 0.8)), "intra_dyad")
 
 
 def test_imitation_ability_and_convergence_degree():
-    solo = [
-        _scored("A", "A", 1, 0.95),
-        _scored("A", "A", 1, 0.85),
-        _scored("A", "B", 0, 0.30),
-    ]
-    imit = [_scored("A", "A", 1, 0.60, cond="imitation")]
-    inter = [_scored("A", "B", 0, 0.70, cond="interactive")]
+    solo = _table(("A", "A", 1, 0.95), ("A", "A", 1, 0.85), ("A", "B", 0, 0.30))
+    imit = _table(("A", "A", 1, 0.60))
+    inter = _table(("A", "B", 0, 0.70))
+    a, c = SPEAKERS.index("A"), SPEAKERS.index("C")
     # ability: mean solo intra-speaker 0.9 minus imitation 0.6
-    assert analysis.imitation_ability(solo, imit, "A") == pytest.approx(0.3)
+    assert analysis.imitation_ability(solo, imit, a) == pytest.approx(0.3)
     # degree: interactive intra-dyad 0.7 minus solo intra-dyad 0.3
-    assert analysis.convergence_degree(solo, inter, "A") == pytest.approx(0.4)
+    assert analysis.convergence_degree(solo, inter, a) == pytest.approx(0.4)
     with pytest.raises(DataError):
-        analysis.imitation_ability(solo, imit, "C")
+        analysis.imitation_ability(solo, imit, c)
+
+
+def _random_table(seed, n=500, n_speakers=6):
+    """Both labels, repeated similarities (ties) and far outliers."""
+    rng = np.random.default_rng(seed)
+    label = rng.integers(0, 2, size=n)
+    left = rng.integers(0, n_speakers, size=n)
+    partner = left ^ 1  # dyads (0, 1), (2, 3), (4, 5)
+    right = np.where(label == 1, left, partner)
+    sim = np.where(label == 1, rng.normal(0.8, 0.05, n), rng.normal(0.2, 0.05, n))
+    sim[rng.random(n) < 0.1] = 0.75  # ties, also across labels
+    outliers = rng.random(n) < 0.05
+    sim[outliers] = np.where(label[outliers] == 1, 0.99, 0.01)
+    sim[rng.random(n) < 0.05] = 0.5  # on the threshold
+    return analysis.PairTable(
+        similarity=sim, label=label, left=left, right=right
+    ), n_speakers
+
+
+def _loop_filter(table, threshold):
+    rows = range(len(table))
+    correct = [
+        i for i in rows if int(table.similarity[i] >= threshold) == table.label[i]
+    ]
+    keep = set()
+    for y in (0, 1):
+        group = [i for i in correct if table.label[i] == y]
+        if not group:
+            continue
+        q1, q3 = np.percentile([float(table.similarity[i]) for i in group], [25, 75])
+        fence = 1.5 * (q3 - q1)
+        keep |= {
+            i for i in group if q1 - fence <= table.similarity[i] <= q3 + fence
+        }
+    return [i for i in correct if i in keep]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_columnar_analysis_matches_per_pair_loop(seed):
+    table, n_speakers = _random_table(seed)
+    rows = _loop_filter(table, 0.5)
+    assert 0 < len(rows) < len(table)
+    kept = analysis.filter_scores(table, 0.5)
+    for column in ("similarity", "label", "left", "right"):
+        assert getattr(kept, column).tolist() == getattr(table, column)[rows].tolist()
+
+    for relation, y in (("intra_dyad", 0), ("intra_speaker", 1)):
+        values = [
+            float(kept.similarity[i]) for i in range(len(kept)) if kept.label[i] == y
+        ]
+        assert analysis.condition_summary(kept, relation) == (
+            float(np.mean(values)), float(np.std(values)), len(values)
+        )
+    for spk in range(n_speakers):
+        for y in (0, 1):
+            values = [
+                float(kept.similarity[i])
+                for i in range(len(kept))
+                if kept.label[i] == y and spk in (kept.left[i], kept.right[i])
+            ]
+            assert analysis._speaker_mean(kept, spk, y) == float(np.mean(values))
 
 
 def test_cross_condition_pairs_structure():
@@ -223,8 +284,6 @@ def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
 
 
 def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, monkeypatch):
-    from phonosim import train
-
     rows = []
     kernel = train._embed_forward
 
@@ -252,9 +311,15 @@ def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, mon
 def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     pairs = corpus.build_solo_pairs(tiny_corpus, 1, 2)
     params = net.init_params(net.ModelDims(), seed=0)
-    scored = analysis.score_pairs(params, pairs, tiny_features, threshold=0.5)
-    assert len(scored) == len(pairs)
-    for s in scored:
-        assert s.predicted_label == int(s.similarity >= 0.5)
-        assert s.correct == (s.predicted_label == s.label)
-    assert analysis.score_pairs(params, [], tiny_features) == []
+    speakers = [s.id for s in tiny_corpus.speakers]
+    table = analysis.score_pairs(params, pairs, tiny_features, speakers)
+    assert len(table) == len(pairs)
+    assert table.label.tolist() == [p.label for p in pairs]
+    assert [speakers[i] for i in table.left] == [p.left.speaker_id for p in pairs]
+    assert [speakers[i] for i in table.right] == [p.right.speaker_id for p in pairs]
+    np.testing.assert_array_equal(
+        table.similarity, train.score_similarities(params, pairs, tiny_features)
+    )
+    kept = analysis.filter_scores(table, 0.5)
+    assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
+    assert len(analysis.score_pairs(params, [], tiny_features, speakers)) == 0

@@ -15,14 +15,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["desk-train", "long-utts"])
-def test_bench_toy_is_correct(workload):
-    # long-utts mixes lengths, and both workloads repeat utterances within a
-    # training batch
+def _run_toy(workload, trace):
     proc = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", "1", "--seconds", "1", "--trace", "0", "--toy",
+            "--seed", "1", "--seconds", "1", "--trace", str(trace), "--toy",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -30,3 +27,19 @@ def test_bench_toy_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["desk-train", "long-utts"])
+def test_bench_toy_is_correct(workload):
+    # long-utts mixes lengths, and both workloads repeat utterances within a
+    # training batch
+    _run_toy(workload, 0)
+
+
+def test_bench_toy_trace_counts_every_layer():
+    # a count probe keyed to a function name reads 0 once that function is
+    # renamed or removed, so every count must stay above 0
+    metrics = _run_toy("desk-train", 1)["metrics"]
+    counts = {k: m["value"] for k, m in metrics.items() if m["unit"] == "count"}
+    assert counts and all(v > 0 for v in counts.values()), counts

@@ -289,3 +289,57 @@ def test_non_finite_threshold_exit_code(pipeline, tmp_path, capsys, command, thr
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _manifest_text(field, raw):
+    """A valid two-speaker manifest with the value at ``field`` set to raw JSON."""
+    doc = {
+        "speakers": [{"id": "A"}, {"id": "B"}],
+        "dyads": [["A", "B"]],
+        "utterances": [
+            {"speaker_id": s, "dyad_id": "A+B", "condition": "solo", "session": 1,
+             "sentence_index": j, "audio_path": f"audio/{s}{j}.wav"}
+            for s in "AB" for j in (1, 2)
+        ],
+    }
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = "@RAW@"
+    return json.dumps(doc).replace('"@RAW@"', raw)
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        (["speakers", 0, "id"], '["A"]'),
+        (["utterances", 0, "sentence_index"], "1e999"),
+        (["dyads"], '["AB"]'),
+        (["utterances", 0, "session"], "1.7"),
+        (["utterances", 0, "session"], "true"),
+        (["utterances", 0, "audio_path"], "5"),
+    ],
+    ids=["list-id", "huge-sentence", "string-dyad", "float-session", "bool-session",
+         "int-path"],
+)
+def test_bad_manifest_field_exit_code(tmp_path, capsys, field, raw):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(_manifest_text(field, raw))
+    out = tmp_path / "pairs.json"
+    assert cli.main([
+        "pairs", "--manifest", str(manifest), "--condition", "solo",
+        "--range", "1:2", "--out", str(out),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sentences", "0"], ["--interactive-sessions", "-1"], ["--sentences", "81"]],
+)
+def test_bad_synth_config_exit_code(tmp_path, capsys, flags):
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--speakers", "2", *flags, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "audio").exists()

@@ -216,6 +216,62 @@ def test_manifest_parse_errors(tmp_path):
         corpus.load_manifest(path)
 
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    def _valid_or_any(valid):
+        return st.just(valid) | _json
+
+    # near-manifests: the right keys, each value valid or any JSON value
+    _near_manifest = st.fixed_dictionaries({
+        "speakers": st.lists(
+            st.fixed_dictionaries({"id": _valid_or_any("A")}) | _json, max_size=3
+        ) | _json,
+        "dyads": st.lists(
+            st.lists(_valid_or_any("A"), max_size=3) | _json, max_size=2
+        ) | _json,
+        "utterances": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "speaker_id": _valid_or_any("A"),
+                    "dyad_id": _valid_or_any("A+B"),
+                    "condition": _valid_or_any("solo"),
+                    "session": _valid_or_any(1),
+                    "sentence_index": _valid_or_any(1),
+                },
+                optional={"audio_path": _valid_or_any("a.wav")},
+            ),
+            max_size=3,
+        ) | _json,
+    })
+
+    @pytest.fixture(scope="module")
+    def fuzz_dir(tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_json | _near_manifest)
+    def test_load_manifest_fuzz(fuzz_dir, doc):
+        """Any JSON document loads as a Manifest or raises ManifestError."""
+        path = fuzz_dir / "manifest.json"
+        path.write_text(json.dumps(doc))
+        try:
+            assert isinstance(corpus.load_manifest(path), corpus.Manifest)
+        except ManifestError:
+            pass
+
+except ImportError:  # pragma: no cover - hypothesis is an optional test extra
+    pass
+
+
 # ---------------------------------------------------------------------------
 # speaker traits and convergence interpolation
 
