@@ -9,6 +9,7 @@ corpora with a controllable convergence parameter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -43,8 +44,10 @@ class Utterance:
     audio_path: str | None = None
     feature_path: str | None = None
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """Formatted on first use and kept: pair building and scoring read it
+        hundreds of thousands of times at paper scale."""
         return f"{self.speaker_id}__{self.condition}__{self.session}__{self.sentence_index:03d}"
 
 

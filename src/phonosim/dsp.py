@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,22 +117,41 @@ def resample_linear(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     return np.interp(pos, np.arange(n_in), x)
 
 
+def _read_pcm16(path: str | os.PathLike):
+    """``(rate, data)`` of a 16-bit PCM WAV, shaped as ``scipy.io.wavfile``
+    gives it, read with stdlib ``wave``; None for any other file."""
+    try:
+        with wave.open(os.fspath(path), "rb") as fh:
+            if fh.getsampwidth() != 2:
+                return None
+            data = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+            channels = fh.getnchannels()
+            if channels > 1:
+                data = data.reshape(-1, channels)
+            return fh.getframerate(), data
+    except (OSError, EOFError, ValueError, struct.error, wave.Error):
+        return None
+
+
 def load_audio(path: str | os.PathLike) -> Waveform:
     """Load a PCM WAV file as a mono waveform at the pipeline rate.
 
     Stereo channels are averaged; integer samples are scaled to [-1, 1];
     other sample rates are brought to 16 kHz by linear interpolation.
     """
-    # imported here so that only the stages that read audio load SciPy;
-    # stdlib wave cannot read float or 24-bit WAVs
-    from scipy.io import wavfile
+    read = _read_pcm16(path)
+    if read is None:
+        # stdlib wave cannot read float or 24-bit WAVs; SciPy is imported
+        # here so that reading 16-bit PCM does not load it
+        from scipy.io import wavfile
 
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
+        try:
+            read = wavfile.read(path)
+        except FileNotFoundError:
+            raise
+        except Exception as exc:
+            raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
+    rate, data = read
     if data.size == 0:
         raise AudioError(f"zero-length audio: {path}")
     if data.dtype == np.int16:

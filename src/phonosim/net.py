@@ -8,17 +8,25 @@ time-major over the rows sorted longest first, and step ``t`` computes only
 the rows that still have a frame there, and a matrix object that fills
 several slots of a batch runs through them once.
 The public per-utterance functions wrap that kernel with a batch of one.
+
+In training, a ``BackwardWorker`` process can run the backward direction
+on buffers shared with the caller while the caller runs the forward one;
+it calls the same kernel functions on the same values, bit-identically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, PhonosimError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
@@ -116,11 +124,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(feats: list[np.ndarray], d_in: int):
+def _pack(feats: list[np.ndarray], d_in: int, xrev_buffer: np.ndarray | None = None):
     """Time-major zero-padded batch, longest row first.
 
     Returns ``x`` and its per-row time-reversed twin ``xrev``, both
-    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous; ``order``,
+    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous (``xrev`` is
+    a view of the flat ``xrev_buffer`` when one is given; its padding is
+    then left as it was, since the kernel never reads padding); ``order``,
     the caller's index of each sorted row (a stable sort, so ties keep the
     caller's order); and ``active``, the number of rows with a frame at step
     ``t``, which are rows ``:active[t]``, for ``t`` in ``0..lmax``
@@ -139,7 +149,7 @@ def _pack(feats: list[np.ndarray], d_in: int):
     n = len(feats)
     lmax = int(lengths[0])
     x = np.zeros((lmax, n, d_in))
-    xrev = np.zeros((lmax, n, d_in))
+    xrev = np.zeros_like(x) if xrev_buffer is None else xrev_buffer[: x.size].reshape(x.shape)
     for j, i in enumerate(order):
         f = feats[i]
         x[: len(f), j] = f
@@ -212,7 +222,7 @@ def _direction_backward(x, hseq, active, u, d_final):
     return dw, du, db.sum(axis=0)
 
 
-def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None):
+def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None, worker=None):
     """Embeddings for a batch of utterances; returns (e, cache).
 
     The recurrences run once per distinct matrix object in ``feats``: an
@@ -220,8 +230,10 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
     dropout acts only after them.  Batch-norm uses the batch statistics
     (cache ``mu``, ``var``) when ``training``, else the running ones.
     ``dropout_masks``: one row per slot.  Inference keeps only the running
-    recurrent state.  Raises ``DataError`` for a feature matrix that is not
-    ``(frames, d_in)``.
+    recurrent state.  A training batch's backward direction runs in
+    ``worker`` (a ``BackwardWorker``) when one is given, which
+    ``_embed_backward`` then uses too.  Raises ``DataError`` for a feature
+    matrix that is not ``(frames, d_in)``.
     """
     first = {}  # id of each distinct matrix -> its index in `distinct`
     distinct = []
@@ -229,12 +241,20 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
         if id(f) not in first:
             first[id(f)] = len(distinct)
             distinct.append(f)
-    x, xrev, order, active = _pack(distinct, params.dims.d_in)
+    if worker is None:
+        x, xrev, order, active = _pack(distinct, params.dims.d_in)
+    else:
+        x, xrev, order, active = _pack(distinct, params.dims.d_in, worker.xrev)
+        worker.start_forward(params, xrev.shape, active)
     steps = len(x) if training else 2
     hf = np.empty((steps, len(distinct), params.dims.d_hidden))
-    hb = np.empty_like(hf)
     final_f = _run_direction(x, params.wf, params.uf, params.bf, active, hf)
-    final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
+    if worker is None:
+        hb = np.empty_like(hf)
+        final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
+    else:
+        hb = None
+        final_b = worker.finish_forward()
     sorted_row = np.empty_like(order)
     sorted_row[order] = np.arange(len(order))
     rows = sorted_row[[first[id(f)] for f in feats]]  # each slot's sorted row
@@ -251,7 +271,7 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
     y = np.tanh(z @ params.wy.T + params.by)
     e = _sigmoid(y @ params.we.T + params.be)
     cache = dict(
-        x=x, xrev=xrev, rows=rows, active=active, hf=hf, hb=hb,
+        x=x, xrev=xrev, rows=rows, active=active, hf=hf, hb=hb, worker=worker,
         dropout_masks=dropout_masks,
         mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
     )
@@ -287,15 +307,147 @@ def _embed_backward(params: ModelParams, de, cache):
     np.add.at(d_final, cache["rows"], dhcat)
 
     dh = params.dims.d_hidden
-    active = cache["active"]
+    active, worker = cache["active"], cache["worker"]
+    if worker is not None:
+        worker.start_backward(d_final[:, dh:])
     dwf, duf, dbf = _direction_backward(
         cache["x"], cache["hf"], active, params.uf, d_final[:, :dh]
     )
-    dwb, dub, dbb = _direction_backward(
-        cache["xrev"], cache["hb"], active, params.ub, d_final[:, dh:]
-    )
+    if worker is None:
+        dwb, dub, dbb = _direction_backward(
+            cache["xrev"], cache["hb"], active, params.ub, d_final[:, dh:]
+        )
+    else:
+        dwb, dub, dbb = worker.finish_backward()
     grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# the backward direction in a forked process
+
+# A waiter spins, then yields the CPU between tries: a blocked waiter that
+# the releaser wakes tends to preempt it, about 0.5 ms a wake-up.  Only a
+# wait of tens of ms, such as the worker's through validation, blocks.
+_SPIN_TRIES = 200
+_YIELD_TRIES = 100_000
+
+
+def _acquire(sem, alive) -> bool:
+    """Take ``sem``; False if ``alive()`` turns false first."""
+    tries = 0
+    while not sem.acquire(block=tries > _YIELD_TRIES, timeout=0.05):
+        tries += 1
+        if (tries % _SPIN_TRIES == 0 or tries > _YIELD_TRIES) and not alive():
+            return False
+        if tries > _SPIN_TRIES:
+            os.sched_yield()
+    return True
+
+
+class BackwardWorker:
+    """A forked process that runs the backward direction of training batches.
+
+    Per batch, ``_embed_forward`` packs ``xrev`` into the shared buffer,
+    calls ``start_forward``, runs the forward direction and then
+    ``finish_forward``; ``_embed_backward`` does the same with
+    ``start_backward`` and ``finish_backward``.  Batches hold up to
+    ``max_rows`` distinct utterances of up to ``max_len`` frames.  The
+    worker's recurrent states stay in one buffer for its whole life.
+    Leaving the ``with`` block kills the process.
+    """
+
+    def __init__(self, context, dims: ModelDims, max_len: int, max_rows: int):
+        dh, di = dims.d_hidden, dims.d_in
+        # head: phase (0 forward, 1 backward), rows, steps, active[0..steps]
+        layout = dict(
+            head=(max_len + 4,), xrev=(max_len * max_rows * di,),
+            w=(dh, di), u=(dh, dh), b=(dh,),
+            final=(max_rows * dh,), d_final=(max_rows * dh,),
+            dw=(dh, di), du=(dh, dh), db=(dh,),
+        )
+        # anonymous and shared, so the forked process sees the same pages
+        self._map = mmap.mmap(-1, 8 * sum(math.prod(s) for s in layout.values()))
+        offset = 0
+        for name, shape in layout.items():
+            dtype = np.int64 if name == "head" else np.float64
+            setattr(self, name, np.ndarray(shape, dtype, buffer=self._map, offset=offset))
+            offset += 8 * math.prod(shape)
+        self._hb_size = max_len * max_rows * dh
+        self._go, self._done = context.Semaphore(0), context.Semaphore(0)
+        self._proc = context.Process(target=self._serve, daemon=True)
+        self._proc.start()
+
+    def _serve(self):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
+        parent = os.getppid()
+        hb = np.empty(self._hb_size)
+        while _acquire(self._go, lambda: os.getppid() == parent):
+            phase, n, lmax = self.head[:3].tolist()
+            active = self.head[3 : lmax + 4].tolist()
+            xrev = self.xrev[: lmax * n * self.w.shape[1]].reshape(lmax, n, -1)
+            hseq = hb[: lmax * n * self.b.size].reshape(lmax, n, -1)
+            if phase == 0:
+                final = _run_direction(xrev, self.w, self.u, self.b, active, hseq)
+                self.final[: final.size] = final.ravel()
+            else:
+                d_final = self.d_final[: n * self.b.size].reshape(n, -1)
+                self.dw[...], self.du[...], self.db[...] = _direction_backward(
+                    xrev, hseq, active, self.u, d_final
+                )
+            self._done.release()
+
+    def _wait(self) -> None:
+        if not _acquire(self._done, lambda: self._proc.exitcode is None):
+            raise PhonosimError(
+                f"backward-direction worker exited with code {self._proc.exitcode}"
+            )
+
+    def start_forward(self, params: ModelParams, shape, active) -> None:
+        lmax, n, _ = shape
+        self._rows = n
+        self.head[:3] = 0, n, lmax
+        self.head[3 : lmax + 4] = active
+        self.w[...], self.u[...], self.b[...] = params.wb, params.ub, params.bb
+        self._go.release()
+
+    def finish_forward(self) -> np.ndarray:
+        """Each sorted row's final backward state, valid until the next batch."""
+        self._wait()
+        return self.final[: self._rows * self.b.size].reshape(self._rows, -1)
+
+    def start_backward(self, d_final: np.ndarray) -> None:
+        self.head[0] = 1
+        self.d_final[: d_final.size].reshape(d_final.shape)[...] = d_final
+        self._go.release()
+
+    def finish_backward(self):
+        """``(dwb, dub, dbb)`` of the batch."""
+        self._wait()
+        return self.dw.copy(), self.du.copy(), self.db.copy()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._proc.kill()
+        self._proc.join()
+
+
+def backward_worker(dims: ModelDims, max_len: int, max_rows: int):
+    """A started ``BackwardWorker``, or a null context (giving None, the
+    in-process path) without a second usable CPU or the fork start method,
+    or in a daemon process, which may not start children."""
+    import multiprocessing  # here, so that importing phonosim stays cheap
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if (
+        len(cpus) < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return contextlib.nullcontext()
+    return BackwardWorker(multiprocessing.get_context("fork"), dims, max_len, max_rows)
 
 
 def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:
@@ -395,7 +547,10 @@ def load_checkpoint(path: str) -> ModelParams:
     version, d_in, d_hidden, d_rep = struct.unpack("<IIII", blob[4:20])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    dims = ModelDims(d_in=d_in, d_hidden=d_hidden, d_rep=d_rep)
+    try:
+        dims = ModelDims(d_in=d_in, d_hidden=d_hidden, d_rep=d_rep)
+    except DataError as exc:
+        raise CheckpointError(f"bad model dimensions in {path}: {exc}")
     shapes = _tensor_shapes(dims)
     off = 20
     tensors: dict[str, np.ndarray] = {}

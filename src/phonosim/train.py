@@ -3,7 +3,9 @@
 Gradients of binary cross-entropy over the cosine similarity of two
 tied-weight embeddings are computed analytically, back through the kernel
 in :mod:`phonosim.net` (dropout masks held fixed).  Everything runs in
-64-bit floats so the finite-difference check is meaningful.
+64-bit floats so the finite-difference check is meaningful.  With two
+usable CPUs, ``train`` runs the backward RNN direction in a forked
+``net.BackwardWorker`` for its epoch loop, bit-identically.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .net import (
     WEIGHT_TENSORS,
     _embed_backward,
     _embed_forward,
+    backward_worker,
     init_params,
 )
 
@@ -92,20 +95,25 @@ def pair_forward_backward(
     labels: np.ndarray,
     l1_coeff: float = 0.0,
     dropout_masks: np.ndarray | None = None,
+    worker=None,
 ):
     """Training-mode loss, gradients, batch-norm batch statistics, and similarities.
 
     ``dropout_masks`` has one row per utterance in interleaved
     (left0, right0, left1, right1, ...) order; both Siamese branches
     accumulate into the same gradient tensors.  A matrix object that fills
-    several slots runs through the recurrences and BPTT once.
+    several slots runs through the recurrences and BPTT once.  A
+    ``net.BackwardWorker`` as ``worker`` runs the backward direction
+    alongside the forward one, with bit-identical results.
     """
     n_pairs = len(left_feats)
     if n_pairs == 0:
         raise DataError("empty pair batch")
     labels = np.asarray(labels, dtype=np.float64)
     feats = [f for pair in zip(left_feats, right_feats) for f in pair]
-    e, cache = _embed_forward(params, feats, training=True, dropout_masks=dropout_masks)
+    e, cache = _embed_forward(
+        params, feats, training=True, dropout_masks=dropout_masks, worker=worker
+    )
 
     el, er = e[0::2], e[1::2]
     nl = np.linalg.norm(el, axis=1)
@@ -380,55 +388,58 @@ def train(
     history = []
     best_params = params.copy()
     best_score = -np.inf
-    for epoch in range(config.epochs):
-        lr = config.lr0 * config.lr_decay**epoch
-        order = rng.permutation(len(triples))
-        total_loss = 0.0
-        all_sims = np.empty(len(triples))
-        all_labels = np.empty(len(triples))
-        done = 0
-        for bi, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = [triples[i] for i in order[start : start + config.batch_size]]
-            # the store returns one object per key, so a key's slots share
-            # its RNN pass
-            lefts = [store[l] for l, _, _ in batch]
-            rights = [store[r] for _, r, _ in batch]
-            labels = np.array([y for _, _, y in batch], dtype=np.float64)
-            masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
-            loss, grads, bn_stats, sims = pair_forward_backward(
-                params, lefts, rights, labels, config.l1_coeff, masks
-            )
-            if not np.isfinite(loss):
-                raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            adam_step(
-                state, params, grads, lr,
-                config.adam_beta1, config.adam_beta2, config.adam_eps,
-            )
-            mu, var = bn_stats
-            params.bn_mean = BN_MOMENTUM * params.bn_mean + (1.0 - BN_MOMENTUM) * mu
-            params.bn_var = BN_MOMENTUM * params.bn_var + (1.0 - BN_MOMENTUM) * var
-            total_loss += loss * len(batch)
-            all_sims[done : done + len(batch)] = sims
-            all_labels[done : done + len(batch)] = labels
-            done += len(batch)
+    # distinct utterances per batch: at most two per pair
+    max_len = max(len(store[k]) for t in triples for k in t[:2])
+    with backward_worker(params.dims, max_len, 2 * config.batch_size) as worker:
+        for epoch in range(config.epochs):
+            lr = config.lr0 * config.lr_decay**epoch
+            order = rng.permutation(len(triples))
+            total_loss = 0.0
+            all_sims = np.empty(len(triples))
+            all_labels = np.empty(len(triples))
+            done = 0
+            for bi, start in enumerate(range(0, len(order), config.batch_size)):
+                batch = [triples[i] for i in order[start : start + config.batch_size]]
+                # the store returns one object per key, so a key's slots share
+                # its RNN pass
+                lefts = [store[l] for l, _, _ in batch]
+                rights = [store[r] for _, r, _ in batch]
+                labels = np.array([y for _, _, y in batch], dtype=np.float64)
+                masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
+                loss, grads, bn_stats, sims = pair_forward_backward(
+                    params, lefts, rights, labels, config.l1_coeff, masks, worker
+                )
+                if not np.isfinite(loss):
+                    raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")
+                adam_step(
+                    state, params, grads, lr,
+                    config.adam_beta1, config.adam_beta2, config.adam_eps,
+                )
+                mu, var = bn_stats
+                params.bn_mean = BN_MOMENTUM * params.bn_mean + (1.0 - BN_MOMENTUM) * mu
+                params.bn_var = BN_MOMENTUM * params.bn_var + (1.0 - BN_MOMENTUM) * var
+                total_loss += loss * len(batch)
+                all_sims[done : done + len(batch)] = sims
+                all_labels[done : done + len(batch)] = labels
+                done += len(batch)
 
-        train_report = metrics_from_scores(all_sims, all_labels, config.threshold)
-        record = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": total_loss / len(triples),
-            "train_accuracy": train_report.accuracy,
-        }
-        if val_pairs:
-            val_report = evaluate(params, val_pairs, store, config.threshold)
-            record["validation"] = val_report.to_dict()
-            score = val_report.accuracy
-        else:
-            score = train_report.accuracy
-        if score > best_score:
-            best_score = score
-            best_params = params.copy()
-        history.append(record)
+            train_report = metrics_from_scores(all_sims, all_labels, config.threshold)
+            record = {
+                "epoch": epoch,
+                "lr": lr,
+                "train_loss": total_loss / len(triples),
+                "train_accuracy": train_report.accuracy,
+            }
+            if val_pairs:
+                val_report = evaluate(params, val_pairs, store, config.threshold)
+                record["validation"] = val_report.to_dict()
+                score = val_report.accuracy
+            else:
+                score = train_report.accuracy
+            if score > best_score:
+                best_score = score
+                best_params = params.copy()
+            history.append(record)
     return TrainResult(params=params, best_params=best_params, history=history)
 
 

@@ -200,19 +200,37 @@ def test_condition_pairs_require_sessions(pipeline):
     assert len(json.loads(open(out).read())["pairs"]) > 0
 
 
-def test_import_loads_no_scipy():
-    """The package and its CLI import without SciPy; only features and analyze load it."""
+def _modules_loaded_by(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the sorted list of SciPy and
+    multiprocessing modules it loaded, as printed."""
     src = os.path.dirname(os.path.dirname(phonosim.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, phonosim, phonosim.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        "; import sys; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI import without SciPy or multiprocessing;
+    only analyze loads SciPy, and only train multiprocessing."""
+    assert _modules_loaded_by("import phonosim, phonosim.cli") == "[]"
+
+
+def test_features_loads_no_scipy(pipeline, tmp_path):
+    """synth writes 16-bit PCM, which features reads without SciPy."""
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    out = str(tmp_path / "features")
+    loaded = _modules_loaded_by(
+        "from phonosim import cli; "
+        f"assert cli.main(['features', '--manifest', {manifest!r}, '--out', {out!r}]) == 0"
+    )
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,19 @@ def test_load_audio_resamples_8k(tmp_path):
     assert len(w.samples) == 2 * 800 - 1
 
 
+@pytest.mark.parametrize("rate, channels", [(16000, 1), (16000, 2), (8000, 1)])
+def test_load_audio_pcm16_matches_scipy_reader(tmp_path, monkeypatch, rate, channels):
+    """16-bit PCM read through stdlib wave gives SciPy's samples, bit for bit."""
+    rng = np.random.default_rng(rate + channels)
+    x = rng.integers(-32768, 32768, size=(701, channels)).astype(np.int16)
+    path = tmp_path / "pcm16.wav"
+    wavfile.write(path, rate, x[:, 0] if channels == 1 else x)
+    got = dsp.load_audio(path)
+    monkeypatch.setattr(dsp, "_read_pcm16", lambda path: None)
+    want = dsp.load_audio(path)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def test_load_audio_missing_file():
     with pytest.raises(FileNotFoundError):
         dsp.load_audio("/nonexistent/file.wav")
@@ -296,6 +309,44 @@ def test_feature_file_rejects_non_finite(tmp_path, bad):
     dsp.write_features(frames, path)
     with pytest.raises(FeatureIOError, match="non-finite"):
         dsp.read_features(path)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @pytest.fixture(scope="module")
+    def feature_blob(tmp_path_factory):
+        path = tmp_path_factory.mktemp("artf") / "valid.artf"
+        dsp.write_features(np.arange(15.0).reshape(5, 3), path)
+        return path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.integers(0, 80),
+        flips=st.lists(st.tuples(st.integers(0, 71), st.integers(1, 255)), max_size=3),
+        header=st.lists(
+            st.tuples(st.sampled_from([4, 8]), st.integers(0, 2**32 - 1)), max_size=2
+        ),
+    )
+    def test_read_features_fuzz(tmp_path_factory, feature_blob, cut, flips, header):
+        """A truncated, bit-flipped or re-headed feature file loads or raises
+        FeatureIOError."""
+        blob = bytearray(feature_blob)
+        for offset, value in header:
+            blob[offset : offset + 4] = value.to_bytes(4, "little")
+        for offset, mask in flips:
+            blob[offset] ^= mask
+        path = tmp_path_factory.getbasetemp() / "fuzz.artf"
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            frames = dsp.read_features(path).frames
+        except FeatureIOError:
+            return
+        assert np.isfinite(frames).all()
+
+except ImportError:  # pragma: no cover - hypothesis is an optional test extra
+    pass
 
 
 def test_feature_store(tmp_path):

@@ -215,6 +215,16 @@ def test_checkpoint_wrong_version(small_params, tmp_path):
         net.load_checkpoint(path)
 
 
+def test_checkpoint_zero_dimension_names_path(small_params, tmp_path):
+    path = str(tmp_path / "d.artm")
+    net.save_checkpoint(small_params, path)
+    blob = bytearray(open(path, "rb").read())
+    blob[8:12] = (0).to_bytes(4, "little")  # d_in
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError, match="d.artm"):
+        net.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
     """Shapes that the header dims do not give, NaN/inf, negative running
     variance, and trailing bytes are all rejected at load time."""
@@ -246,3 +256,62 @@ def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
         rejects(open(good, "rb").read(), match)
 
     rejects(blob + b"\x00", "trailing")
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    FUZZ_DIMS = net.ModelDims(3, 2, 2)
+
+    def _checkpoint_layout(dims):
+        """Length of a checkpoint of ``dims``, and the offset of each of its
+        u32 fields: version, dims, and each tensor record's name length,
+        rank and shape."""
+        fields, off = [4, 8, 12, 16], 20
+        for name, shape in net._tensor_shapes(dims).items():
+            fields.append(off)
+            off += 4 + len(name)
+            fields.extend(range(off, off + 4 * (len(shape) + 1), 4))
+            off += 4 * (len(shape) + 1) + 8 * int(np.prod(shape))
+        return off, fields
+
+    FUZZ_LEN, FUZZ_FIELDS = _checkpoint_layout(FUZZ_DIMS)
+
+    @pytest.fixture(scope="module")
+    def checkpoint_blob(tmp_path_factory):
+        path = tmp_path_factory.mktemp("artm") / "valid.artm"
+        net.save_checkpoint(net.init_params(FUZZ_DIMS, seed=0), path)
+        blob = path.read_bytes()
+        assert len(blob) == FUZZ_LEN
+        return blob
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.integers(0, FUZZ_LEN),
+        flips=st.lists(
+            st.tuples(st.integers(0, FUZZ_LEN - 1), st.integers(1, 255)), max_size=3
+        ),
+        fields=st.lists(
+            st.tuples(st.sampled_from(FUZZ_FIELDS), st.integers(0, 2**32 - 1)),
+            max_size=2,
+        ),
+    )
+    def test_load_checkpoint_fuzz(tmp_path_factory, checkpoint_blob, cut, flips, fields):
+        """A truncated, bit-flipped or re-headed checkpoint loads or raises
+        CheckpointError."""
+        blob = bytearray(checkpoint_blob)
+        for offset, value in fields:
+            blob[offset : offset + 4] = value.to_bytes(4, "little")
+        for offset, mask in flips:
+            blob[offset] ^= mask
+        path = tmp_path_factory.getbasetemp() / "fuzz.artm"
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            params = net.load_checkpoint(str(path))
+        except CheckpointError:
+            return
+        assert isinstance(params, net.ModelParams)
+
+except ImportError:  # pragma: no cover - hypothesis is an optional test extra
+    pass

@@ -10,12 +10,18 @@ Oracles:
     classification metrics
 """
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from phonosim import net
 from phonosim import train as tr
-from phonosim.errors import DataError
+from phonosim.errors import DataError, PhonosimError
 
 
 @pytest.fixture()
@@ -572,3 +578,127 @@ def test_train_history_contract_and_lr_decay(tiny_corpus, tiny_features):
 def test_train_empty_dataset_errors(tiny_features):
     with pytest.raises(DataError, match="empty"):
         tr.train(tr.TrainConfig(epochs=1), [], [], tiny_features)
+
+
+# ---------------------------------------------------------------------------
+# the backward-direction worker
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def _cpus(monkeypatch, n):
+    """Make train see ``n`` usable CPUs: two or more start the worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _recording_workers(monkeypatch):
+    made = []
+
+    def record(*args):
+        context = net.backward_worker(*args)
+        made.append(type(context))
+        return context
+
+    monkeypatch.setattr(tr, "backward_worker", record)
+    return made
+
+
+@needs_fork
+def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkeypatch):
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4)
+    made = _recording_workers(monkeypatch)
+    _cpus(monkeypatch, 2)
+    forked = tr.train(cfg, train_pairs, val_pairs, tiny_features)
+    _cpus(monkeypatch, 1)
+    inline = tr.train(cfg, train_pairs, val_pairs, tiny_features)
+    assert made[0] is net.BackwardWorker and made[1] is not net.BackwardWorker
+    assert forked.history == inline.history
+    for name in net.ALL_TENSORS:
+        for a, b in ((forked.params, inline.params), (forked.best_params, inline.best_params)):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert multiprocessing.active_children() == []
+
+
+def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
+    """A daemon process may not start children, so it trains in process."""
+    made = _recording_workers(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    tr.train(tr.TrainConfig(epochs=1), train_pairs, val_pairs, tiny_features)
+    assert len(made) == 1 and made[0] is not net.BackwardWorker
+
+
+@needs_fork
+def test_acquire_outlasts_spinning_and_sees_death():
+    """A wait longer than the spin-and-yield phase blocks until the release;
+    a dead peer ends the wait."""
+    sem = multiprocessing.get_context("fork").Semaphore(0)
+    timer = threading.Timer(0.5, sem.release)
+    timer.start()
+    assert net._acquire(sem, lambda: True)
+    timer.join(timeout=5)
+    assert not timer.is_alive()
+    assert not net._acquire(sem, lambda: False)
+
+
+def _failing_adam(monkeypatch, at_call, action):
+    """Run ``action`` in place of the ``at_call``-th Adam step."""
+    calls = []
+    step = tr.adam_step
+
+    def adam(*args):
+        calls.append(1)
+        if len(calls) == at_call:
+            action()
+        return step(*args)
+
+    monkeypatch.setattr(tr, "adam_step", adam)
+
+
+@needs_fork
+def test_train_error_leaves_no_worker(tiny_corpus, tiny_features, monkeypatch):
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    made = _recording_workers(monkeypatch)
+    _cpus(monkeypatch, 2)
+
+    def fail():
+        assert len(multiprocessing.active_children()) == 1
+        raise DataError("injected")
+
+    _failing_adam(monkeypatch, 3, fail)
+    with pytest.raises(DataError, match="injected"):
+        tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
+    assert made == [net.BackwardWorker]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_train_dead_worker_raises(tiny_corpus, tiny_features, monkeypatch):
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    _cpus(monkeypatch, 2)
+
+    def kill():
+        (child,) = multiprocessing.active_children()
+        os.kill(child.pid, signal.SIGKILL)
+
+    def hung(signum, frame):
+        raise TimeoutError("train waits on a dead worker")
+
+    _failing_adam(monkeypatch, 3, kill)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    start = time.monotonic()
+    try:
+        with pytest.raises(PhonosimError, match="worker exited"):
+            tr.train(
+                tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
