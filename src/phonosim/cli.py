@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import analysis, corpus, dsp, net, train as training
-from .errors import PhonosimError
+from .errors import PhonosimError, read_json
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
@@ -45,12 +45,11 @@ def _parse_sessions(text: str) -> list[int]:
 
 
 def _load_pairs_file(path: str):
+    doc = read_json(path, "pairs file")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         pairs = [(p["left"], p["right"], p["label"]) for p in doc["pairs"]]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise PhonosimError(f"cannot read pairs file {path}: {exc}")
+    except (KeyError, TypeError) as exc:
+        raise PhonosimError(f"malformed pairs file {path}: {exc!r}")
     for i, (left, right, label) in enumerate(pairs):
         if not (isinstance(left, str) and isinstance(right, str)):
             raise PhonosimError(f"pairs file {path}: pair {i} has a non-string key")
@@ -61,27 +60,25 @@ def _load_pairs_file(path: str):
     return pairs
 
 
-def _check_threshold(value: float) -> None:
-    if not math.isfinite(value):
-        raise PhonosimError(f"--threshold must be finite, got {value}")
+def _check_flag(flag: str, value: float, positive: bool = False) -> None:
+    if not math.isfinite(value) or (positive and value <= 0):
+        need = "finite and positive" if positive else "finite"
+        raise PhonosimError(f"{flag} must be {need}, got {value}")
 
 
-def _load_train_config(path: str | None, seed_override: int | None) -> training.TrainConfig:
+def _load_config(cls, what: str, path: str | None, **overrides):
+    """A ``cls`` from the JSON object in ``path`` (its defaults if there is
+    no file), with the overrides that are not None applied on top."""
     values = {}
     if path:
-        try:
-            with open(path) as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PhonosimError(f"cannot read training config {path}: {exc}")
+        values = read_json(path, what)
         if not isinstance(values, dict):
-            raise PhonosimError(f"training config {path} is not a JSON object")
-    if seed_override is not None:
-        values["seed"] = seed_override
+            raise PhonosimError(f"{what} {path} is not a JSON object")
+    values.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        return training.TrainConfig(**values)
-    except TypeError as exc:
-        raise PhonosimError(f"bad training config: {exc}")
+        return cls(**values)
+    except TypeError as exc:  # a field the config does not have
+        raise PhonosimError(f"bad {what} {path}: {exc}")
 
 
 def _cmd_synth(args) -> None:
@@ -96,19 +93,9 @@ def _cmd_synth(args) -> None:
     print(f"wrote synthetic corpus to {args.out}", file=sys.stderr)
 
 
-def _feature_config(path: str | None) -> dsp.MfccConfig:
-    if not path:
-        return dsp.MfccConfig()
-    try:
-        with open(path) as fh:
-            return dsp.MfccConfig(**json.load(fh))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        raise PhonosimError(f"cannot read MFCC config {path}: {exc}")
-
-
 def _cmd_features(args) -> None:
     manifest = corpus.load_manifest(args.manifest)
-    cfg = _feature_config(args.config)
+    cfg = _load_config(dsp.MfccConfig, "MFCC config", args.config)
     os.makedirs(args.out, exist_ok=True)
     for u in manifest.utterances:
         if u.audio_path is None:
@@ -151,7 +138,9 @@ def _cmd_pairs(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    cfg = _load_train_config(args.config, args.seed)
+    cfg = _load_config(
+        training.TrainConfig, "training config", args.config, seed=args.seed
+    )
     pairs = _load_pairs_file(args.pairs)
     val_pairs = _load_pairs_file(args.val_pairs) if args.val_pairs else []
     store = dsp.FeatureStore(args.features)
@@ -172,7 +161,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    _check_threshold(args.threshold)
+    _check_flag("--threshold", args.threshold)
     params = net.load_checkpoint(args.model)
     pairs = _load_pairs_file(args.pairs)
     store = dsp.FeatureStore(args.features)
@@ -188,7 +177,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    _check_threshold(args.threshold)
+    _check_flag("--threshold", args.threshold)
     params = net.load_checkpoint(args.model)
     manifest = corpus.load_manifest(args.manifest)
     store = dsp.FeatureStore(args.features)
@@ -207,6 +196,7 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_gradcheck(args) -> None:
+    _check_flag("--tolerance", args.tolerance, positive=True)
     try:
         d_in, d_hidden, d_rep = (int(v) for v in args.dims.split(","))
     except ValueError:
@@ -245,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("features", help="extract 39-dim MFCC features")
+    p = sub.add_parser(
+        "features", help="extract MFCC+delta features (3 * n_ceps columns, 39 by default)"
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-cmvn", action="store_true")

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ManifestError, check_numeric_fields
+from .errors import DataError, ManifestError, check_numeric_fields, check_seed, read_json
 
 CONDITIONS = ("solo", "interactive", "imitation")
 
@@ -151,11 +151,7 @@ def _record(cls, obj, what: str):
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
     """Load and validate a JSON manifest; paths stay relative to its directory."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise ManifestError(f"cannot parse manifest {path}: {exc}")
+    doc = read_json(path, "manifest", ManifestError)
     try:
         doc = _typed(doc, dict, "manifest")
         speakers = [
@@ -170,14 +166,16 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
             _record(Utterance, u, "utterance")
             for u in _typed(doc["utterances"], list, "utterances")
         ]
+        return Manifest(
+            speakers=speakers,
+            dyads=dyads,
+            utterances=utterances,
+            root=os.path.dirname(os.path.abspath(path)),
+        )
     except KeyError as exc:
-        raise ManifestError(f"malformed manifest {path}: missing field {exc}")
-    return Manifest(
-        speakers=speakers,
-        dyads=dyads,
-        utterances=utterances,
-        root=os.path.dirname(os.path.abspath(path)),
-    )
+        raise ManifestError(f"malformed manifest {path}: missing field {exc}") from None
+    except ManifestError as exc:
+        raise ManifestError(f"malformed manifest {path}: {exc}") from None
 
 
 def save_manifest(m: Manifest, path: str | os.PathLike) -> None:
@@ -445,6 +443,7 @@ def generate_synthetic_corpus(
     with envelope and rate interpolated toward the partner by the convergence
     parameter ``lam``.  Identical (config, seed) gives byte-identical output.
     """
+    check_seed(seed)
     out_dir = str(out_dir)
     audio_dir = os.path.join(out_dir, "audio")
     os.makedirs(audio_dir, exist_ok=True)

@@ -251,8 +251,6 @@ def _delta(c: np.ndarray, n: int) -> np.ndarray:
 def append_deltas(f: FeatureMatrix, delta_window: int = 4) -> FeatureMatrix:
     """Append delta and delta-delta columns: [static | d | dd]."""
     c = f.frames
-    if c.shape[1] != 13:
-        raise FeatureIOError(f"expected 13 static coefficients, got {c.shape[1]}")
     d = _delta(c, delta_window)
     dd = _delta(d, delta_window)
     return FeatureMatrix(

@@ -1,8 +1,10 @@
-"""Common exception types, and the field check that config classes share."""
+"""Common exception types, the one JSON reader for every input file, and
+the checks that config classes share."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
 
@@ -29,6 +31,25 @@ class CheckpointError(PhonosimError):
 
 class DataError(PhonosimError):
     """Dataset is empty, inconsistent, or produced a non-finite value."""
+
+
+def read_json(path, what: str, error: type[PhonosimError] = PhonosimError):
+    """The JSON document in ``path``, read as UTF-8.
+
+    A file that cannot be opened, is not UTF-8, is not valid JSON or nests
+    too deeply for the parser raises ``error``, naming ``what`` and the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise error(f"cannot parse {what} {path}: {exc}") from None
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``DataError`` for a seed that NumPy's ``SeedSequence`` rejects."""
+    if seed < 0:
+        raise DataError("seed must be >= 0")
 
 
 def check_numeric_fields(config) -> None:

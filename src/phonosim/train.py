@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_numeric_fields
+from .errors import DataError, check_numeric_fields, check_seed
 from .net import (
     BN_MOMENTUM,
     ModelDims,
@@ -52,8 +52,7 @@ class TrainConfig:
         check_numeric_fields(self)
         if self.epochs < 1:
             raise DataError("epochs must be >= 1")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
+        check_seed(self.seed)
         if self.lr0 < 0:
             raise DataError("lr0 must be >= 0")
         if not 0 < self.lr_decay <= 1:
@@ -462,6 +461,7 @@ def gradient_check(
     ~1 where the 1/(1-p) cross-entropy factor amplifies roundoff and
     drowns small finite differences.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed)
     for name in WEIGHT_TENSORS + ("bf", "bb", "by", "be"):

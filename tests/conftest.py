@@ -1,4 +1,7 @@
-"""Shared fixtures: a tiny synthetic corpus with in-memory features."""
+"""Shared fixtures: a tiny synthetic corpus with in-memory features, and
+the hypothesis strategies that fuzz the JSON input files."""
+
+import json
 
 import numpy as np
 import pytest
@@ -50,3 +53,32 @@ def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1
                         )
                     )
     return corpus.Manifest(speakers=speakers, dyads=dyads, utterances=utterances)
+
+
+try:
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is an optional test extra
+    pass
+else:
+    any_json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    def valid_or_any(valid):
+        return st.just(valid) | any_json
+
+    def json_file_bytes(near_valid):
+        """File contents a JSON loader must survive: arbitrary bytes, deep
+        nesting, and near-valid or arbitrary documents, whole, truncated or
+        encoded as UTF-16."""
+        text = (near_valid | any_json).map(json.dumps)
+        return st.one_of(
+            st.binary(max_size=64),
+            st.sampled_from([b"[" * 100_000, b'{"a": ' * 100_000, b"\xff\xfe{}"]),
+            text.map(str.encode),
+            st.tuples(text, st.integers(0, 100)).map(lambda t: t[0][: t[1]].encode()),
+            text.map(lambda s: s.encode("utf-16")),
+        )

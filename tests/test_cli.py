@@ -5,6 +5,7 @@ then exercises gradcheck and the error paths (exit code 2 for data errors,
 1 for usage errors).
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 import phonosim
-from phonosim import cli, dsp
+from phonosim import cli, dsp, train as training
+from phonosim.errors import PhonosimError
 
 
 @pytest.fixture(scope="module")
@@ -361,3 +363,134 @@ def test_bad_synth_config_exit_code(tmp_path, capsys, flags):
     assert cli.main(["synth", "--speakers", "2", *flags, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (out / "audio").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "gradcheck"])
+def test_negative_seed_exit_code(tmp_path, capsys, command):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--speakers", "2", "--out", str(out)] if command == "synth" else [command]
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_bad_gradcheck_tolerance_exit_code(capsys, tolerance):
+    assert cli.main(["gradcheck", f"--tolerance={tolerance}"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --tolerance" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
+    """n_ceps 12 writes 36-column features, which the default 39-input
+    model rejects at train."""
+    config = tmp_path / "mfcc.json"
+    config.write_text('{"n_ceps": 12}')
+    features = tmp_path / "features"
+    assert cli.main([
+        "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
+        "--config", str(config), "--out", str(features),
+    ]) == 0
+    widths = {dsp.read_features(p).frames.shape[1] for p in features.glob("*.artf")}
+    assert widths == {36}
+    model = tmp_path / "model"
+    assert cli.main([
+        "train", "--features", str(features), "--pairs", pipeline["pairs"],
+        "--out", str(model),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not model.exists()
+
+
+_BAD_JSON = {
+    "non-utf8": b'\xff\xfe{"pairs": []}',
+    "deep": b"[" * 100_000,
+    "truncated": b'{"pairs": [',
+    "wrong-kind": b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("content", list(_BAD_JSON))
+@pytest.mark.parametrize("input_kind", ["manifest", "pairs", "train-config", "mfcc-config"])
+def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content):
+    """Every JSON input exits 2 naming the file, and writes nothing."""
+    path = tmp_path / "input.json"
+    path.write_bytes(_BAD_JSON[content])
+    out = tmp_path / "out"
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    train = ["train", "--features", pipeline["features"], "--out", str(out)]
+    argv = {
+        "manifest": ["pairs", "--manifest", str(path), "--condition", "solo",
+                     "--out", str(out)],
+        "pairs": [*train, "--pairs", str(path)],
+        "train-config": [*train, "--pairs", pipeline["pairs"], "--config", str(path)],
+        "mfcc-config": ["features", "--manifest", manifest, "--config", str(path),
+                        "--out", str(out)],
+    }[input_kind]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert not out.exists()
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from conftest import any_json, json_file_bytes, valid_or_any
+
+    # near-valid pairs files: the right keys, each value valid or any JSON value
+    _near_pairs = st.fixed_dictionaries({
+        "pairs": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "left": valid_or_any("A__solo__1__001"),
+                    "right": valid_or_any("B__solo__1__001"),
+                    "label": valid_or_any(1),
+                },
+                optional={"condition": valid_or_any("solo")},
+            ) | any_json,
+            max_size=3,
+        ) | any_json,
+    })
+
+    def _near_config(cls):
+        """Any subset of the fields of ``cls``, plus an unknown one, each
+        holding its default or any JSON value."""
+        fields = {f.name: valid_or_any(f.default) for f in dataclasses.fields(cls)}
+        return st.fixed_dictionaries({}, optional={**fields, "bogus": any_json})
+
+    @pytest.fixture(scope="module")
+    def fuzz_dir(tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=json_file_bytes(_near_pairs))
+    def test_load_pairs_file_fuzz(fuzz_dir, raw):
+        """Any file loads as a list of pairs or raises a PhonosimError."""
+        path = fuzz_dir / "pairs.json"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(cli._load_pairs_file(str(path)), list)
+        except PhonosimError:
+            pass
+
+    @pytest.mark.parametrize(
+        "cls, what",
+        [(training.TrainConfig, "training config"), (dsp.MfccConfig, "MFCC config")],
+        ids=["train", "mfcc"],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_config_fuzz(fuzz_dir, cls, what, data):
+        """Any file loads as a config or raises a PhonosimError."""
+        path = fuzz_dir / "config.json"
+        path.write_bytes(data.draw(json_file_bytes(_near_config(cls))))
+        try:
+            assert isinstance(cli._load_config(cls, what, str(path)), cls)
+        except PhonosimError:
+            pass
+
+except ImportError:  # pragma: no cover - hypothesis is an optional test extra
+    pass

@@ -116,8 +116,12 @@ def test_split_by_sentence_fixed_ranges():
 
 def test_split_by_sentence_warns_on_missing_ranges():
     m = metadata_manifest(n_speakers=2, n_sentences=10)
-    with pytest.warns(UserWarning, match="validation"):
+    with pytest.warns(UserWarning) as record:
         corpus.split_by_sentence(m)
+    assert [str(w.message) for w in record] == [
+        "manifest has no solo sentences in the validation range 41-60",
+        "manifest has no solo sentences in the test range 61-80",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +224,29 @@ try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    _json = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-        max_leaves=8,
-    )
-
-    def _valid_or_any(valid):
-        return st.just(valid) | _json
+    from conftest import any_json, json_file_bytes, valid_or_any
 
     # near-manifests: the right keys, each value valid or any JSON value
     _near_manifest = st.fixed_dictionaries({
         "speakers": st.lists(
-            st.fixed_dictionaries({"id": _valid_or_any("A")}) | _json, max_size=3
-        ) | _json,
+            st.fixed_dictionaries({"id": valid_or_any("A")}) | any_json, max_size=3
+        ) | any_json,
         "dyads": st.lists(
-            st.lists(_valid_or_any("A"), max_size=3) | _json, max_size=2
-        ) | _json,
+            st.lists(valid_or_any("A"), max_size=3) | any_json, max_size=2
+        ) | any_json,
         "utterances": st.lists(
             st.fixed_dictionaries(
                 {
-                    "speaker_id": _valid_or_any("A"),
-                    "dyad_id": _valid_or_any("A+B"),
-                    "condition": _valid_or_any("solo"),
-                    "session": _valid_or_any(1),
-                    "sentence_index": _valid_or_any(1),
+                    "speaker_id": valid_or_any("A"),
+                    "dyad_id": valid_or_any("A+B"),
+                    "condition": valid_or_any("solo"),
+                    "session": valid_or_any(1),
+                    "sentence_index": valid_or_any(1),
                 },
-                optional={"audio_path": _valid_or_any("a.wav")},
+                optional={"audio_path": valid_or_any("a.wav")},
             ),
             max_size=3,
-        ) | _json,
+        ) | any_json,
     })
 
     @pytest.fixture(scope="module")
@@ -258,11 +254,11 @@ try:
         return tmp_path_factory.mktemp("fuzz")
 
     @settings(max_examples=300, deadline=None)
-    @given(doc=_json | _near_manifest)
-    def test_load_manifest_fuzz(fuzz_dir, doc):
-        """Any JSON document loads as a Manifest or raises ManifestError."""
+    @given(raw=json_file_bytes(_near_manifest))
+    def test_load_manifest_fuzz(fuzz_dir, raw):
+        """Any file loads as a Manifest or raises ManifestError."""
         path = fuzz_dir / "manifest.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(raw)
         try:
             assert isinstance(corpus.load_manifest(path), corpus.Manifest)
         except ManifestError:

@@ -194,9 +194,14 @@ def test_append_deltas_keeps_statics_and_width():
     np.testing.assert_array_equal(out.frames[:, :13], c)
 
 
-def test_append_deltas_rejects_wrong_width():
-    with pytest.raises(FeatureIOError):
-        dsp.append_deltas(dsp.FeatureMatrix(frames=np.zeros((5, 12))))
+def test_append_deltas_any_width():
+    """n_ceps sets the width: 12 static columns give 36."""
+    rng = np.random.default_rng(6)
+    c = rng.normal(size=(10, 12))
+    out = dsp.append_deltas(dsp.FeatureMatrix(frames=c), 4).frames
+    assert out.shape == (10, 36)
+    np.testing.assert_array_equal(out[:, :12], c)
+    np.testing.assert_allclose(out[:, 12:24], _delta_oracle(c, 4), atol=1e-12)
 
 
 def test_mfcc_matches_naive_per_frame_oracle():
