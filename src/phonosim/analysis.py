@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest, PairExample
+from .corpus import Manifest, PairExample, build_condition_pairs, build_solo_pairs
 from .errors import DataError
 from .train import score_similarities
 
@@ -43,15 +43,16 @@ class PairTable:
         )
 
 
-def score_pairs(params, pairs, store, speakers: list[str]) -> PairTable:
+def score_pairs(params, pairs, store, manifest: Manifest) -> PairTable:
     """Infer-mode similarity, label and speaker indices of each pair."""
     pairs = list(pairs)
-    index = {s: i for i, s in enumerate(speakers)}
+    index = {s.id: i for i, s in enumerate(manifest.speakers)}
+    speaker = {u.key: index[u.speaker_id] for u in manifest.utterances}
     return PairTable(
         similarity=score_similarities(params, pairs, store),
         label=np.array([p.label for p in pairs], dtype=np.intp),
-        left=np.array([index[p.left.speaker_id] for p in pairs], dtype=np.intp),
-        right=np.array([index[p.right.speaker_id] for p in pairs], dtype=np.intp),
+        left=np.array([speaker[p.left] for p in pairs], dtype=np.intp),
+        right=np.array([speaker[p.right] for p in pairs], dtype=np.intp),
     )
 
 
@@ -164,7 +165,7 @@ def cross_condition_pairs(
             continue
         base = solo.get((u.speaker_id, u.sentence_index))
         if base is not None:
-            pairs.append(PairExample(left=base, right=u, label=1, condition=condition))
+            pairs.append(PairExample(base.key, u.key, 1, condition))
     return pairs
 
 
@@ -195,7 +196,6 @@ def build_report(
     sessions: list[int],
     threshold: float = 0.5,
     solo_range: tuple[int, int] | None = None,
-    filtered: bool = True,
 ) -> ConvergenceReport:
     """Score, filter, and summarize a corpus into a ConvergenceReport.
 
@@ -205,8 +205,6 @@ def build_report(
     and against the solo baseline (same sentence across conditions); the
     baseline variant feeds the per-speaker scores.
     """
-    from .corpus import build_condition_pairs, build_solo_pairs
-
     if solo_range is None:
         sents = [
             u.sentence_index for u in manifest.utterances if u.condition == "solo"
@@ -230,13 +228,11 @@ def build_report(
         else [],
     ]
     # one scoring call, so an utterance shared by several sets is embedded once
-    speaker_ids = [s.id for s in manifest.speakers]
-    table = score_pairs(params, [p for s in pair_sets for p in s], store, speaker_ids)
+    table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)
     ends = np.cumsum([len(s) for s in pair_sets]).tolist()
-    parts = [table.take(slice(a, b)) for a, b in zip([0] + ends, ends)]
-    if filtered:
-        parts = [filter_scores(part, threshold) for part in parts]
-    solo, inter, imit, inter_vs_solo, imit_vs_solo = parts
+    solo, inter, imit, inter_vs_solo, imit_vs_solo = (
+        filter_scores(table.take(slice(a, b)), threshold) for a, b in zip([0] + ends, ends)
+    )
 
     report = ConvergenceReport(threshold=threshold)
     within = {"solo": solo, "interactive": inter, "imitation": imit}
@@ -267,7 +263,7 @@ def build_report(
 
     abilities = {}
     degrees = {}
-    for i, spk in enumerate(speaker_ids):
+    for i, spk in enumerate(s.id for s in manifest.speakers):
         try:
             ability = imitation_ability(solo, imit_vs_solo, i)
             degree = convergence_degree(solo, inter, i)

@@ -8,9 +8,11 @@ validation and file errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import reprlib
 import sys
 
 from . import analysis, corpus, dsp, net, train as training
@@ -44,18 +46,25 @@ def _parse_sessions(text: str) -> list[int]:
         raise PhonosimError(f"bad session list {text!r}, expected e.g. 1,2")
 
 
-def _load_pairs_file(path: str):
+def _load_pairs_file(path: str) -> list[corpus.PairExample]:
     doc = read_json(path, "pairs file")
     try:
-        pairs = [(p["left"], p["right"], p["label"]) for p in doc["pairs"]]
+        pairs = [
+            corpus.PairExample(p["left"], p["right"], p["label"], p["condition"])
+            for p in doc["pairs"]
+        ]
     except (KeyError, TypeError) as exc:
         raise PhonosimError(f"malformed pairs file {path}: {exc!r}")
-    for i, (left, right, label) in enumerate(pairs):
+    for i, (left, right, label, condition) in enumerate(pairs):
         if not (isinstance(left, str) and isinstance(right, str)):
             raise PhonosimError(f"pairs file {path}: pair {i} has a non-string key")
         if type(label) is not int or label not in (0, 1):
             raise PhonosimError(
-                f"pairs file {path}: pair {i} has label {label!r}, expected 0 or 1"
+                f"pairs file {path}: pair {i} has label {reprlib.repr(label)}, expected 0 or 1"
+            )
+        if condition not in corpus.CONDITIONS:
+            raise PhonosimError(
+                f"pairs file {path}: pair {i} has unknown condition {reprlib.repr(condition)}"
             )
     return pairs
 
@@ -75,10 +84,15 @@ def _load_config(cls, what: str, path: str | None, **overrides):
         if not isinstance(values, dict):
             raise PhonosimError(f"{what} {path} is not a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
+    unknown = values.keys() - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise PhonosimError(f"bad {what} {path}: unknown field {reprlib.repr(min(unknown))}")
     try:
         return cls(**values)
-    except TypeError as exc:  # a field the config does not have
-        raise PhonosimError(f"bad {what} {path}: {exc}")
+    except PhonosimError as exc:  # a value the config rejects
+        if not path:
+            raise
+        raise PhonosimError(f"bad {what} {path}: {exc}") from None
 
 
 def _cmd_synth(args) -> None:
@@ -120,19 +134,8 @@ def _cmd_pairs(args) -> None:
         pairs = corpus.build_condition_pairs(
             manifest, args.condition, _parse_sessions(args.sessions)
         )
-    doc = {
-        "pairs": [
-            {
-                "left": p.left.key,
-                "right": p.right.key,
-                "label": p.label,
-                "condition": p.condition,
-            }
-            for p in pairs
-        ]
-    }
     with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump({"pairs": [p._asdict() for p in pairs]}, fh, indent=1)
     _echo_config(args, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}", file=sys.stderr)
 

@@ -13,9 +13,11 @@ import functools
 import itertools
 import json
 import os
+import reprlib
 import wave
 import warnings
 from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,6 @@ class Utterance:
     session: int
     sentence_index: int
     audio_path: str | None = None
-    feature_path: str | None = None
 
     @functools.cached_property
     def key(self) -> str:
@@ -51,10 +52,11 @@ class Utterance:
         return f"{self.speaker_id}__{self.condition}__{self.session}__{self.sentence_index:03d}"
 
 
-@dataclass(frozen=True)
-class PairExample:
-    left: Utterance
-    right: Utterance
+class PairExample(NamedTuple):
+    """One labelled pair of utterance keys: one entry of a pairs file."""
+
+    left: str
+    right: str
     label: int  # 1 = same speaker, 0 = different speakers (one dyad)
     condition: str
 
@@ -77,42 +79,44 @@ class Manifest:
         seen_in_dyad: set[str] = set()
         for a, b in self.dyads:
             if a == b:
-                raise ManifestError(f"dyad members must be distinct: {a!r}")
+                raise ManifestError(f"dyad members must be distinct: {reprlib.repr(a)}")
             for s in (a, b):
                 if s not in known:
-                    raise ManifestError(f"dyad references unknown speaker {s!r}")
+                    raise ManifestError(f"dyad references unknown speaker {reprlib.repr(s)}")
                 if s in seen_in_dyad:
-                    raise ManifestError(f"speaker in multiple dyads: {s!r}")
+                    raise ManifestError(f"speaker in multiple dyads: {reprlib.repr(s)}")
                 seen_in_dyad.add(s)
         missing = known - seen_in_dyad
         if missing:
-            raise ManifestError(f"speaker in no dyad: {sorted(missing)}")
+            raise ManifestError(f"speaker in no dyad: {reprlib.repr(sorted(missing))}")
 
         keys = set()
         solo_sessions: dict[str, set[int]] = {}
         dyad_by_speaker = self.dyad_by_speaker()
         for u in self.utterances:
             if u.speaker_id not in known:
-                raise ManifestError(f"utterance references unknown speaker {u.speaker_id!r}")
+                raise ManifestError(f"utterance references unknown speaker {reprlib.repr(u.speaker_id)}")
             if u.condition not in CONDITIONS:
-                raise ManifestError(f"unknown condition {u.condition!r}")
+                raise ManifestError(f"unknown condition {reprlib.repr(u.condition)}")
             if not 1 <= u.sentence_index <= SCRIPT_SENTENCES:
                 raise ManifestError(
-                    f"sentence_index {u.sentence_index} outside script range 1-{SCRIPT_SENTENCES}"
+                    f"sentence_index {reprlib.repr(u.sentence_index)} "
+                    f"outside script range 1-{SCRIPT_SENTENCES}"
                 )
             if u.dyad_id != dyad_by_speaker[u.speaker_id]:
                 raise ManifestError(
-                    f"utterance dyad_id {u.dyad_id!r} does not match speaker {u.speaker_id!r}"
+                    f"utterance dyad_id {reprlib.repr(u.dyad_id)} "
+                    f"does not match speaker {reprlib.repr(u.speaker_id)}"
                 )
             k = (u.speaker_id, u.condition, u.session, u.sentence_index)
             if k in keys:
-                raise ManifestError(f"duplicate utterance: {k}")
+                raise ManifestError(f"duplicate utterance: {reprlib.repr(k)}")
             keys.add(k)
             if u.condition == "solo":
                 solo_sessions.setdefault(u.speaker_id, set()).add(u.session)
         for spk, sessions in solo_sessions.items():
             if len(sessions) != 1:
-                raise ManifestError(f"solo utterances of {spk!r} span multiple sessions")
+                raise ManifestError(f"solo utterances of {reprlib.repr(spk)} span multiple sessions")
 
     def dyad_by_speaker(self) -> dict[str, str]:
         out = {}
@@ -135,7 +139,7 @@ def dyad_id(a: str, b: str) -> str:
 def _typed(value, kind: type, what: str):
     """``value`` if it is a ``kind``; a bool does not count as an int."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ManifestError(f"{what} must be of type {kind.__name__}, got {value!r}")
+        raise ManifestError(f"{what} must be of type {kind.__name__}, got {reprlib.repr(value)}")
     return value
 
 
@@ -160,7 +164,7 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
         dyads = []
         for d in _typed(doc["dyads"], list, "dyads"):
             if len(_typed(d, list, "dyad")) != 2:
-                raise ManifestError(f"dyad must list two speaker ids, got {d!r}")
+                raise ManifestError(f"dyad must list two speaker ids, got {reprlib.repr(d)}")
             dyads.append(tuple(_typed(s, str, "dyad member") for s in d))
         utterances = [
             _record(Utterance, u, "utterance")
@@ -190,7 +194,6 @@ def save_manifest(m: Manifest, path: str | os.PathLike) -> None:
                 "session": u.session,
                 "sentence_index": u.sentence_index,
                 **({"audio_path": u.audio_path} if u.audio_path else {}),
-                **({"feature_path": u.feature_path} if u.feature_path else {}),
             }
             for u in m.utterances
         ],
@@ -218,11 +221,11 @@ def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[Pa
     pairs: list[PairExample] = []
     for spk in sorted(by_speaker):
         for a, b in itertools.combinations(by_speaker[spk], 2):
-            pairs.append(PairExample(left=a, right=b, label=1, condition="solo"))
+            pairs.append(PairExample(a.key, b.key, 1, "solo"))
     for a, b in m.dyads:
         for ua in by_speaker.get(a, []):
             for ub in by_speaker.get(b, []):
-                pairs.append(PairExample(left=ua, right=ub, label=0, condition="solo"))
+                pairs.append(PairExample(ua.key, ub.key, 0, "solo"))
     return pairs
 
 
@@ -250,7 +253,7 @@ def build_condition_pairs(
     for key in sorted(by_spk_sess):
         seq = sorted(by_spk_sess[key], key=lambda u: u.sentence_index)
         for a, b in zip(seq, seq[1:]):
-            pairs.append(PairExample(left=a, right=b, label=1, condition=condition))
+            pairs.append(PairExample(a.key, b.key, 1, condition))
 
     by_spk_sent: dict[tuple[str, int], list[Utterance]] = {}
     for u in utts:
@@ -263,9 +266,7 @@ def build_condition_pairs(
         for s in sents:
             for ua in by_spk_sent[(a, s)]:
                 for ub in by_spk_sent[(b, s)]:
-                    pairs.append(
-                        PairExample(left=ua, right=ub, label=0, condition=condition)
-                    )
+                    pairs.append(PairExample(ua.key, ub.key, 0, condition))
     return pairs
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import reprlib
 import struct
 import wave
 from dataclasses import dataclass
@@ -85,16 +86,10 @@ class Waveform:
 @dataclass(frozen=True)
 class FeatureMatrix:
     frames: np.ndarray  # (T, d) float64; float32 as read from a feature file
-    frame_hop: float = 0.010
-    frame_window: float = 0.025
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 def frame_count(n_samples: int, window_samples: int, hop_samples: int) -> int:
@@ -234,7 +229,7 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
     fb = mel_filterbank(cfg)
     energies = np.log(np.maximum(spec @ fb.T, cfg.log_floor))
     ceps = energies @ _dct_basis(cfg.n_mels, cfg.n_ceps)
-    return FeatureMatrix(frames=ceps, frame_hop=cfg.hop, frame_window=cfg.window)
+    return FeatureMatrix(frames=ceps)
 
 
 def _delta(c: np.ndarray, n: int) -> np.ndarray:
@@ -253,11 +248,7 @@ def append_deltas(f: FeatureMatrix, delta_window: int = 4) -> FeatureMatrix:
     c = f.frames
     d = _delta(c, delta_window)
     dd = _delta(d, delta_window)
-    return FeatureMatrix(
-        frames=np.hstack([c, d, dd]),
-        frame_hop=f.frame_hop,
-        frame_window=f.frame_window,
-    )
+    return FeatureMatrix(frames=np.hstack([c, d, dd]))
 
 
 def cmvn(f: FeatureMatrix) -> FeatureMatrix:
@@ -271,7 +262,7 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
     out = x - mu
     live = sd >= 1e-10
     out[:, live] /= sd[live]
-    return FeatureMatrix(frames=out, frame_hop=f.frame_hop, frame_window=f.frame_window)
+    return FeatureMatrix(frames=out)
 
 
 def write_features(f: FeatureMatrix | np.ndarray, path: str | os.PathLike) -> None:
@@ -322,7 +313,7 @@ class FeatureStore:
         if key not in self._cache:
             path = self.path_for(key)
             if not os.path.exists(path):
-                raise FeatureIOError(f"missing feature file for utterance {key!r}")
+                raise FeatureIOError(f"missing feature file for utterance {reprlib.repr(key)}")
             self._cache[key] = read_features(path).frames
         return self._cache[key]
 

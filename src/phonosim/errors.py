@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import numbers
+import reprlib
 
 
 class PhonosimError(Exception):
@@ -66,7 +67,7 @@ def check_numeric_fields(config) -> None:
             raise DataError(
                 f"{type(config).__name__}.{f.name} must be "
                 f"{'an integer' if kind is numbers.Integral else 'a number'}, "
-                f"got {value!r}"
+                f"got {reprlib.repr(value)}"
             )
         try:
             finite = math.isfinite(value)
@@ -74,5 +75,5 @@ def check_numeric_fields(config) -> None:
             finite = False
         if not finite:
             raise DataError(
-                f"{type(config).__name__}.{f.name} must be finite, got {value!r}"
+                f"{type(config).__name__}.{f.name} must be finite, got {reprlib.repr(value)}"
             )

@@ -309,12 +309,6 @@ def metrics_from_scores(scores, labels, threshold: float = 0.5) -> MetricsReport
 # inference scoring and the training loop
 
 
-def _pair_triple(p):
-    if hasattr(p, "label"):
-        return p.left.key, p.right.key, p.label
-    return p[0], p[1], p[2]
-
-
 def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
     """Infer-mode embedding per unique utterance key.
 
@@ -333,8 +327,11 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
 
 
 def score_similarities(params: ModelParams, pairs, store) -> np.ndarray:
-    """Infer-mode cosine similarity for every pair; deterministic."""
-    triples = [_pair_triple(p) for p in pairs]
+    """Infer-mode cosine similarity for every pair; deterministic.
+
+    A pair's first three items are its left key, right key and label.
+    """
+    triples = [p[:3] for p in pairs]
     emb = embed_all(params, {k for l, r, _ in triples for k in (l, r)}, store)
     norms = {k: np.linalg.norm(e) for k, e in emb.items()}
     sims = np.empty(len(triples))
@@ -349,7 +346,7 @@ def evaluate(params: ModelParams, pairs, store, threshold: float = 0.5) -> Metri
     if not pairs:
         raise DataError("empty pair set")
     sims = score_similarities(params, pairs, store)
-    labels = np.array([_pair_triple(p)[2] for p in pairs])
+    labels = np.array([p[2] for p in pairs])
     return metrics_from_scores(sims, labels, threshold)
 
 
@@ -375,15 +372,14 @@ def train(
     exactly.  The checkpoint with the best validation accuracy is retained
     alongside the final parameters.
     """
-    train_pairs = list(train_pairs)
+    triples = [p[:3] for p in train_pairs]
     val_pairs = list(val_pairs) if val_pairs else []
-    if not train_pairs:
+    if not triples:
         raise DataError("empty training set")
     params = init.copy() if init is not None else init_params(dims or ModelDims(), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
 
-    triples = [_pair_triple(p) for p in train_pairs]
     history = []
     best_params = params.copy()
     best_score = -np.inf

@@ -7,6 +7,7 @@ real stdout so the verdicts survive pytest's capture.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,8 +264,8 @@ def test_criterion_8_invariant_suite(tmp_path):
     m1 = corpus.generate_synthetic_corpus(cfg, 13, tmp_path / "d1")
     m2 = corpus.generate_synthetic_corpus(cfg, 13, tmp_path / "d2")
     checks["synth_determinism"] = all(
-        open(m1.resolve(u1.audio_path), "rb").read()
-        == open(m2.resolve(u2.audio_path), "rb").read()
+        Path(m1.resolve(u1.audio_path)).read_bytes()
+        == Path(m2.resolve(u2.audio_path)).read_bytes()
         for u1, u2 in zip(m1.utterances, m2.utterances)
     )
 

@@ -241,11 +241,13 @@ def test_cross_condition_pairs_structure():
     )
     got = analysis.cross_condition_pairs(m, "interactive", [1, 2])
     assert len(got) == 2
+    by_key = {u.key: u for u in m_utts}
     for p in got:
-        assert p.label == 1
-        assert p.left.condition == "solo" and p.right.condition == "interactive"
-        assert p.left.speaker_id == p.right.speaker_id
-        assert p.left.sentence_index == p.right.sentence_index
+        assert p.label == 1 and p.condition == "interactive"
+        left, right = by_key[p.left], by_key[p.right]
+        assert left.condition == "solo" and right.condition == "interactive"
+        assert left.speaker_id == right.speaker_id
+        assert left.sentence_index == right.sentence_index
     assert len(analysis.cross_condition_pairs(m, "imitation", [1])) == 1
     with pytest.raises(DataError):
         analysis.cross_condition_pairs(m, "solo", [1])
@@ -262,7 +264,6 @@ def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
         tiny_corpus,
         tiny_features,
         sessions=[1],
-        filtered=False,
     )
     assert set(report.condition_stats) == {"solo", "interactive", "imitation"}
     for cond in ("interactive", "imitation"):
@@ -303,7 +304,7 @@ def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, mon
         analysis.cross_condition_pairs(tiny_corpus, "interactive", [1]),
         analysis.cross_condition_pairs(tiny_corpus, "imitation", [1]),
     ]
-    keys = {k for pairs in pair_sets for p in pairs for k in (p.left.key, p.right.key)}
+    keys = {k for pairs in pair_sets for p in pairs for k in (p.left, p.right)}
     assert all(pair_sets) and len(rows) > 1
     assert sum(rows) == len(keys)
 
@@ -311,15 +312,16 @@ def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, mon
 def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     pairs = corpus.build_solo_pairs(tiny_corpus, 1, 2)
     params = net.init_params(net.ModelDims(), seed=0)
-    speakers = [s.id for s in tiny_corpus.speakers]
-    table = analysis.score_pairs(params, pairs, tiny_features, speakers)
+    table = analysis.score_pairs(params, pairs, tiny_features, tiny_corpus)
     assert len(table) == len(pairs)
     assert table.label.tolist() == [p.label for p in pairs]
-    assert [speakers[i] for i in table.left] == [p.left.speaker_id for p in pairs]
-    assert [speakers[i] for i in table.right] == [p.right.speaker_id for p in pairs]
+    speakers = [s.id for s in tiny_corpus.speakers]
+    speaker_of = {u.key: u.speaker_id for u in tiny_corpus.utterances}
+    assert [speakers[i] for i in table.left] == [speaker_of[p.left] for p in pairs]
+    assert [speakers[i] for i in table.right] == [speaker_of[p.right] for p in pairs]
     np.testing.assert_array_equal(
         table.similarity, train.score_similarities(params, pairs, tiny_features)
     )
     kept = analysis.filter_scores(table, 0.5)
     assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
-    assert len(analysis.score_pairs(params, [], tiny_features, speakers)) == 0
+    assert len(analysis.score_pairs(params, [], tiny_features, tiny_corpus)) == 0

@@ -11,12 +11,13 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phonosim
-from phonosim import cli, dsp, train as training
+from phonosim import cli, corpus, dsp, train as training
 from phonosim.errors import PhonosimError
 
 
@@ -87,24 +88,44 @@ def test_features_outputs(pipeline):
 
 
 def test_pairs_file_format(pipeline):
-    doc = json.loads(open(pipeline["pairs"]).read())
+    doc = json.loads(Path(pipeline["pairs"]).read_text())
     # 2 speakers x C(4,2) positives + 16 negatives
     assert len(doc["pairs"]) == 2 * 6 + 16
     sample = doc["pairs"][0]
     assert set(sample) == {"left", "right", "label", "condition"}
 
 
+@pytest.mark.parametrize(
+    "condition, flags", [("solo", ["--range", "1:4"]), ("interactive", ["--sessions", "1"])]
+)
+def test_pairs_file_loads_back(pipeline, tmp_path, condition, flags):
+    """What pairs writes loads back as the PairExamples the builder made."""
+    path = os.path.join(pipeline["corpus"], "manifest.json")
+    out = str(tmp_path / "pairs.json")
+    assert cli.main(
+        ["pairs", "--manifest", path, "--condition", condition, *flags, "--out", out]
+    ) == 0
+    m = corpus.load_manifest(path)
+    if condition == "solo":
+        built = corpus.build_solo_pairs(m, 1, 4)
+    else:
+        built = corpus.build_condition_pairs(m, condition, [1])
+    loaded = cli._load_pairs_file(out)
+    assert loaded == built and len(built) > 0
+    assert all(type(p) is corpus.PairExample for p in loaded)
+
+
 def test_train_outputs(pipeline):
     d = pipeline["model_dir"]
     assert os.path.exists(os.path.join(d, "model.artm"))
     assert os.path.exists(os.path.join(d, "model_final.artm"))
-    history = json.loads(open(os.path.join(d, "history.json")).read())
+    history = json.loads(Path(d, "history.json").read_text())
     assert len(history) == 3
     assert {"epoch", "lr", "train_loss", "train_accuracy"} <= set(history[0])
 
 
 def test_eval_report(pipeline):
-    doc = json.loads(open(pipeline["report"]).read())
+    doc = json.loads(Path(pipeline["report"]).read_text())
     assert {"accuracy", "auc", "positive", "negative", "counts"} <= set(doc)
     assert 0.0 <= doc["accuracy"] <= 1.0
 
@@ -113,7 +134,7 @@ def test_analyze_outputs(pipeline):
     d = pipeline["analysis"]
     for name in ("report.json", "fig3_distributions.csv", "fig4_scatter.csv"):
         assert os.path.exists(os.path.join(d, name)), name
-    doc = json.loads(open(os.path.join(d, "report.json")).read())
+    doc = json.loads(Path(d, "report.json").read_text())
     assert "condition_stats" in doc and "speaker_scores" in doc
 
 
@@ -150,7 +171,7 @@ def test_missing_input_file_exit_code(pipeline, capsys):
 def test_wrong_feature_width_exit_code(pipeline, tmp_path, capsys):
     narrow = tmp_path / "features"
     shutil.copytree(pipeline["features"], narrow)
-    key = json.loads(open(pipeline["pairs"]).read())["pairs"][0]["left"]
+    key = json.loads(Path(pipeline["pairs"]).read_text())["pairs"][0]["left"]
     path = narrow / (key + ".artf")
     dsp.write_features(dsp.read_features(path).frames[:, :36], path)
     assert cli.main([
@@ -164,7 +185,7 @@ def test_wrong_feature_width_exit_code(pipeline, tmp_path, capsys):
 def test_non_finite_feature_exit_code(pipeline, tmp_path, capsys):
     corrupt = tmp_path / "features"
     shutil.copytree(pipeline["features"], corrupt)
-    key = json.loads(open(pipeline["pairs"]).read())["pairs"][0]["left"]
+    key = json.loads(Path(pipeline["pairs"]).read_text())["pairs"][0]["left"]
     path = corrupt / (key + ".artf")
     frames = dsp.read_features(path).frames.copy()
     frames[3, 5] = np.nan
@@ -199,7 +220,7 @@ def test_condition_pairs_require_sessions(pipeline):
         "pairs", "--manifest", manifest, "--condition", "interactive",
         "--sessions", "1", "--out", out,
     ]) == 0
-    assert len(json.loads(open(out).read())["pairs"]) > 0
+    assert len(json.loads(Path(out).read_text())["pairs"]) > 0
 
 
 def _modules_loaded_by(code: str) -> str:
@@ -252,17 +273,22 @@ def test_bad_train_config_exit_code(pipeline, tmp_path, capsys, config, named):
         "--config", str(path), "--out", str(tmp_path / "model"),
     ]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and named in err
+    assert "error:" in err and named in err and str(path) in err
     assert not (tmp_path / "model").exists()
 
 
 @pytest.mark.parametrize(
     "entry",
-    [{"label": "x"}, {"label": 2}, {"label": True}, {"label": 1.0}, {"left": 5}],
+    [
+        {"label": "x"}, {"label": 2}, {"label": True}, {"label": 1.0}, {"left": 5},
+        {"condition": None}, {"condition": "dialogue"},
+    ],
 )
 def test_bad_pairs_entry_exit_code(pipeline, tmp_path, capsys, entry):
-    doc = json.loads(open(pipeline["pairs"]).read())
+    doc = json.loads(Path(pipeline["pairs"]).read_text())
     doc["pairs"][1].update(entry)
+    if entry.get("condition", "") is None:  # a missing condition
+        del doc["pairs"][1]["condition"]
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
@@ -290,7 +316,8 @@ def test_bad_mfcc_config_exit_code(pipeline, tmp_path, capsys, config):
         "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
         "--config", str(path), "--out", str(out),
     ]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err
     assert not out.exists()
 
 
@@ -411,16 +438,11 @@ _BAD_JSON = {
 }
 
 
-@pytest.mark.parametrize("content", list(_BAD_JSON))
-@pytest.mark.parametrize("input_kind", ["manifest", "pairs", "train-config", "mfcc-config"])
-def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content):
-    """Every JSON input exits 2 naming the file, and writes nothing."""
-    path = tmp_path / "input.json"
-    path.write_bytes(_BAD_JSON[content])
-    out = tmp_path / "out"
+def _reading(pipeline, input_kind, path, out):
+    """The argv of a command that reads ``path`` as ``input_kind`` and writes ``out``."""
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
     train = ["train", "--features", pipeline["features"], "--out", str(out)]
-    argv = {
+    return {
         "manifest": ["pairs", "--manifest", str(path), "--condition", "solo",
                      "--out", str(out)],
         "pairs": [*train, "--pairs", str(path)],
@@ -428,9 +450,43 @@ def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content
         "mfcc-config": ["features", "--manifest", manifest, "--config", str(path),
                         "--out", str(out)],
     }[input_kind]
-    assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("content", list(_BAD_JSON))
+@pytest.mark.parametrize("input_kind", ["manifest", "pairs", "train-config", "mfcc-config"])
+def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content):
+    """Every JSON input exits 2 naming the file, and writes nothing."""
+    path = tmp_path / "input.json"
+    path.write_bytes(_BAD_JSON[content])
+    out = tmp_path / "out"
+    assert cli.main(_reading(pipeline, input_kind, path, out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+    assert not out.exists()
+
+
+_LONG = "x" * 200_000
+_LONG_VALUE = {
+    "manifest": {"speakers": _LONG, "dyads": [], "utterances": []},
+    "pairs": {"pairs": [{"left": "a", "right": "b", "label": _LONG, "condition": "solo"}]},
+    "pairs-condition": {"pairs": [{"left": "a", "right": "b", "label": 1,
+                                   "condition": _LONG}]},
+    "train-config": {"epochs": _LONG},
+    "mfcc-config": {_LONG: 1},
+}
+
+
+@pytest.mark.parametrize("case", list(_LONG_VALUE))
+def test_long_value_error_is_short(pipeline, tmp_path, capsys, case):
+    """A 200,000-character value is quoted in short form in an error line
+    that names the file."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_LONG_VALUE[case]))
+    out = tmp_path / "out"
+    assert cli.main(_reading(pipeline, case.removesuffix("-condition"), path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.encode()) < 1024
     assert not out.exists()
 
 
@@ -448,8 +504,8 @@ try:
                     "left": valid_or_any("A__solo__1__001"),
                     "right": valid_or_any("B__solo__1__001"),
                     "label": valid_or_any(1),
+                    "condition": valid_or_any("solo"),
                 },
-                optional={"condition": valid_or_any("solo")},
             ) | any_json,
             max_size=3,
         ) | any_json,

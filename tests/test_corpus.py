@@ -10,6 +10,7 @@ Pair-count oracles (closed form, per §-free accounting):
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ def solo_pairs_oracle(m, lo, hi):
 def test_solo_pairs_match_bruteforce_oracle():
     m = metadata_manifest(n_speakers=4, n_sentences=7)
     pairs = corpus.build_solo_pairs(m, 2, 6)
-    pos = {frozenset({p.left.key, p.right.key}) for p in pairs if p.label == 1}
-    neg = {frozenset({p.left.key, p.right.key}) for p in pairs if p.label == 0}
+    pos = {frozenset({p.left, p.right}) for p in pairs if p.label == 1}
+    neg = {frozenset({p.left, p.right}) for p in pairs if p.label == 0}
     o_pos, o_neg = solo_pairs_oracle(m, 2, 6)
     assert pos == o_pos and neg == o_neg
     assert all(p.condition == "solo" for p in pairs)
@@ -74,8 +75,8 @@ def test_condition_pairs_match_bruteforce_oracle():
         sessions=(1, 2),
     )
     pairs = corpus.build_condition_pairs(m, "interactive", [1, 2])
-    pos = {(p.left.key, p.right.key) for p in pairs if p.label == 1}
-    neg = {frozenset({p.left.key, p.right.key}) for p in pairs if p.label == 0}
+    pos = {(p.left, p.right) for p in pairs if p.label == 1}
+    neg = {frozenset({p.left, p.right}) for p in pairs if p.label == 0}
 
     utts = [u for u in m.utterances if u.condition == "interactive"]
     o_pos = set()
@@ -146,8 +147,10 @@ def _valid_doc():
 
 
 def test_manifest_json_roundtrip(tmp_path):
+    doc = _valid_doc()
+    doc["utterances"][0]["feature_path"] = "features/a.artf"  # an ignored legacy key
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(_valid_doc()))
+    path.write_text(json.dumps(doc))
     m = corpus.load_manifest(path)
     assert [s.id for s in m.speakers] == ["A", "B"]
     assert m.utterances[0].key == "A__solo__1__001"
@@ -351,8 +354,8 @@ def test_generate_same_seed_byte_identical(tmp_path):
     m1 = corpus.generate_synthetic_corpus(cfg, 9, tmp_path / "one")
     m2 = corpus.generate_synthetic_corpus(cfg, 9, tmp_path / "two")
     for u1, u2 in zip(m1.utterances, m2.utterances):
-        b1 = open(m1.resolve(u1.audio_path), "rb").read()
-        b2 = open(m2.resolve(u2.audio_path), "rb").read()
+        b1 = Path(m1.resolve(u1.audio_path)).read_bytes()
+        b2 = Path(m2.resolve(u2.audio_path)).read_bytes()
         assert b1 == b2
 
 
@@ -364,8 +367,8 @@ def test_generate_different_seed_differs(tmp_path):
     m2 = corpus.generate_synthetic_corpus(cfg, 2, tmp_path / "s2")
     u1, u2 = m1.utterances[0], m2.utterances[0]
     assert (
-        open(m1.resolve(u1.audio_path), "rb").read()
-        != open(m2.resolve(u2.audio_path), "rb").read()
+        Path(m1.resolve(u1.audio_path)).read_bytes()
+        != Path(m2.resolve(u2.audio_path)).read_bytes()
     )
 
 

@@ -10,6 +10,8 @@ Frozen values:
   - parameter_count(1, 1, 1) = 6 + 3 + 2 + 4 = 15
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,7 @@ def test_checkpoint_roundtrip_bit_exact(small_params, tmp_path):
 def test_checkpoint_header_layout(small_params, tmp_path):
     path = str(tmp_path / "m.artm")
     net.save_checkpoint(small_params, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"ARTM"
     version = int.from_bytes(blob[4:8], "little")
     d_in = int.from_bytes(blob[8:12], "little")
@@ -199,8 +201,8 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncated(small_params, tmp_path):
     path = str(tmp_path / "t.artm")
     net.save_checkpoint(small_params, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
         net.load_checkpoint(path)
 
@@ -208,9 +210,9 @@ def test_checkpoint_truncated(small_params, tmp_path):
 def test_checkpoint_wrong_version(small_params, tmp_path):
     path = str(tmp_path / "v.artm")
     net.save_checkpoint(small_params, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4:8] = (99).to_bytes(4, "little")
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         net.load_checkpoint(path)
 
@@ -218,9 +220,9 @@ def test_checkpoint_wrong_version(small_params, tmp_path):
 def test_checkpoint_zero_dimension_names_path(small_params, tmp_path):
     path = str(tmp_path / "d.artm")
     net.save_checkpoint(small_params, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[8:12] = (0).to_bytes(4, "little")  # d_in
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="d.artm"):
         net.load_checkpoint(path)
 
@@ -230,7 +232,7 @@ def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
     variance, and trailing bytes are all rejected at load time."""
     good = str(tmp_path / "good.artm")
     net.save_checkpoint(small_params, good)
-    blob = open(good, "rb").read()
+    blob = Path(good).read_bytes()
 
     def rejects(data, match):
         path = tmp_path / "bad.artm"
@@ -253,7 +255,7 @@ def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
         p = small_params.copy()
         getattr(p, name)[0] = value
         net.save_checkpoint(p, good)
-        rejects(open(good, "rb").read(), match)
+        rejects(Path(good).read_bytes(), match)
 
     rejects(blob + b"\x00", "trailing")
 

@@ -502,17 +502,21 @@ def test_evaluate_invariant_to_pair_order(tiny_features):
 
 
 def test_score_similarities_accepts_pair_objects(tiny_corpus, tiny_features):
+    """A PairExample and a plain (left, right, label) tuple score alike."""
     from phonosim import corpus
 
-    pairs = corpus.build_solo_pairs(tiny_corpus, 1, 3)[:5]
+    pairs = corpus.build_solo_pairs(tiny_corpus, 1, 3)
+    pairs = pairs[:3] + pairs[-3:]  # positives come first, negatives last
+    triples = [(p.left, p.right, p.label) for p in pairs]
     params = net.init_params(net.ModelDims(), seed=0)
-    sims_obj = tr.score_similarities(params, pairs, tiny_features)
-    sims_tup = tr.score_similarities(
-        params,
-        [(p.left.key, p.right.key, p.label) for p in pairs],
-        tiny_features,
+    np.testing.assert_array_equal(
+        tr.score_similarities(params, pairs, tiny_features),
+        tr.score_similarities(params, triples, tiny_features),
     )
-    np.testing.assert_array_equal(sims_obj, sims_tup)
+    assert (
+        tr.evaluate(params, pairs, tiny_features).to_dict()
+        == tr.evaluate(params, triples, tiny_features).to_dict()
+    )
 
 
 def test_full_batch_descent_loss_nonincreasing(tiny_features):
