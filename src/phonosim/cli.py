@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, features, pairs, train, eval, analyze, gradcheck.
 
-Each subcommand writes the fully resolved configuration next to its
-outputs.  Exit codes: 0 on success, 1 on usage errors, 2 on data,
-validation and file errors.
+Each subcommand writes its parsed arguments next to its outputs.  Exit
+codes: 0 on success, 1 on usage errors, 2 on data, validation and file
+errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import reprlib
 import sys
 
 from . import analysis, corpus, dsp, net, train as training
-from .errors import PhonosimError, read_json
+from .errors import PhonosimError, check_name, read_json
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
@@ -66,6 +66,9 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
             raise PhonosimError(
                 f"pairs file {path}: pair {i} has unknown condition {reprlib.repr(condition)}"
             )
+    # a key names its feature file; keys themselves hold "__"
+    for key in dict.fromkeys(k for p in pairs for k in p[:2]):
+        check_name(key, f"pairs file {path}: key", corpus.MAX_KEY_CHARS)
     return pairs
 
 

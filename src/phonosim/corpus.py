@@ -15,20 +15,23 @@ import json
 import os
 import reprlib
 import wave
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, ManifestError, check_numeric_fields, check_seed, read_json
+from .errors import (
+    DataError, ManifestError, check_name, check_numeric_fields, check_seed, read_json,
+)
 
 CONDITIONS = ("solo", "interactive", "imitation")
 
 SCRIPT_SENTENCES = 80
-TRAIN_RANGE = (1, 40)
-VAL_RANGE = (41, 60)
-TEST_RANGE = (61, 80)
+
+# speaker ids and keys (speaker id + "__condition__session__NNN") become
+# feature file names, so each must stay one short path component
+MAX_ID_CHARS = 64
+MAX_KEY_CHARS = 128
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ class Manifest:
 
     def validate(self) -> None:
         ids = [s.id for s in self.speakers]
+        for s in ids:  # "__" separates the fields of a key
+            check_name(s, "speaker id", MAX_ID_CHARS, ManifestError, banned=("__",))
         if len(set(ids)) != len(ids):
             raise ManifestError("duplicate speaker id")
         known = set(ids)
@@ -268,15 +273,6 @@ def build_condition_pairs(
                 for ub in by_spk_sent[(b, s)]:
                     pairs.append(PairExample(ua.key, ub.key, 0, condition))
     return pairs
-
-
-def split_by_sentence(m: Manifest):
-    """Train/validation/test sentence ranges (1-40, 41-60, 61-80)."""
-    present = {u.sentence_index for u in m.utterances if u.condition == "solo"}
-    for name, (lo, hi) in (("validation", VAL_RANGE), ("test", TEST_RANGE)):
-        if not any(lo <= s <= hi for s in present):
-            warnings.warn(f"manifest has no solo sentences in the {name} range {lo}-{hi}")
-    return TRAIN_RANGE, VAL_RANGE, TEST_RANGE
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ FEATURE_MAGIC = b"ARTF"
 
 @dataclass(frozen=True)
 class MfccConfig:
-    sample_rate: int = PIPELINE_RATE
     window: float = 0.025
     hop: float = 0.010
     n_fft: int = 512
@@ -44,14 +43,14 @@ class MfccConfig:
         check_numeric_fields(self)
         try:
             sizes = (
-                self.sample_rate, self.n_fft, self.n_mels, self.n_ceps,
+                self.n_fft, self.n_mels, self.n_ceps,
                 self.window_samples, self.hop_samples, self.delta_window,
             )
         except OverflowError:
             raise DataError("MFCC window or hop is too long")
         if min(sizes) < 1:
             raise DataError(
-                "MFCC sample_rate, n_fft, n_mels, n_ceps, window, hop and "
+                "MFCC n_fft, n_mels, n_ceps, window, hop and "
                 "delta_window must each be at least one (sample)"
             )
         if self.n_ceps > self.n_mels:
@@ -60,9 +59,9 @@ class MfccConfig:
             raise DataError(
                 f"window of {self.window_samples} samples exceeds n_fft {self.n_fft}"
             )
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
+        if not 0 <= self.fmin < self.fmax <= PIPELINE_RATE / 2:
             raise DataError(
-                f"need 0 <= fmin < fmax <= {self.sample_rate / 2:g} Hz (Nyquist), "
+                f"need 0 <= fmin < fmax <= {PIPELINE_RATE / 2:g} Hz (Nyquist), "
                 f"got fmin {self.fmin}, fmax {self.fmax}"
             )
         if self.log_floor <= 0:
@@ -70,11 +69,11 @@ class MfccConfig:
 
     @property
     def window_samples(self) -> int:
-        return int(round(self.window * self.sample_rate))
+        return int(round(self.window * PIPELINE_RATE))
 
     @property
     def hop_samples(self) -> int:
-        return int(round(self.hop * self.sample_rate))
+        return int(round(self.hop * PIPELINE_RATE))
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     """
     mel_pts = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / cfg.sample_rate)
+    bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / PIPELINE_RATE)
     fb = np.zeros((cfg.n_mels, len(bins)))
     for i in range(cfg.n_mels):
         lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
@@ -208,13 +207,12 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
     log (floored), DCT-II (ortho), keep coefficients 0-12.  Raises
-    ``DataError`` when ``cfg.sample_rate`` is not the waveform's rate.
+    ``DataError`` for a waveform that is not at ``PIPELINE_RATE``.
     """
-    cfg = cfg or MfccConfig(sample_rate=w.sample_rate)
-    if cfg.sample_rate != w.sample_rate:
+    cfg = cfg or MfccConfig()
+    if w.sample_rate != PIPELINE_RATE:
         raise DataError(
-            f"MFCC config is for {cfg.sample_rate} Hz audio, "
-            f"waveform is {w.sample_rate} Hz"
+            f"MFCC needs {PIPELINE_RATE} Hz audio, waveform is {w.sample_rate} Hz"
         )
     win = cfg.window_samples
     hop = cfg.hop_samples
@@ -316,6 +314,3 @@ class FeatureStore:
                 raise FeatureIOError(f"missing feature file for utterance {reprlib.repr(key)}")
             self._cache[key] = read_features(path).frames
         return self._cache[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._cache or os.path.exists(self.path_for(key))

@@ -1,5 +1,5 @@
 """Common exception types, the one JSON reader for every input file, and
-the checks that config classes share."""
+the checks that config classes and input files share."""
 
 from __future__ import annotations
 
@@ -45,6 +45,17 @@ def read_json(path, what: str, error: type[PhonosimError] = PhonosimError):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise error(f"cannot parse {what} {path}: {exc}") from None
+
+
+def check_name(name: str, what: str, limit: int, error=PhonosimError, banned=()) -> None:
+    """Raise ``error`` unless ``name`` can be one file-name component: 1 to
+    ``limit`` characters, no leading dot, no ``/``, ``\\``, NUL or ``banned``."""
+    bad = ("/", "\\", "\0", *banned)
+    if not 0 < len(name) <= limit or name[0] == "." or any(b in name for b in bad):
+        raise error(
+            f"{what} {reprlib.repr(name)} must be 1-{limit} characters, must not "
+            f"start with '.' and must not contain {', '.join(map(repr, bad))}"
+        )
 
 
 def check_seed(seed: int) -> None:

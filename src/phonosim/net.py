@@ -474,17 +474,6 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     return np.hstack([hf[:, 0], hb[::-1, 0]])
 
 
-def final_hidden(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
-    """Summary state feeding the feedforward stack.
-
-    Concatenates each direction's fully-processed state: the forward state at
-    the true last frame and the backward state at the first frame.
-    """
-    h = rnn_forward(params, frames, true_length)
-    dh = params.dims.d_hidden
-    return np.concatenate([h[-1, :dh], h[0, dh:]])
-
-
 def embed_utterance(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
     """Infer-mode embedding of one utterance; every entry lies in (0, 1).
 

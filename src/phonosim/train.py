@@ -144,24 +144,6 @@ def pair_forward_backward(
     return loss, grads, (cache["mu"], cache["var"]), g
 
 
-def backward(
-    params: ModelParams,
-    pair: tuple[np.ndarray, np.ndarray],
-    label: int,
-    l1_coeff: float = 0.0,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-):
-    """Single-pair convenience wrapper; returns (loss, gradients)."""
-    if dropout_rate > 0.0 and rng is None:
-        raise DataError("dropout requires an rng")
-    masks = _dropout_masks(rng, 2, params, dropout_rate)
-    loss, grads, _, _ = pair_forward_backward(
-        params, [pair[0]], [pair[1]], np.array([label]), l1_coeff, masks
-    )
-    return loss, grads
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -363,7 +345,6 @@ def train(
     val_pairs,
     store,
     init: ModelParams | None = None,
-    dims: ModelDims | None = None,
 ) -> TrainResult:
     """Mini-batch Adam training with per-epoch learning-rate decay.
 
@@ -376,7 +357,7 @@ def train(
     val_pairs = list(val_pairs) if val_pairs else []
     if not triples:
         raise DataError("empty training set")
-    params = init.copy() if init is not None else init_params(dims or ModelDims(), config.seed)
+    params = init.copy() if init is not None else init_params(ModelDims(), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
 
@@ -455,13 +436,19 @@ def gradient_check(
     The check point uses a larger weight scale than training init: tiny
     weights put every embedding near 0.5, driving the cosine similarity to
     ~1 where the 1/(1-p) cross-entropy factor amplifies roundoff and
-    drowns small finite differences.
+    drowns small finite differences.  Weights within ``10 * eps`` of 0 are
+    moved to ``+-10 * eps``, so no difference straddles the kink of the L1
+    term at 0.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed)
     for name in WEIGHT_TENSORS + ("bf", "bb", "by", "be"):
         getattr(params, name)[...] *= 10.0  # weight std 0.5, biases stay 0
+    for name in WEIGHT_TENSORS:
+        w = getattr(params, name)
+        near = np.abs(w) < 10.0 * eps
+        w[near] = np.copysign(10.0 * eps, w[near])
     n_pairs = len(lengths) // 2
     feats = [rng.normal(size=(t, dims.d_in)) for t in lengths]
     lefts, rights = feats[0::2], feats[1::2]

@@ -201,13 +201,18 @@ def test_non_finite_feature_exit_code(pipeline, tmp_path, capsys):
 
 
 def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):
+    """Features run at dsp.PIPELINE_RATE; there is no sample_rate setting."""
     config = tmp_path / "mfcc.json"
     config.write_text(json.dumps({"sample_rate": 8000, "fmax": 4000.0}))
+    out = tmp_path / "features"
     assert cli.main([
         "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
-        "--config", str(config), "--out", str(tmp_path / "features"),
+        "--config", str(config), "--out", str(out),
     ]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err
+    assert "unknown field 'sample_rate'" in err
+    assert not out.exists()
 
 
 def test_condition_pairs_require_sessions(pipeline):
@@ -223,14 +228,14 @@ def test_condition_pairs_require_sessions(pipeline):
     assert len(json.loads(Path(out).read_text())["pairs"]) > 0
 
 
-def _modules_loaded_by(code: str) -> str:
-    """Run ``code`` in a fresh interpreter; the sorted list of SciPy and
-    multiprocessing modules it loaded, as printed."""
+def _modules_loaded_by(code: str, prefixes=("scipy", "multiprocessing")) -> str:
+    """Run ``code`` in a fresh interpreter; the sorted list of the modules
+    it loaded whose names start with one of ``prefixes``, as printed."""
     src = os.path.dirname(os.path.dirname(phonosim.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code += (
         "; import sys; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+        f"if m.startswith({prefixes!r})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
@@ -240,9 +245,11 @@ def _modules_loaded_by(code: str) -> str:
 
 
 def test_import_loads_no_scipy():
-    """The package and its CLI import without SciPy or multiprocessing;
-    only analyze loads SciPy, and only train multiprocessing."""
-    assert _modules_loaded_by("import phonosim, phonosim.cli") == "[]"
+    """A bare ``import phonosim`` loads neither NumPy nor any phonosim
+    submodule.  The CLI imports without SciPy or multiprocessing; only
+    analyze loads SciPy, and only train multiprocessing."""
+    assert _modules_loaded_by("import phonosim", ("numpy", "phonosim.")) == "[]"
+    assert _modules_loaded_by("import phonosim.cli") == "[]"
 
 
 def test_features_loads_no_scipy(pipeline, tmp_path):
@@ -428,6 +435,72 @@ def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
     ]) == 2
     assert "error:" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_gradcheck_passes_near_l1_kink(capsys):
+    """Weights near 0 are moved off the kink of the L1 term before
+    differencing; at these dims and seed a difference straddled it."""
+    assert cli.main(["gradcheck", "--dims", "10,8,6", "--seed", "5"]) == 0
+    assert "gradient check passed" in capsys.readouterr().out
+
+
+def _manifest_with_speaker(pipeline, speaker: str) -> dict:
+    """The pipeline's manifest with speaker S01 renamed to ``speaker`` and
+    every audio path absolute."""
+    doc = json.loads((Path(pipeline["corpus"]) / "manifest.json").read_text())
+    doc["speakers"] = [{"id": speaker}, {"id": "S02"}]
+    doc["dyads"] = [[speaker, "S02"]]
+    for u in doc["utterances"]:
+        u["audio_path"] = os.path.join(pipeline["corpus"], u["audio_path"])
+        u["dyad_id"] = f"{speaker}+S02"
+        if u["speaker_id"] == "S01":
+            u["speaker_id"] = speaker
+    return doc
+
+
+def _files_under(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "speaker",
+    ["", "S" * 65, "../outside", "..\\outside", "S\x0001", "S__01", ".S01"],
+    ids=["empty", "long", "slash", "backslash", "nul", "double-underscore", "dot"],
+)
+def test_bad_speaker_id_exit_code(pipeline, tmp_path, capsys, speaker):
+    """A speaker id that cannot be one part of a file name exits 2, and
+    features writes nothing, inside its --out or outside it."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(_manifest_with_speaker(pipeline, speaker)))
+    out = tmp_path / "sub" / "f3"
+    assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(manifest) in err and "speaker id" in err
+    assert _files_under(tmp_path) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("form", ["long", "slash", "backslash", "dot"])
+def test_bad_pairs_key_exit_code(pipeline, tmp_path, capsys, form):
+    """A pairs-file key that is too long, holds a path separator or starts
+    with a dot exits 2 before any feature file is looked up."""
+    doc = json.loads(Path(pipeline["pairs"]).read_text())
+    key = doc["pairs"][0]["left"]
+    doc["pairs"][0]["left"] = {
+        "long": "x" * (corpus.MAX_KEY_CHARS + 1),
+        # the real feature file, reached from outside the feature directory
+        "slash": f"../{Path(pipeline['features']).name}/{key}",
+        "backslash": f"..\\{key}",
+        "dot": f".{key}",
+    }[form]
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(doc))
+    assert cli.main([
+        "train", "--features", pipeline["features"], "--pairs", str(pairs),
+        "--out", str(tmp_path / "model"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(pairs) in err and "key" in err
+    assert _files_under(tmp_path) == ["pairs.json"]
 
 
 _BAD_JSON = {

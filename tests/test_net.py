@@ -103,15 +103,6 @@ def test_rnn_forward_rejects_bad_length(small_params):
         net.rnn_forward(small_params, x, 5)
 
 
-def test_final_hidden_takes_both_fully_processed_states(small_params):
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(7, 5))
-    h = net.rnn_forward(small_params, x, 7)
-    final = net.final_hidden(small_params, x, 7)
-    np.testing.assert_array_equal(final[:4], h[-1, :4])  # forward at last frame
-    np.testing.assert_array_equal(final[4:], h[0, 4:])  # backward at first frame
-
-
 def test_kernel_rejects_wrong_feature_width(small_params):
     rng = np.random.default_rng(5)
     good = rng.normal(size=(6, 5))

@@ -67,8 +67,9 @@ def test_gradient_check_all_tensors_under_tolerance():
 def test_l1_penalty_additivity(small_params):
     rng = np.random.default_rng(0)
     pair = _random_pair(rng)
-    _, g0 = tr.backward(small_params, pair, 1, l1_coeff=0.0)
-    _, g1 = tr.backward(small_params, pair, 1, l1_coeff=1e-3)
+    left, right, label = [pair[0]], [pair[1]], np.array([1.0])
+    _, g0, _, _ = tr.pair_forward_backward(small_params, left, right, label, 0.0)
+    _, g1, _, _ = tr.pair_forward_backward(small_params, left, right, label, 1e-3)
     for name in net.TRAINABLE_TENSORS:
         if name in net.WEIGHT_TENSORS:
             expected = g0[name] + 1e-3 * np.sign(getattr(small_params, name))
@@ -80,19 +81,8 @@ def test_l1_penalty_additivity(small_params):
 def test_identical_pair_loss_below_ln2(small_params):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(7, 5))
-    loss, _ = tr.backward(small_params, (x, x), 1)
+    loss, _, _, _ = tr.pair_forward_backward(small_params, [x], [x], np.array([1.0]))
     assert loss < np.log(2.0)
-
-
-def test_backward_with_dropout_requires_rng(small_params):
-    rng = np.random.default_rng(2)
-    pair = _random_pair(rng)
-    with pytest.raises(DataError, match="rng"):
-        tr.backward(small_params, pair, 1, dropout_rate=0.5)
-    loss, grads = tr.backward(
-        small_params, pair, 1, dropout_rate=0.5, rng=np.random.default_rng(0)
-    )
-    assert np.isfinite(loss)
 
 
 def test_batched_embeddings_match_single_path(small_params):
