@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest, PairExample, build_condition_pairs, build_solo_pairs
+from .corpus import SCRIPT_SENTENCES, Manifest, PairExample
+from .corpus import build_condition_pairs, build_solo_pairs
 from .errors import DataError
 from .train import score_similarities
 
@@ -74,47 +75,23 @@ def filter_scores(table: PairTable, threshold: float) -> PairTable:
     return table.take(keep)
 
 
-def condition_summary(table: PairTable, relation: str) -> tuple[float, float, int]:
-    """(mean, population std, n) of one condition's similarities for a relation.
-
-    ``intra_dyad`` uses different-speaker (label 0) pairs, ``intra_speaker``
-    same-speaker (label 1) pairs.
-    """
-    if relation not in ("intra_dyad", "intra_speaker"):
-        raise DataError(f"unknown relation {relation!r}")
-    want = 0 if relation == "intra_dyad" else 1
-    values = table.similarity[table.label == want]
+def _summary(values: np.ndarray) -> dict | None:
+    """Mean, population std and count of some similarities; None for none."""
     if len(values) == 0:
-        raise DataError(f"no surviving {relation} pairs")
-    return float(values.mean()), float(values.std()), len(values)
+        return None
+    return {"mean": float(values.mean()), "std": float(values.std()), "n": len(values)}
 
 
-def _speaker_mean(table: PairTable, speaker: int, label: int) -> float:
-    mine = (table.label == label) & ((table.left == speaker) | (table.right == speaker))
-    values = table.similarity[mine]
-    if len(values) == 0:
-        raise DataError(f"speaker {speaker} has no surviving label-{label} pairs")
-    return float(values.mean())
-
-
-def imitation_ability(solo: PairTable, imitation: PairTable, speaker: int) -> float:
-    """Drop in a speaker's intra-speaker similarity from solo to imitation."""
-    return _speaker_mean(solo, speaker, 1) - _speaker_mean(imitation, speaker, 1)
-
-
-def convergence_degree(solo: PairTable, interactive: PairTable, speaker: int) -> float:
-    """Rise in a speaker's intra-dyad similarity from solo to interactive."""
-    return _speaker_mean(interactive, speaker, 0) - _speaker_mean(solo, speaker, 0)
-
-
-def min_max_normalize(values) -> list[float]:
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        raise DataError("min-max normalization needs at least two values")
-    lo, hi = values.min(), values.max()
-    if lo == hi:
-        raise DataError("min-max normalization of all-equal values")
-    return list((values - lo) / (hi - lo))
+def _speaker_means(table: PairTable, label: int, n_speakers: int) -> np.ndarray:
+    """Each speaker's mean similarity over the label-``label`` pairs they are
+    in; NaN for a speaker in none."""
+    means = np.full(n_speakers, np.nan)
+    of_label = table.label == label
+    for i in range(n_speakers):
+        values = table.similarity[of_label & ((table.left == i) | (table.right == i))]
+        if len(values):
+            means[i] = values.mean()
+    return means
 
 
 def pearson(x, y) -> tuple[float, float]:
@@ -203,21 +180,19 @@ def build_report(
     condition uses all of its sessions.  Intra-speaker similarity is
     reported both within each condition (adjacent same-speaker sentences)
     and against the solo baseline (same sentence across conditions); the
-    baseline variant feeds the per-speaker scores.
+    baseline variant feeds the per-speaker scores.  ``solo_range`` picks
+    the solo sentences, all of them by default; raises ``DataError`` when
+    it gives no solo pairs.
     """
-    if solo_range is None:
-        sents = [
-            u.sentence_index for u in manifest.utterances if u.condition == "solo"
-        ]
-        if not sents:
-            raise DataError("manifest has no solo utterances")
-        solo_range = (min(sents), max(sents))
+    lo, hi = solo_range or (1, SCRIPT_SENTENCES)
+    solo_pairs = build_solo_pairs(manifest, lo, hi)
+    if not solo_pairs:
+        raise DataError(f"no solo pairs in sentence range {lo}:{hi}")
     imit_sessions = sorted(
         {u.session for u in manifest.utterances if u.condition == "imitation"}
     )
-
     pair_sets = [
-        build_solo_pairs(manifest, *solo_range),
+        solo_pairs,
         build_condition_pairs(manifest, "interactive", sessions),
         build_condition_pairs(manifest, "imitation", imit_sessions)
         if imit_sessions
@@ -238,62 +213,43 @@ def build_report(
     within = {"solo": solo, "interactive": inter, "imitation": imit}
     baseline = {"interactive": inter_vs_solo, "imitation": imit_vs_solo}
     for condition, part in within.items():
-        stats = {}
-        for relation in ("intra_dyad", "intra_speaker"):
-            try:
-                mean, std, n = condition_summary(part, relation)
-                stats[relation] = {"mean": mean, "std": std, "n": n}
-            except DataError:
-                stats[relation] = None
+        stats = report.condition_stats[condition] = {}
         for relation, label in (("intra_dyad", 0), ("intra_speaker", 1)):
-            values = part.similarity[part.label == label].tolist()
-            report.distributions += [(condition, relation, v) for v in values]
-        report.condition_stats[condition] = stats
+            values = part.similarity[part.label == label]
+            stats[relation] = _summary(values)
+            report.distributions += [(condition, relation, v) for v in values.tolist()]
     for condition, part in baseline.items():
         if not part:
             continue
         # every pair against the solo baseline is a same-speaker pair
-        mean, std, n = condition_summary(part, "intra_speaker")
-        report.condition_stats[condition]["intra_speaker_vs_solo"] = {
-            "mean": mean, "std": std, "n": n
-        }
+        report.condition_stats[condition]["intra_speaker_vs_solo"] = _summary(part.similarity)
         report.distributions += [
             (condition, "intra_speaker_vs_solo", v) for v in part.similarity.tolist()
         ]
 
-    abilities = {}
-    degrees = {}
-    for i, spk in enumerate(s.id for s in manifest.speakers):
-        try:
-            ability = imitation_ability(solo, imit_vs_solo, i)
-            degree = convergence_degree(solo, inter, i)
-        except DataError:
-            continue
-        abilities[spk] = ability
-        degrees[spk] = degree
-    speakers = sorted(abilities)
-    for spk in speakers:
-        report.speaker_scores[spk] = {
-            "imitation_ability": abilities[spk],
-            "convergence_degree": degrees[spk],
-        }
-    if len(speakers) >= 2:
-        try:
-            ab_norm = min_max_normalize([abilities[s] for s in speakers])
-            cd_norm = min_max_normalize([degrees[s] for s in speakers])
-            for spk, a, c in zip(speakers, ab_norm, cd_norm):
-                report.speaker_scores[spk]["imitation_ability_norm"] = a
-                report.speaker_scores[spk]["convergence_degree_norm"] = c
-        except DataError:
-            pass
-    if len(speakers) >= 3:
-        try:
-            r, p = pearson(
-                [abilities[s] for s in speakers], [degrees[s] for s in speakers]
+    # imitation ability: the drop in a speaker's intra-speaker similarity from
+    # solo to imitation; convergence degree: the rise in their intra-dyad
+    # similarity from solo to interactive
+    n = len(manifest.speakers)
+    ability = _speaker_means(solo, 1, n) - _speaker_means(imit_vs_solo, 1, n)
+    degree = _speaker_means(inter, 0, n) - _speaker_means(solo, 0, n)
+    ids = [s.id for s in manifest.speakers]
+    finite = np.flatnonzero(np.isfinite(ability) & np.isfinite(degree))
+    scored = sorted(finite, key=ids.__getitem__)
+    ability, degree = ability[scored], degree[scored]
+    for i, a, c in zip(scored, ability.tolist(), degree.tolist()):
+        report.speaker_scores[ids[i]] = {"imitation_ability": a, "convergence_degree": c}
+    spread = len(scored) >= 2 and np.ptp(ability) > 0 and np.ptp(degree) > 0
+    if spread:
+        ab_norm = (ability - ability.min()) / np.ptp(ability)
+        cd_norm = (degree - degree.min()) / np.ptp(degree)
+        for i, a, c in zip(scored, ab_norm.tolist(), cd_norm.tolist()):
+            report.speaker_scores[ids[i]].update(
+                imitation_ability_norm=a, convergence_degree_norm=c
             )
-            report.correlation = {"r": r, "p": p, "n": len(speakers)}
-        except DataError:
-            report.correlation = None
+    if spread and len(scored) >= 3:
+        r, p = pearson(ability, degree)
+        report.correlation = {"r": r, "p": p, "n": len(scored)}
     return report
 
 
@@ -303,20 +259,16 @@ def emit_report(report: ConvergenceReport, out_dir: str | os.PathLike) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=1)
+    # every similarity is a Python float, which csv writes as its repr
     with open(os.path.join(out_dir, "fig3_distributions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition", "relation", "similarity"])
-        for condition, relation, sim in report.distributions:
-            writer.writerow([condition, relation, repr(sim)])
+        writer.writerows(report.distributions)
     with open(os.path.join(out_dir, "fig4_scatter.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["speaker", "imitation_ability_norm", "convergence_degree_norm"])
-        for spk, scores in report.speaker_scores.items():
-            if "imitation_ability_norm" in scores:
-                writer.writerow(
-                    [
-                        spk,
-                        repr(scores["imitation_ability_norm"]),
-                        repr(scores["convergence_degree_norm"]),
-                    ]
-                )
+        writer.writerows(
+            [spk, s["imitation_ability_norm"], s["convergence_degree_norm"]]
+            for spk, s in report.speaker_scores.items()
+            if "imitation_ability_norm" in s
+        )

@@ -1,8 +1,9 @@
-"""Audio ingestion and the 39-dimensional MFCC feature pipeline.
+"""Audio ingestion and the MFCC feature pipeline.
 
 Audio goes in as PCM WAV, comes out as per-utterance feature matrices:
-13 static MFCCs + 13 deltas + 13 delta-deltas, optionally CMVN-normalized,
-persisted in a small binary format (magic ``ARTF``).
+``n_ceps`` static MFCCs + as many deltas + as many delta-deltas (13 each,
+39 columns, by default), optionally CMVN-normalized, persisted in a small
+binary format (magic ``ARTF``).
 """
 
 from __future__ import annotations
@@ -203,10 +204,11 @@ def _dct_basis(n: int, k: int) -> np.ndarray:
 
 
 def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
-    """Static 13-coefficient MFCCs on a 25 ms window with a 10 ms hop.
+    """Static MFCCs: ``cfg.n_ceps`` coefficients per ``cfg.window`` frame,
+    one frame per ``cfg.hop`` (13, 25 ms and 10 ms by default).
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
-    log (floored), DCT-II (ortho), keep coefficients 0-12.  Raises
+    log (floored), DCT-II (ortho), keep coefficients 0 to n_ceps - 1.  Raises
     ``DataError`` for a waveform that is not at ``PIPELINE_RATE``.
     """
     cfg = cfg or MfccConfig()

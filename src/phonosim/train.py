@@ -357,6 +357,14 @@ def train(
     val_pairs = list(val_pairs) if val_pairs else []
     if not triples:
         raise DataError("empty training set")
+    # the epoch metrics need both labels; fail before the first epoch
+    set_labels = {"training": [t[2] for t in triples], "validation": [p[2] for p in val_pairs]}
+    for name, ys in set_labels.items():
+        if len(set(ys)) == 1:
+            raise DataError(
+                f"{name} set has only label-{ys[0]} pairs; "
+                "AUC needs at least one positive and one negative"
+            )
     params = init.copy() if init is not None else init_params(ModelDims(), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
@@ -364,9 +372,12 @@ def train(
     history = []
     best_params = params.copy()
     best_score = -np.inf
-    # distinct utterances per batch: at most two per pair
-    max_len = max(len(store[k]) for t in triples for k in t[:2])
-    with backward_worker(params.dims, max_len, 2 * config.batch_size) as worker:
+    keys = {k for t in triples for k in t[:2]}
+    max_len = max(len(store[k]) for k in keys)
+    # distinct utterances per batch: at most two per pair, and at most every
+    # key of the set, since the store returns one object per key
+    max_rows = min(2 * config.batch_size, len(keys))
+    with backward_worker(params.dims, max_len, max_rows) as worker:
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = rng.permutation(len(triples))

@@ -58,7 +58,7 @@ def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1
 try:
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+    pass  # the test modules that import these report their fuzz tests skipped
 else:
     any_json = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

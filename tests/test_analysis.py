@@ -5,7 +5,8 @@ Oracles:
   - scipy.stats.t survival function for the constructed (r=0.51, n=43) case
   - hand-built PairTables with known means for the per-speaker scores
   - a per-pair Python loop for the filter, the summaries and the
-    per-speaker means over a random PairTable
+    per-speaker means over a random PairTable, and for the speaker scores
+    of a whole report built from scripted similarities
 """
 
 import csv
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import metadata_manifest
 from phonosim import analysis, corpus, net, train
 from phonosim.errors import DataError
 
@@ -100,14 +102,6 @@ def test_pearson_input_validation():
 # normalization and filtering
 
 
-def test_min_max_normalize():
-    assert analysis.min_max_normalize([2.0, 4.0, 3.0]) == [0.0, 1.0, 0.5]
-    with pytest.raises(DataError):
-        analysis.min_max_normalize([5.0])
-    with pytest.raises(DataError):
-        analysis.min_max_normalize([1.0, 1.0, 1.0])
-
-
 def test_filter_drops_misclassified():
     # at threshold 0.5 the last pair, label 1 with similarity 0.1, is wrong
     table = _table(("A", "A", 1, 0.9), ("A", "B", 0, 0.2), ("A", "A", 1, 0.1))
@@ -140,28 +134,28 @@ def test_filter_groups_by_label():
 
 def test_condition_summary_population_stats():
     table = _table(("A", "A", 1, 0.8), ("A", "A", 1, 0.6), ("A", "B", 0, 0.3))
-    mean, std, n = analysis.condition_summary(table, "intra_speaker")
-    assert (mean, n) == (pytest.approx(0.7), 2)
-    assert std == pytest.approx(0.1)  # population std of {0.6, 0.8}
-    mean, std, n = analysis.condition_summary(table, "intra_dyad")
-    assert (mean, std, n) == (pytest.approx(0.3), 0.0, 1)
-    with pytest.raises(DataError):
-        analysis.condition_summary(table, "bogus")
-    with pytest.raises(DataError):
-        analysis.condition_summary(_table(("A", "A", 1, 0.8)), "intra_dyad")
+    got = analysis._summary(table.similarity[table.label == 1])
+    assert got["n"] == 2 and got["mean"] == pytest.approx(0.7)
+    assert got["std"] == pytest.approx(0.1)  # population std of {0.6, 0.8}
+    got = analysis._summary(table.similarity[table.label == 0])
+    assert got == {"mean": pytest.approx(0.3), "std": 0.0, "n": 1}
+    assert analysis._summary(np.array([])) is None
 
 
 def test_imitation_ability_and_convergence_degree():
     solo = _table(("A", "A", 1, 0.95), ("A", "A", 1, 0.85), ("A", "B", 0, 0.30))
     imit = _table(("A", "A", 1, 0.60))
     inter = _table(("A", "B", 0, 0.70))
+    n = len(SPEAKERS)
     a, c = SPEAKERS.index("A"), SPEAKERS.index("C")
     # ability: mean solo intra-speaker 0.9 minus imitation 0.6
-    assert analysis.imitation_ability(solo, imit, a) == pytest.approx(0.3)
+    ability = analysis._speaker_means(solo, 1, n) - analysis._speaker_means(imit, 1, n)
+    assert ability[a] == pytest.approx(0.3)
     # degree: interactive intra-dyad 0.7 minus solo intra-dyad 0.3
-    assert analysis.convergence_degree(solo, inter, a) == pytest.approx(0.4)
-    with pytest.raises(DataError):
-        analysis.imitation_ability(solo, imit, c)
+    degree = analysis._speaker_means(inter, 0, n) - analysis._speaker_means(solo, 0, n)
+    assert degree[a] == pytest.approx(0.4)
+    # C is in no pair
+    assert np.isnan(ability[c]) and np.isnan(degree[c])
 
 
 def _random_table(seed, n=500, n_speakers=6):
@@ -199,6 +193,15 @@ def _loop_filter(table, threshold):
     return [i for i in correct if i in keep]
 
 
+def _loop_speaker_mean(table, spk, label):
+    values = [
+        float(table.similarity[i])
+        for i in range(len(table))
+        if table.label[i] == label and spk in (table.left[i], table.right[i])
+    ]
+    return float(np.mean(values))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_columnar_analysis_matches_per_pair_loop(seed):
     table, n_speakers = _random_table(seed)
@@ -208,21 +211,16 @@ def test_columnar_analysis_matches_per_pair_loop(seed):
     for column in ("similarity", "label", "left", "right"):
         assert getattr(kept, column).tolist() == getattr(table, column)[rows].tolist()
 
-    for relation, y in (("intra_dyad", 0), ("intra_speaker", 1)):
+    for y in (0, 1):
         values = [
             float(kept.similarity[i]) for i in range(len(kept)) if kept.label[i] == y
         ]
-        assert analysis.condition_summary(kept, relation) == (
-            float(np.mean(values)), float(np.std(values)), len(values)
-        )
-    for spk in range(n_speakers):
-        for y in (0, 1):
-            values = [
-                float(kept.similarity[i])
-                for i in range(len(kept))
-                if kept.label[i] == y and spk in (kept.left[i], kept.right[i])
-            ]
-            assert analysis._speaker_mean(kept, spk, y) == float(np.mean(values))
+        assert analysis._summary(kept.similarity[kept.label == y]) == {
+            "mean": float(np.mean(values)), "std": float(np.std(values)), "n": len(values)
+        }
+        means = analysis._speaker_means(kept, y, n_speakers)
+        for spk in range(n_speakers):
+            assert means[spk] == _loop_speaker_mean(kept, spk, y)
 
 
 def test_cross_condition_pairs_structure():
@@ -284,6 +282,113 @@ def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
     assert rows[0] == ["speaker", "imitation_ability_norm", "convergence_degree_norm"]
 
 
+def _scripted_report(monkeypatch, similarities):
+    """``build_report`` on an audio-free corpus of 6 speakers in 3 dyads,
+    with ``similarities(labels)`` in place of the network's scores.
+
+    Returns the manifest, the report and the five filtered tables in the
+    order ``build_report`` makes them: solo, interactive, imitation,
+    interactive vs solo and imitation vs solo.
+    """
+    manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
+    monkeypatch.setattr(
+        analysis, "score_similarities",
+        lambda params, pairs, store: similarities(np.array([p.label for p in pairs])),
+    )
+    tables = []
+    filter_scores = analysis.filter_scores
+
+    def recording(table, threshold):
+        tables.append(filter_scores(table, threshold))
+        return tables[-1]
+
+    monkeypatch.setattr(analysis, "filter_scores", recording)
+    report = analysis.build_report(None, manifest, {}, sessions=[1])
+    return manifest, report, tables
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_build_report_scores_every_speaker(monkeypatch, tmp_path):
+    # label-consistent similarities: every pair survives the threshold
+    rng = np.random.default_rng(3)
+    manifest, report, tables = _scripted_report(
+        monkeypatch,
+        lambda labels: np.where(labels == 1, 0.6, 0.1) + 0.3 * rng.random(len(labels)),
+    )
+    solo, inter, _, _, imit_vs_solo = tables
+    ids = sorted(s.id for s in manifest.speakers)
+    assert list(report.speaker_scores) == ids
+    index = {s.id: i for i, s in enumerate(manifest.speakers)}
+    ability = [
+        _loop_speaker_mean(solo, index[s], 1) - _loop_speaker_mean(imit_vs_solo, index[s], 1)
+        for s in ids
+    ]
+    degree = [
+        _loop_speaker_mean(inter, index[s], 0) - _loop_speaker_mean(solo, index[s], 0)
+        for s in ids
+    ]
+    for spk, a, c in zip(ids, ability, degree):
+        scores = report.speaker_scores[spk]
+        assert (scores["imitation_ability"], scores["convergence_degree"]) == (a, c)
+        assert scores["imitation_ability_norm"] == pytest.approx(
+            (a - min(ability)) / (max(ability) - min(ability)), abs=1e-12
+        )
+        assert scores["convergence_degree_norm"] == pytest.approx(
+            (c - min(degree)) / (max(degree) - min(degree)), abs=1e-12
+        )
+    ref = scipy.stats.pearsonr(ability, degree)
+    assert report.correlation["n"] == len(ids)
+    assert report.correlation["r"] == pytest.approx(ref.statistic, abs=1e-12)
+    assert report.correlation["p"] == pytest.approx(ref.pvalue, abs=1e-10)
+
+    analysis.emit_report(report, tmp_path)
+    rows = _read_csv(tmp_path / "fig4_scatter.csv")
+    assert rows[1:] == [
+        [spk, repr(s["imitation_ability_norm"]), repr(s["convergence_degree_norm"])]
+        for spk, s in report.speaker_scores.items()
+    ]
+    # every number in both plot files is a plain float
+    fig3 = _read_csv(tmp_path / "fig3_distributions.csv")
+    assert len(fig3) == 1 + len(report.distributions)
+    for row in fig3[1:]:
+        float(row[2])
+    for row in rows[1:]:
+        [float(v) for v in row[1:]]
+
+
+def test_min_max_normalize(monkeypatch, tmp_path):
+    """With every imitation ability equal, normalization and the Pearson r
+    are left out, and the speakers are still scored."""
+    rng = np.random.default_rng(4)
+    # 0.75 is exact in binary, so every mean of it is 0.75 and every ability 0
+    manifest, report, _ = _scripted_report(
+        monkeypatch,
+        lambda labels: np.where(labels == 1, 0.75, 0.1 + 0.3 * rng.random(len(labels))),
+    )
+    assert len(report.speaker_scores) == len(manifest.speakers)
+    degrees = set()
+    for scores in report.speaker_scores.values():
+        assert set(scores) == {"imitation_ability", "convergence_degree"}
+        assert scores["imitation_ability"] == 0.0
+        degrees.add(scores["convergence_degree"])
+    assert len(degrees) > 1
+    assert report.correlation is None
+    analysis.emit_report(report, tmp_path)
+    assert len(_read_csv(tmp_path / "fig4_scatter.csv")) == 1
+
+
+def test_build_report_needs_solo_pairs(tiny_corpus, tiny_features):
+    params = net.init_params(net.ModelDims(), seed=0)
+    with pytest.raises(DataError, match="no solo pairs in sentence range 70:80"):
+        analysis.build_report(
+            params, tiny_corpus, tiny_features, sessions=[1], solo_range=(70, 80)
+        )
+
+
 def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, monkeypatch):
     rows = []
     kernel = train._embed_forward
@@ -296,9 +401,8 @@ def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, mon
     params = net.init_params(net.ModelDims(), seed=0)
     analysis.build_report(params, tiny_corpus, tiny_features, sessions=[1])
 
-    solo = [u.sentence_index for u in tiny_corpus.utterances if u.condition == "solo"]
     pair_sets = [
-        corpus.build_solo_pairs(tiny_corpus, min(solo), max(solo)),
+        corpus.build_solo_pairs(tiny_corpus, 1, corpus.SCRIPT_SENTENCES),
         corpus.build_condition_pairs(tiny_corpus, "interactive", [1]),
         corpus.build_condition_pairs(tiny_corpus, "imitation", [1]),
         analysis.cross_condition_pairs(tiny_corpus, "interactive", [1]),

@@ -503,6 +503,45 @@ def test_bad_pairs_key_exit_code(pipeline, tmp_path, capsys, form):
     assert _files_under(tmp_path) == ["pairs.json"]
 
 
+def test_one_label_val_pairs_exit_code(pipeline, tmp_path, capsys):
+    """Validation pairs of one label exit 2 before training, naming the set."""
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    val = tmp_path / "val.json"
+    assert cli.main([
+        "pairs", "--manifest", manifest, "--condition", "solo", "--range", "5:5",
+        "--out", str(val),
+    ]) == 0
+    assert {p["label"] for p in json.loads(val.read_text())["pairs"]} == {0}
+    assert cli.main([
+        "train", "--features", pipeline["features"], "--pairs", pipeline["pairs"],
+        "--val-pairs", str(val), "--out", str(tmp_path / "model"),
+    ]) == 2
+    assert "error: validation set has only label-0 pairs" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
+
+def test_train_batch_size_past_pair_count(pipeline, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1, "batch_size": 1_000_000}))
+    assert cli.main([
+        "train", "--features", pipeline["features"], "--pairs", pipeline["pairs"],
+        "--config", str(config), "--out", str(tmp_path / "model"),
+    ]) == 0
+
+
+def test_analyze_empty_solo_range_exit_code(pipeline, tmp_path, capsys):
+    """A --solo-range that selects no solo pairs exits 2 and writes no report."""
+    out = tmp_path / "analysis"
+    assert cli.main([
+        "analyze", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
+        "--features", pipeline["features"], "--sessions", "1",
+        "--solo-range", "70:80", "--out", str(out),
+    ]) == 2
+    assert "error: no solo pairs in sentence range 70:80" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _BAD_JSON = {
     "non-utf8": b'\xff\xfe{"pairs": []}',
     "deep": b"[" * 100_000,
@@ -622,4 +661,6 @@ try:
             pass
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+
+    def test_fuzz_without_hypothesis():
+        pytest.skip("hypothesis is not installed, so the fuzz tests did not run")

@@ -248,7 +248,9 @@ try:
             pass
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+
+    def test_fuzz_without_hypothesis():
+        pytest.skip("hypothesis is not installed, so the fuzz tests did not run")
 
 
 # ---------------------------------------------------------------------------

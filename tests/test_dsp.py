@@ -8,6 +8,8 @@ Frozen values:
   - resampling 8 kHz -> 16 kHz maps N samples to 2N - 1
 """
 
+import wave
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -102,6 +104,43 @@ def test_load_audio_pcm16_matches_scipy_reader(tmp_path, monkeypatch, rate, chan
     monkeypatch.setattr(dsp, "_read_pcm16", lambda path: None)
     want = dsp.load_audio(path)
     assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _encode(x, kind):
+    """``x`` in [-1, 1] as samples of ``kind``: the data, the sample width
+    when stdlib ``wave`` must write it as bytes (None: SciPy writes the
+    array), and the quantisation step of the format."""
+    if kind == "float32":
+        return x.astype(np.float32), None, 2.0**-24
+    if kind == "int32":
+        return np.round(x * 2**31).astype(np.int32), None, 2.0**-31
+    if kind == "int24":
+        v = np.round(x * 2**23).astype("<i4").view(np.uint8).reshape(-1, 4)
+        return v[:, :3].tobytes(), 3, 2.0**-23
+    return np.round(x * 128 + 128).astype(np.uint8), None, 2.0**-7
+
+
+@pytest.mark.parametrize("kind", ["float32", "int32", "int24", "uint8"])
+def test_load_audio_other_sample_formats(tmp_path, kind):
+    """Formats the stdlib reader leaves to SciPy load as the 16-bit file
+    does, within one quantisation step of the coarser format."""
+    x = 0.9 * np.sin(np.linspace(0, 20, 800))
+    wavfile.write(tmp_path / "16.wav", 16000, np.round(x * 32768).astype(np.int16))
+    want = dsp.load_audio(tmp_path / "16.wav").samples
+    data, width, step = _encode(x, kind)
+    path = tmp_path / f"{kind}.wav"
+    if width is None:
+        wavfile.write(path, 16000, data)
+    else:  # SciPy writes no 24-bit files
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(width)
+            fh.setframerate(16000)
+            fh.writeframes(data)
+    assert dsp._read_pcm16(path) is None
+    got = dsp.load_audio(path)
+    assert got.sample_rate == 16000 and len(got.samples) == len(want)
+    assert np.abs(got.samples - want).max() <= max(step, 2.0**-15)
 
 
 def test_load_audio_missing_file():
@@ -351,7 +390,9 @@ try:
         assert np.isfinite(frames).all()
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+
+    def test_fuzz_without_hypothesis():
+        pytest.skip("hypothesis is not installed, so the fuzz tests did not run")
 
 
 def test_feature_store(tmp_path):

@@ -307,4 +307,6 @@ try:
         assert isinstance(params, net.ModelParams)
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+
+    def test_fuzz_without_hypothesis():
+        pytest.skip("hypothesis is not installed, so the fuzz tests did not run")

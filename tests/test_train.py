@@ -434,7 +434,9 @@ try:
                 assert 0.0 <= v <= 1.0
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
-    pass
+
+    def test_fuzz_without_hypothesis():
+        pytest.skip("hypothesis is not installed, so the fuzz tests did not run")
 
 
 def test_metrics_per_class_definitions():
@@ -574,6 +576,20 @@ def test_train_empty_dataset_errors(tiny_features):
         tr.train(tr.TrainConfig(epochs=1), [], [], tiny_features)
 
 
+def test_train_one_label_set_errors(tiny_corpus, tiny_features, monkeypatch):
+    """A set with one label fails before the first epoch, naming the set."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
+    negatives = [p for p in val_pairs if p.label == 0]
+    with pytest.raises(DataError, match="validation set has only label-0 pairs"):
+        tr.train(tr.TrainConfig(epochs=1), train_pairs, negatives, tiny_features)
+    positives = [p for p in train_pairs if p.label == 1]
+    with pytest.raises(DataError, match="training set has only label-1 pairs"):
+        tr.train(tr.TrainConfig(epochs=1), positives, val_pairs, tiny_features)
+    assert steps == []
+
+
 # ---------------------------------------------------------------------------
 # the backward-direction worker
 
@@ -624,6 +640,29 @@ def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeyp
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     tr.train(tr.TrainConfig(epochs=1), train_pairs, val_pairs, tiny_features)
     assert len(made) == 1 and made[0] is not net.BackwardWorker
+
+
+def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
+    """A batch_size above the pair count trains as one batch of every pair,
+    with worker buffers for the set's distinct utterances."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    rows = []
+
+    def record(dims, max_len, max_rows):
+        rows.append(max_rows)
+        return net.backward_worker(dims, max_len, max_rows)
+
+    monkeypatch.setattr(tr, "backward_worker", record)
+    _cpus(monkeypatch, 2)
+    runs = [
+        tr.train(
+            tr.TrainConfig(epochs=2, batch_size=b, seed=4), train_pairs, val_pairs, tiny_features
+        )
+        for b in (len(train_pairs), 10**6)
+    ]
+    assert runs[0].history == runs[1].history
+    keys = {k for p in train_pairs for k in p[:2]}
+    assert len(keys) < 2 * len(train_pairs) and rows == [len(keys), len(keys)]
 
 
 @needs_fork
