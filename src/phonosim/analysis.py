@@ -20,6 +20,10 @@ from .corpus import build_condition_pairs, build_solo_pairs
 from .errors import DataError
 from .train import score_similarities
 
+# Scores are differences of means of cosines in [0, 1], so a mean's rounding
+# error (~1e-16) can make equal scores differ; a smaller spread is no spread.
+MIN_SPREAD = 1e-12
+
 
 @dataclass(frozen=True)
 class PairTable:
@@ -239,7 +243,7 @@ def build_report(
     ability, degree = ability[scored], degree[scored]
     for i, a, c in zip(scored, ability.tolist(), degree.tolist()):
         report.speaker_scores[ids[i]] = {"imitation_ability": a, "convergence_degree": c}
-    spread = len(scored) >= 2 and np.ptp(ability) > 0 and np.ptp(degree) > 0
+    spread = len(scored) >= 2 and min(np.ptp(ability), np.ptp(degree)) > MIN_SPREAD
     if spread:
         ab_norm = (ability - ability.min()) / np.ptp(ability)
         cd_norm = (degree - degree.min()) / np.ptp(degree)

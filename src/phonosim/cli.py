@@ -114,28 +114,32 @@ def _cmd_features(args) -> None:
     manifest = corpus.load_manifest(args.manifest)
     cfg = _load_config(dsp.MfccConfig, "MFCC config", args.config)
     os.makedirs(args.out, exist_ok=True)
+    store = dsp.FeatureStore(args.out)
     for u in manifest.utterances:
         if u.audio_path is None:
             raise PhonosimError(f"utterance {u.key} has no audio_path")
         wav = dsp.load_audio(manifest.resolve(u.audio_path))
         feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
-        if not args.no_cmvn:
-            feats = dsp.cmvn(feats)
-        dsp.write_features(feats, os.path.join(args.out, u.key + ".artf"))
+        dsp.write_features(dsp.cmvn(feats), store.path_for(u.key))
     _echo_config(args, args.out)
     print(f"wrote {len(manifest.utterances)} feature files to {args.out}", file=sys.stderr)
 
 
 def _cmd_pairs(args) -> None:
-    manifest = corpus.load_manifest(args.manifest)
     if args.condition == "solo":
+        if args.sessions is not None:
+            raise PhonosimError("--sessions applies to interactive/imitation, not solo")
+        if args.range is None:
+            args.range = "1:40"  # so the echoed config shows the range used
         lo, hi = _parse_range(args.range)
-        pairs = corpus.build_solo_pairs(manifest, lo, hi)
+        pairs = corpus.build_solo_pairs(corpus.load_manifest(args.manifest), lo, hi)
     else:
+        if args.range is not None:
+            raise PhonosimError(f"--range applies to solo, not {args.condition}")
         if not args.sessions:
             raise PhonosimError(f"condition {args.condition!r} requires --sessions")
         pairs = corpus.build_condition_pairs(
-            manifest, args.condition, _parse_sessions(args.sessions)
+            corpus.load_manifest(args.manifest), args.condition, _parse_sessions(args.sessions)
         )
     with open(args.out, "w") as fh:
         json.dump({"pairs": [p._asdict() for p in pairs]}, fh, indent=1)
@@ -246,14 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-cmvn", action="store_true")
     p.add_argument("--config", help="JSON file of MFCC parameter overrides")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("pairs", help="build labeled verification pairs")
     p.add_argument("--manifest", required=True)
     p.add_argument("--condition", choices=corpus.CONDITIONS, required=True)
-    p.add_argument("--range", default="1:40", help="solo sentence range LO:HI")
+    p.add_argument("--range", help="solo sentence range LO:HI (default 1:40)")
     p.add_argument("--sessions", help="session ids for interactive/imitation, e.g. 1,2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pairs)

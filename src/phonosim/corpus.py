@@ -15,11 +15,12 @@ import json
 import os
 import reprlib
 import wave
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .dsp import PIPELINE_RATE
 from .errors import (
     DataError, ManifestError, check_name, check_numeric_fields, check_seed, read_json,
 )
@@ -42,7 +43,6 @@ class Speaker:
 @dataclass(frozen=True)
 class Utterance:
     speaker_id: str
-    dyad_id: str
     condition: str
     session: int
     sentence_index: int
@@ -97,7 +97,6 @@ class Manifest:
 
         keys = set()
         solo_sessions: dict[str, set[int]] = {}
-        dyad_by_speaker = self.dyad_by_speaker()
         for u in self.utterances:
             if u.speaker_id not in known:
                 raise ManifestError(f"utterance references unknown speaker {reprlib.repr(u.speaker_id)}")
@@ -107,11 +106,6 @@ class Manifest:
                 raise ManifestError(
                     f"sentence_index {reprlib.repr(u.sentence_index)} "
                     f"outside script range 1-{SCRIPT_SENTENCES}"
-                )
-            if u.dyad_id != dyad_by_speaker[u.speaker_id]:
-                raise ManifestError(
-                    f"utterance dyad_id {reprlib.repr(u.dyad_id)} "
-                    f"does not match speaker {reprlib.repr(u.speaker_id)}"
                 )
             k = (u.speaker_id, u.condition, u.session, u.sentence_index)
             if k in keys:
@@ -123,22 +117,10 @@ class Manifest:
             if len(sessions) != 1:
                 raise ManifestError(f"solo utterances of {reprlib.repr(spk)} span multiple sessions")
 
-    def dyad_by_speaker(self) -> dict[str, str]:
-        out = {}
-        for a, b in self.dyads:
-            did = dyad_id(a, b)
-            out[a] = did
-            out[b] = did
-        return out
-
     def resolve(self, path: str) -> str:
         if self.root is None or os.path.isabs(path):
             return path
         return os.path.join(self.root, path)
-
-
-def dyad_id(a: str, b: str) -> str:
-    return f"{a}+{b}"
 
 
 def _typed(value, kind: type, what: str):
@@ -194,7 +176,6 @@ def save_manifest(m: Manifest, path: str | os.PathLike) -> None:
         "utterances": [
             {
                 "speaker_id": u.speaker_id,
-                "dyad_id": u.dyad_id,
                 "condition": u.condition,
                 "session": u.session,
                 "sentence_index": u.sentence_index,
@@ -283,11 +264,9 @@ def build_condition_pairs(
 class SynthConfig:
     n_speakers: int = 4
     n_sentences: int = 20
-    sample_rate: int = 16000
     lam: float = 0.0  # convergence strength of the second dyad member
     interactive_sessions: int = 2
     imitation_sessions: int = 1
-    n_vowels: int = 3
 
     def __post_init__(self):
         check_numeric_fields(self)
@@ -303,15 +282,16 @@ class SynthConfig:
             raise DataError(f"convergence parameter must lie in [0, 1], got {self.lam}")
 
 
+N_VOWELS = 3  # vowel qualities per speaker; each sentence reads every one twice
 _FORMANT_RANGES = ((300.0, 900.0), (1100.0, 2200.0), (2500.0, 3600.0))
 _FORMANT_GAINS = (1.0, 0.7, 0.5)
 _FORMANT_BW = 70.0
 
 
-def speaker_vowels(seed: int, speaker_idx: int, n_vowels: int = 3) -> np.ndarray:
-    """Per-speaker spectral signature: (n_vowels, 3) formant peak frequencies."""
+def speaker_vowels(seed: int, speaker_idx: int) -> np.ndarray:
+    """Per-speaker spectral signature: (N_VOWELS, 3) formant peak frequencies."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, speaker_idx]))
-    cols = [rng.uniform(lo, hi, size=n_vowels) for lo, hi in _FORMANT_RANGES]
+    cols = [rng.uniform(lo, hi, size=N_VOWELS) for lo, hi in _FORMANT_RANGES]
     return np.stack(cols, axis=1)
 
 
@@ -319,7 +299,7 @@ def speaker_vowels(seed: int, speaker_idx: int, n_vowels: int = 3) -> np.ndarray
 class SpeakerTraits:
     """The acoustic habits that identify one synthetic speaker.
 
-    ``vowels`` is the (n_vowels, 3) formant-peak matrix.  ``mod_rate`` is a
+    ``vowels`` is the (N_VOWELS, 3) formant-peak matrix.  ``mod_rate`` is a
     syllable-like amplitude-modulation rate in Hz.  ``ramp`` is the
     within-segment loudness slope: positive speakers swell into each vowel,
     negative speakers decay out of it.  The dynamic traits matter because
@@ -333,7 +313,7 @@ class SpeakerTraits:
     ramp: float
 
 
-def speaker_traits(seed: int, speaker_idx: int, n_vowels: int = 3) -> SpeakerTraits:
+def speaker_traits(seed: int, speaker_idx: int) -> SpeakerTraits:
     """Deterministic traits: dyad members get contrasting dynamics.
 
     First dyad members speak with slow modulation and a rising segment
@@ -345,21 +325,15 @@ def speaker_traits(seed: int, speaker_idx: int, n_vowels: int = 3) -> SpeakerTra
         rate, ramp = 3.0 + 0.4 * (pair % 4), 0.8
     else:
         rate, ramp = 6.5 + 0.4 * (pair % 4), -0.8
-    return SpeakerTraits(
-        vowels=speaker_vowels(seed, speaker_idx, n_vowels), mod_rate=rate, ramp=ramp
-    )
+    return SpeakerTraits(vowels=speaker_vowels(seed, speaker_idx), mod_rate=rate, ramp=ramp)
 
 
-def effective_traits(
-    own: SpeakerTraits, partner: SpeakerTraits, lam: float, converging: bool
-) -> SpeakerTraits:
-    """Traits actually used in interactive/imitation conditions.
+def effective_traits(own: SpeakerTraits, partner: SpeakerTraits, lam: float) -> SpeakerTraits:
+    """Traits of a converging speaker in the interactive/imitation conditions.
 
-    The converging member's envelope, modulation rate, and ramp are all
-    pulled toward the partner: trait = (1 - lam) * own + lam * partner.
+    The envelope, modulation rate, and ramp are all pulled toward the
+    partner: trait = (1 - lam) * own + lam * partner.
     """
-    if not converging:
-        return own
     return SpeakerTraits(
         vowels=(1.0 - lam) * own.vowels + lam * partner.vowels,
         mod_rate=(1.0 - lam) * own.mod_rate + lam * partner.mod_rate,
@@ -367,9 +341,7 @@ def effective_traits(
     )
 
 
-def _sentence_content(
-    seed: int, sentence: int, n_vowels: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _sentence_content(seed: int, sentence: int) -> tuple[np.ndarray, np.ndarray]:
     """Vowel order and segment durations of one script sentence.
 
     Content is a property of the sentence alone, shared by every speaker
@@ -378,7 +350,7 @@ def _sentence_content(
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E17, sentence]))
     # balanced schedule: every vowel appears once per round, shuffled
-    order = np.concatenate([rng.permutation(n_vowels) for _ in range(2)])
+    order = np.concatenate([rng.permutation(N_VOWELS) for _ in range(2)])
     durations = rng.uniform(0.07, 0.09, size=len(order))
     return order, durations
 
@@ -388,8 +360,8 @@ def _synth_utterance(
     order: np.ndarray,
     durations: np.ndarray,
     rng: np.random.Generator,
-    sr: int,
 ) -> np.ndarray:
+    sr = PIPELINE_RATE
     pieces = []
     for vi, dur in zip(order, durations):
         v = traits.vowels[vi]
@@ -420,12 +392,12 @@ def _synth_utterance(
     return x
 
 
-def _write_wav(path: str, x: np.ndarray, sr: int) -> None:
+def _write_wav(path: str, x: np.ndarray) -> None:
     pcm = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
     with wave.open(path, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(sr)
+        fh.setframerate(PIPELINE_RATE)
         fh.writeframes(pcm.tobytes())
 
 
@@ -449,16 +421,7 @@ def generate_synthetic_corpus(
     dyads = [
         (speakers[i].id, speakers[i + 1].id) for i in range(0, config.n_speakers, 2)
     ]
-    traits = {
-        s.id: speaker_traits(seed, i, config.n_vowels) for i, s in enumerate(speakers)
-    }
-    partner = {}
-    for a, b in dyads:
-        partner[a] = b
-        partner[b] = a
-    converging = {s: False for s in partner}
-    for a, b in dyads:
-        converging[b] = True  # second member converges toward the first
+    traits = [speaker_traits(seed, i) for i in range(config.n_speakers)]
 
     schedule = [("solo", 1)]
     schedule += [("interactive", k + 1) for k in range(config.interactive_sessions)]
@@ -468,28 +431,20 @@ def generate_synthetic_corpus(
     cond_index = {c: i for i, c in enumerate(CONDITIONS)}
     for si, spk in enumerate(speakers):
         for condition, session in schedule:
-            spk_traits = traits[spk.id]
-            if condition != "solo":
-                spk_traits = effective_traits(
-                    spk_traits, traits[partner[spk.id]], config.lam, converging[spk.id]
-                )
+            spk_traits = traits[si]
+            if condition != "solo" and si % 2 == 1:  # converges toward the first member
+                spk_traits = effective_traits(spk_traits, traits[si - 1], config.lam)
             for sentence in range(1, config.n_sentences + 1):
-                order, durations = _sentence_content(seed, sentence, config.n_vowels)
+                order, durations = _sentence_content(seed, sentence)
                 rng = np.random.default_rng(
                     np.random.SeedSequence(
                         [seed, si, cond_index[condition], session, sentence]
                     )
                 )
-                x = _synth_utterance(spk_traits, order, durations, rng, config.sample_rate)
-                u = Utterance(
-                    speaker_id=spk.id,
-                    dyad_id=dyad_id(*[d for d in dyads if spk.id in d][0]),
-                    condition=condition,
-                    session=session,
-                    sentence_index=sentence,
-                    audio_path=os.path.join("audio", f"{spk.id}__{condition}__{session}__{sentence:03d}.wav"),
-                )
-                _write_wav(os.path.join(out_dir, u.audio_path), x, config.sample_rate)
+                x = _synth_utterance(spk_traits, order, durations, rng)
+                u = Utterance(spk.id, condition, session, sentence)
+                u = replace(u, audio_path=os.path.join("audio", u.key + ".wav"))
+                _write_wav(os.path.join(out_dir, u.audio_path), x)
                 utterances.append(u)
 
     manifest = Manifest(

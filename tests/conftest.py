@@ -36,17 +36,14 @@ def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1
     """Audio-free manifest: dyads are consecutive speaker pairs."""
     speakers = [corpus.Speaker(id=f"P{i:03d}") for i in range(n_speakers)]
     dyads = [(speakers[i].id, speakers[i + 1].id) for i in range(0, n_speakers, 2)]
-    by_speaker = corpus.dyad_id
     utterances = []
-    for i, spk in enumerate(speakers):
-        did = by_speaker(*dyads[i // 2])
+    for spk in speakers:
         for cond in conditions:
             for sess in sessions if cond != "solo" else (1,):
                 for sent in range(1, n_sentences + 1):
                     utterances.append(
                         corpus.Utterance(
                             speaker_id=spk.id,
-                            dyad_id=did,
                             condition=cond,
                             session=sess,
                             sentence_index=sent,

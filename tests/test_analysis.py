@@ -24,7 +24,6 @@ from phonosim.errors import DataError
 def _utt(spk, cond="solo", sess=1, sent=1):
     return corpus.Utterance(
         speaker_id=spk,
-        dyad_id="A+B" if spk in ("A", "B") else "C+D",
         condition=cond,
         session=sess,
         sentence_index=sent,
@@ -282,15 +281,17 @@ def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
     assert rows[0] == ["speaker", "imitation_ability_norm", "convergence_degree_norm"]
 
 
-def _scripted_report(monkeypatch, similarities):
-    """``build_report`` on an audio-free corpus of 6 speakers in 3 dyads,
-    with ``similarities(labels)`` in place of the network's scores.
+def _scripted_report(monkeypatch, similarities, manifest=None):
+    """``build_report`` on an audio-free corpus of 6 speakers in 3 dyads
+    (or on ``manifest``), with ``similarities(labels)`` in place of the
+    network's scores.
 
     Returns the manifest, the report and the five filtered tables in the
     order ``build_report`` makes them: solo, interactive, imitation,
     interactive vs solo and imitation vs solo.
     """
-    manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
+    if manifest is None:
+        manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
     monkeypatch.setattr(
         analysis, "score_similarities",
         lambda params, pairs, store: similarities(np.array([p.label for p in pairs])),
@@ -379,6 +380,25 @@ def test_min_max_normalize(monkeypatch, tmp_path):
     assert report.correlation is None
     analysis.emit_report(report, tmp_path)
     assert len(_read_csv(tmp_path / "fig4_scatter.csv")) == 1
+
+
+def test_rounding_noise_is_no_spread(monkeypatch):
+    """Equal similarities averaged over different pair counts differ by
+    rounding alone (``np.full(3, 0.8).mean() - 0.8`` is 1.1e-16); such
+    abilities have no spread, so normalization and the Pearson r are left out."""
+    manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
+    manifest.utterances.remove(corpus.Utterance("P000", "solo", 1, 1))
+    rng = np.random.default_rng(4)
+    _, report, _ = _scripted_report(
+        monkeypatch,
+        lambda labels: np.where(labels == 1, 0.8, 0.1 + 0.3 * rng.random(len(labels))),
+        manifest,
+    )
+    abilities = [s["imitation_ability"] for s in report.speaker_scores.values()]
+    assert len(abilities) == 6 and 0 < np.ptp(abilities) < 1e-12
+    for scores in report.speaker_scores.values():
+        assert set(scores) == {"imitation_ability", "convergence_degree"}
+    assert report.correlation is None
 
 
 def test_build_report_needs_solo_pairs(tiny_corpus, tiny_features):

@@ -38,8 +38,9 @@ def test_bench_toy_is_correct(workload):
 
 
 def test_bench_toy_trace_counts_every_layer():
-    # a count probe keyed to a function name reads 0 once that function is
-    # renamed or removed, so every count must stay above 0
+    # a per-layer metric keyed to a function name (a time, a count or a
+    # ratio) reads 0 once that function is renamed or removed, so every one
+    # of the 37 must stay above 0
     metrics = _run_toy("desk-train", 1)["metrics"]
-    counts = {k: m["value"] for k, m in metrics.items() if m["unit"] == "count"}
-    assert counts and all(v > 0 for v in counts.values()), counts
+    dead = sorted(k for k, m in metrics.items() if not m["value"] > 0)
+    assert len(metrics) == 37 and not dead, dead

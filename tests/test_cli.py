@@ -82,6 +82,17 @@ def test_synth_outputs(pipeline):
     assert len(wavs) == 2 * 6 * 3  # 2 speakers x 6 sentences x 3 sessions
 
 
+def test_synth_manifest_holds_no_dyad_id(pipeline):
+    """Dyad membership is stated once, in ``dyads``; each WAV is named by
+    its utterance key."""
+    doc = json.loads(Path(pipeline["corpus"], "manifest.json").read_text())
+    assert doc["dyads"] == [["S01", "S02"]]
+    for u in doc["utterances"]:
+        assert set(u) == {"speaker_id", "condition", "session", "sentence_index", "audio_path"}
+        key = f"{u['speaker_id']}__{u['condition']}__{u['session']}__{u['sentence_index']:03d}"
+        assert u["audio_path"] == f"audio/{key}.wav"
+
+
 def test_features_outputs(pipeline):
     files = [f for f in os.listdir(pipeline["features"]) if f.endswith(".artf")]
     assert len(files) == 2 * 6 * 3
@@ -152,6 +163,15 @@ def test_usage_error_exit_code():
     assert cli.main(["unknown-subcommand"]) == 1
 
 
+def test_features_has_no_cmvn_switch(pipeline, tmp_path):
+    out = tmp_path / "features"
+    assert cli.main([
+        "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
+        "--out", str(out), "--no-cmvn",
+    ]) == 1
+    assert not out.exists()
+
+
 def test_data_error_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["pairs", "--manifest", missing, "--condition", "solo",
@@ -215,12 +235,22 @@ def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_condition_pairs_require_sessions(pipeline):
+def test_condition_pairs_require_sessions(pipeline, tmp_path, capsys):
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
     out = str(pipeline["root"] / "int_pairs.json")
     assert cli.main([
         "pairs", "--manifest", manifest, "--condition", "interactive", "--out", out,
     ]) == 2
+    # a flag the condition does not use is an error, not silently ignored
+    for flags, named in (
+        (["--condition", "interactive", "--sessions", "1", "--range", "3:4"], "--range"),
+        (["--condition", "solo", "--sessions", "7"], "--sessions"),
+    ):
+        capsys.readouterr()
+        rejected = tmp_path / "pairs.json"
+        assert cli.main(["pairs", "--manifest", manifest, *flags, "--out", str(rejected)]) == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
     assert cli.main([
         "pairs", "--manifest", manifest, "--condition", "interactive",
         "--sessions", "1", "--out", out,
@@ -351,7 +381,7 @@ def _manifest_text(field, raw):
         "speakers": [{"id": "A"}, {"id": "B"}],
         "dyads": [["A", "B"]],
         "utterances": [
-            {"speaker_id": s, "dyad_id": "A+B", "condition": "solo", "session": 1,
+            {"speaker_id": s, "condition": "solo", "session": 1,
              "sentence_index": j, "audio_path": f"audio/{s}{j}.wav"}
             for s in "AB" for j in (1, 2)
         ],
@@ -452,7 +482,6 @@ def _manifest_with_speaker(pipeline, speaker: str) -> dict:
     doc["dyads"] = [[speaker, "S02"]]
     for u in doc["utterances"]:
         u["audio_path"] = os.path.join(pipeline["corpus"], u["audio_path"])
-        u["dyad_id"] = f"{speaker}+S02"
         if u["speaker_id"] == "S01":
             u["speaker_id"] = speaker
     return doc

@@ -116,7 +116,6 @@ def _valid_doc():
         "utterances": [
             {
                 "speaker_id": "A",
-                "dyad_id": "A+B",
                 "condition": "solo",
                 "session": 1,
                 "sentence_index": 1,
@@ -141,6 +140,24 @@ def test_manifest_json_roundtrip(tmp_path):
     assert m2.dyads == m.dyads
 
 
+def test_manifest_ignores_legacy_dyad_id(tmp_path):
+    """Dyad membership comes from ``dyads`` alone: an utterance's old
+    ``dyad_id`` key is ignored, even when it names another dyad, and is not
+    written back."""
+    doc = _valid_doc()
+    doc["utterances"][0]["dyad_id"] = "X+Y"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    m = corpus.load_manifest(path)
+    assert m.dyads == [("A", "B")]
+    out = tmp_path / "again.json"
+    corpus.save_manifest(m, out)
+    saved = json.loads(out.read_text())
+    assert "dyad_id" not in saved["utterances"][0]
+    del doc["utterances"][0]["dyad_id"]
+    assert saved == doc
+
+
 def test_manifest_resolves_relative_paths(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(_valid_doc()))
@@ -159,7 +176,6 @@ def test_manifest_resolves_relative_paths(tmp_path):
         (lambda d: d["utterances"][0].__setitem__("condition", "karaoke"), "condition"),
         (lambda d: d["utterances"][0].__setitem__("sentence_index", 81), "script range"),
         (lambda d: d["utterances"][0].__setitem__("sentence_index", 0), "script range"),
-        (lambda d: d["utterances"][0].__setitem__("dyad_id", "X+Y"), "does not match"),
         (lambda d: d["utterances"].append(dict(d["utterances"][0])), "duplicate utterance"),
         (lambda d: d["utterances"][0].__setitem__("speaker_id", "Z"), "unknown"),
     ],
@@ -221,7 +237,6 @@ try:
             st.fixed_dictionaries(
                 {
                     "speaker_id": valid_or_any("A"),
-                    "dyad_id": valid_or_any("A+B"),
                     "condition": valid_or_any("solo"),
                     "session": valid_or_any(1),
                     "sentence_index": valid_or_any(1),
@@ -278,11 +293,9 @@ def test_speaker_traits_deterministic_and_contrasting():
 def test_effective_traits_interpolation_endpoints():
     a = corpus.speaker_traits(seed=5, speaker_idx=0)
     b = corpus.speaker_traits(seed=5, speaker_idx=1)
-    same = corpus.effective_traits(b, a, lam=0.7, converging=False)
-    assert same is b
-    at0 = corpus.effective_traits(b, a, lam=0.0, converging=True)
-    at1 = corpus.effective_traits(b, a, lam=1.0, converging=True)
-    mid = corpus.effective_traits(b, a, lam=0.5, converging=True)
+    at0 = corpus.effective_traits(b, a, lam=0.0)
+    at1 = corpus.effective_traits(b, a, lam=1.0)
+    mid = corpus.effective_traits(b, a, lam=0.5)
     np.testing.assert_allclose(at0.vowels, b.vowels)
     np.testing.assert_allclose(at1.vowels, a.vowels)
     np.testing.assert_allclose(mid.vowels, (a.vowels + b.vowels) / 2)
@@ -291,8 +304,8 @@ def test_effective_traits_interpolation_endpoints():
 
 
 def test_sentence_content_is_shared_and_balanced():
-    order, durations = corpus._sentence_content(seed=3, sentence=4, n_vowels=3)
-    order2, durations2 = corpus._sentence_content(seed=3, sentence=4, n_vowels=3)
+    order, durations = corpus._sentence_content(seed=3, sentence=4)
+    order2, durations2 = corpus._sentence_content(seed=3, sentence=4)
     np.testing.assert_array_equal(order, order2)
     np.testing.assert_array_equal(durations, durations2)
     assert sorted(order[:3]) == [0, 1, 2] and sorted(order[3:]) == [0, 1, 2]
@@ -362,6 +375,6 @@ def test_generate_lam_one_makes_converger_match_partner(tmp_path):
     m = corpus.generate_synthetic_corpus(cfg, 4, tmp_path / "conv")
     a = corpus.speaker_traits(4, 0)
     b = corpus.speaker_traits(4, 1)
-    eff = corpus.effective_traits(b, a, 1.0, converging=True)
+    eff = corpus.effective_traits(b, a, 1.0)
     np.testing.assert_allclose(eff.vowels, a.vowels)
     assert eff.mod_rate == a.mod_rate and eff.ramp == a.ramp
