@@ -140,9 +140,10 @@ def cross_condition_pairs(
         for u in m.utterances
         if u.condition == "solo"
     }
+    chosen = set(sessions)
     pairs = []
     for u in m.utterances:
-        if u.condition != condition or u.session not in set(sessions):
+        if u.condition != condition or u.session not in chosen:
             continue
         base = solo.get((u.speaker_id, u.sentence_index))
         if base is not None:

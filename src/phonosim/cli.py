@@ -106,7 +106,6 @@ def _cmd_synth(args) -> None:
         interactive_sessions=args.interactive_sessions,
     )
     corpus.generate_synthetic_corpus(cfg, args.seed, args.out)
-    _echo_config(args, args.out)
     print(f"wrote synthetic corpus to {args.out}", file=sys.stderr)
 
 
@@ -121,7 +120,6 @@ def _cmd_features(args) -> None:
         wav = dsp.load_audio(manifest.resolve(u.audio_path))
         feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
         dsp.write_features(dsp.cmvn(feats), store.path_for(u.key))
-    _echo_config(args, args.out)
     print(f"wrote {len(manifest.utterances)} feature files to {args.out}", file=sys.stderr)
 
 
@@ -143,7 +141,6 @@ def _cmd_pairs(args) -> None:
         )
     with open(args.out, "w") as fh:
         json.dump({"pairs": [p._asdict() for p in pairs]}, fh, indent=1)
-    _echo_config(args, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}", file=sys.stderr)
 
 
@@ -161,7 +158,6 @@ def _cmd_train(args) -> None:
     net.save_checkpoint(result.params, os.path.join(args.out, "model_final.artm"))
     with open(os.path.join(args.out, "history.json"), "w") as fh:
         json.dump(result.history, fh, indent=1)
-    _echo_config(args, args.out)
     last = result.history[-1]
     print(
         f"trained {cfg.epochs} epochs, final train accuracy "
@@ -178,7 +174,6 @@ def _cmd_eval(args) -> None:
     report = training.evaluate(params, pairs, store, args.threshold)
     with open(args.report, "w") as fh:
         json.dump(report.to_dict(), fh, indent=1)
-    _echo_config(args, args.report)
     print(
         f"accuracy {report.accuracy:.3f}, AUC {report.auc:.3f} "
         f"on {report.n} pairs",
@@ -201,7 +196,6 @@ def _cmd_analyze(args) -> None:
         solo_range=solo_range,
     )
     analysis.emit_report(report, args.out)
-    _echo_config(args, args.out)
     print(f"wrote convergence report to {args.out}", file=sys.stderr)
 
 
@@ -305,6 +299,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         args.func(args)
+        out = getattr(args, "out", None) or getattr(args, "report", None)
+        if out:  # gradcheck writes no files
+            _echo_config(args, out)
     except (PhonosimError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,9 +226,8 @@ def build_condition_pairs(
     """
     if condition not in ("interactive", "imitation"):
         raise DataError(f"condition must be interactive or imitation, got {condition!r}")
-    utts = [
-        u for u in m.utterances if u.condition == condition and u.session in set(sessions)
-    ]
+    chosen = set(sessions)
+    utts = [u for u in m.utterances if u.condition == condition and u.session in chosen]
     if not utts:
         raise DataError(f"no utterances for condition {condition!r} in sessions {sessions}")
 

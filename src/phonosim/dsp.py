@@ -114,7 +114,8 @@ def resample_linear(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
 
 def _read_pcm16(path: str | os.PathLike):
     """``(rate, data)`` of a 16-bit PCM WAV, shaped as ``scipy.io.wavfile``
-    gives it, read with stdlib ``wave``; None for any other file."""
+    gives it, read with stdlib ``wave``; None for any other file.  Raises
+    ``OSError`` for a file that cannot be opened."""
     try:
         with wave.open(os.fspath(path), "rb") as fh:
             if fh.getsampwidth() != 2:
@@ -124,7 +125,7 @@ def _read_pcm16(path: str | os.PathLike):
             if channels > 1:
                 data = data.reshape(-1, channels)
             return fh.getframerate(), data
-    except (OSError, EOFError, ValueError, struct.error, wave.Error):
+    except (EOFError, ValueError, struct.error, wave.Error):
         return None
 
 
@@ -142,8 +143,6 @@ def load_audio(path: str | os.PathLike) -> Waveform:
 
         try:
             read = wavfile.read(path)
-        except FileNotFoundError:
-            raise
         except Exception as exc:
             raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
     rate, data = read

@@ -109,12 +109,6 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     return ModelParams(dims=dims, **tensors)
 
 
-def parameter_count(dims: ModelDims) -> int:
-    """Trainable parameter total for this architecture's accounting."""
-    shapes = _tensor_shapes(dims)
-    return sum(math.prod(shapes[name]) for name in TRAINABLE_TENSORS)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0

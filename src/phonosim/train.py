@@ -351,50 +351,50 @@ def train(
     The shuffle, dropout masks, and initialization are all keyed to
     ``config.seed``; identical config and seed reproduce the history
     exactly.  The checkpoint with the best validation accuracy is retained
-    alongside the final parameters.
+    alongside the final parameters.  Without ``init`` the model's input
+    width is the features'.
     """
-    triples = [p[:3] for p in train_pairs]
+    train_pairs = list(train_pairs)
     val_pairs = list(val_pairs) if val_pairs else []
-    if not triples:
+    if not train_pairs:
         raise DataError("empty training set")
+    labels = np.array([p[2] for p in train_pairs], dtype=np.float64)
     # the epoch metrics need both labels; fail before the first epoch
-    set_labels = {"training": [t[2] for t in triples], "validation": [p[2] for p in val_pairs]}
-    for name, ys in set_labels.items():
+    for name, ys in (("training", labels), ("validation", [p[2] for p in val_pairs])):
         if len(set(ys)) == 1:
             raise DataError(
-                f"{name} set has only label-{ys[0]} pairs; "
+                f"{name} set has only label-{int(ys[0])} pairs; "
                 "AUC needs at least one positive and one negative"
             )
-    params = init.copy() if init is not None else init_params(ModelDims(), config.seed)
+    # the pair set is read from the store once, and a batch gathers its rows
+    # by index.  Only the dedup (a key's slots share its RNN pass) relies on
+    # the store returning one object per key; the worker bound counts the
+    # distinct objects read here, so it holds whatever the store returns
+    lefts = [store[p[0]] for p in train_pairs]
+    rights = [store[p[1]] for p in train_pairs]
+    distinct = {id(f): f for f in lefts + rights}.values()
+    d_in = init.dims.d_in if init is not None else lefts[0].shape[1]
+    max_len = max(len(f) for f in distinct)
+    max_rows = min(2 * config.batch_size, len(distinct))
+    params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
 
     history = []
     best_params = params.copy()
     best_score = -np.inf
-    keys = {k for t in triples for k in t[:2]}
-    max_len = max(len(store[k]) for k in keys)
-    # distinct utterances per batch: at most two per pair, and at most every
-    # key of the set, since the store returns one object per key
-    max_rows = min(2 * config.batch_size, len(keys))
+    sims = np.empty(len(labels))
     with backward_worker(params.dims, max_len, max_rows) as worker:
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
-            order = rng.permutation(len(triples))
+            order = rng.permutation(len(labels))
             total_loss = 0.0
-            all_sims = np.empty(len(triples))
-            all_labels = np.empty(len(triples))
-            done = 0
             for bi, start in enumerate(range(0, len(order), config.batch_size)):
-                batch = [triples[i] for i in order[start : start + config.batch_size]]
-                # the store returns one object per key, so a key's slots share
-                # its RNN pass
-                lefts = [store[l] for l, _, _ in batch]
-                rights = [store[r] for _, r, _ in batch]
-                labels = np.array([y for _, _, y in batch], dtype=np.float64)
-                masks = _dropout_masks(rng, 2 * len(batch), params, config.dropout_rate)
-                loss, grads, bn_stats, sims = pair_forward_backward(
-                    params, lefts, rights, labels, config.l1_coeff, masks, worker
+                idx = order[start : start + config.batch_size]
+                masks = _dropout_masks(rng, 2 * len(idx), params, config.dropout_rate)
+                loss, grads, (mu, var), sims[idx] = pair_forward_backward(
+                    params, [lefts[i] for i in idx], [rights[i] for i in idx],
+                    labels[idx], config.l1_coeff, masks, worker,
                 )
                 if not np.isfinite(loss):
                     raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")
@@ -402,19 +402,16 @@ def train(
                     state, params, grads, lr,
                     config.adam_beta1, config.adam_beta2, config.adam_eps,
                 )
-                mu, var = bn_stats
                 params.bn_mean = BN_MOMENTUM * params.bn_mean + (1.0 - BN_MOMENTUM) * mu
                 params.bn_var = BN_MOMENTUM * params.bn_var + (1.0 - BN_MOMENTUM) * var
-                total_loss += loss * len(batch)
-                all_sims[done : done + len(batch)] = sims
-                all_labels[done : done + len(batch)] = labels
-                done += len(batch)
+                total_loss += loss * len(idx)
 
-            train_report = metrics_from_scores(all_sims, all_labels, config.threshold)
+            # accuracy and the rank-sum AUC do not depend on the pairs' order
+            train_report = metrics_from_scores(sims, labels, config.threshold)
             record = {
                 "epoch": epoch,
                 "lr": lr,
-                "train_loss": total_loss / len(triples),
+                "train_loss": total_loss / len(labels),
                 "train_accuracy": train_report.accuracy,
             }
             if val_pairs:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phonosim
-from phonosim import cli, corpus, dsp, train as training
+from phonosim import cli, corpus, dsp, net, train as training
 from phonosim.errors import PhonosimError
 
 
@@ -283,14 +283,19 @@ def test_import_loads_no_scipy():
 
 
 def test_features_loads_no_scipy(pipeline, tmp_path):
-    """synth writes 16-bit PCM, which features reads without SciPy."""
+    """synth writes 16-bit PCM, which features reads without SciPy; a
+    missing WAV fails with exit 2 before SciPy is tried."""
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
-    out = str(tmp_path / "features")
-    loaded = _modules_loaded_by(
-        "from phonosim import cli; "
-        f"assert cli.main(['features', '--manifest', {manifest!r}, '--out', {out!r}]) == 0"
-    )
-    assert loaded == "[]"
+    away = tmp_path / "away"
+    away.mkdir()
+    missing_wavs = shutil.copy(manifest, away)  # its audio paths are relative
+    for path, code in ((manifest, 0), (missing_wavs, 2)):
+        out = str(tmp_path / f"features{code}")
+        loaded = _modules_loaded_by(
+            "from phonosim import cli; "
+            f"assert cli.main(['features', '--manifest', {path!r}, '--out', {out!r}]) == {code}"
+        )
+        assert loaded == "[]"
 
 
 @pytest.mark.parametrize(
@@ -447,8 +452,8 @@ def test_bad_gradcheck_tolerance_exit_code(capsys, tolerance):
 
 
 def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
-    """n_ceps 12 writes 36-column features, which the default 39-input
-    model rejects at train."""
+    """n_ceps 12 writes 36-column features; train sizes its model from
+    them, and eval rejects them for the pipeline's 39-input model."""
     config = tmp_path / "mfcc.json"
     config.write_text('{"n_ceps": 12}')
     features = tmp_path / "features"
@@ -459,11 +464,34 @@ def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
     widths = {dsp.read_features(p).frames.shape[1] for p in features.glob("*.artf")}
     assert widths == {36}
     model = tmp_path / "model"
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text('{"epochs": 2}')
+    assert cli.main([
+        "train", "--features", str(features), "--pairs", pipeline["pairs"],
+        "--config", str(train_cfg), "--out", str(model),
+    ]) == 0
+    assert net.load_checkpoint(model / "model.artm").dims.d_in == 36
+    report = tmp_path / "report.json"
+    assert cli.main([
+        "eval", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--pairs", pipeline["pairs"], "--features", str(features), "--report", str(report),
+    ]) == 2
+    assert "model expects (frames, 39)" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_train_mixed_feature_widths_exit_code(pipeline, tmp_path, capsys):
+    """A training set whose features differ in width fails; the model takes
+    the first pair's width."""
+    features = shutil.copytree(pipeline["features"], tmp_path / "features")
+    left = json.loads(Path(pipeline["pairs"]).read_text())["pairs"][0]["left"]
+    dsp.write_features(np.zeros((5, 36)), features / f"{left}.artf")
+    model = tmp_path / "model"
     assert cli.main([
         "train", "--features", str(features), "--pairs", pipeline["pairs"],
         "--out", str(model),
     ]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "model expects (frames, 36)" in capsys.readouterr().err
     assert not model.exists()
 
 

@@ -2,12 +2,6 @@
 
 Frozen values:
   - cosine((1,2,3), (4,5,6)) = 32 / (sqrt(14) * sqrt(77)) = 0.9746318461970762
-  - parameter_count(39, 50, 50) = 16,800:
-      RNN   2 * (50*39 + 50*50 + 50) = 9,000
-      FF    50 * 100 + 50           = 5,050
-      EMB   50 * 50 + 50            = 2,550
-      BN    2 * 100                 =   200
-  - parameter_count(1, 1, 1) = 6 + 3 + 2 + 4 = 15
 """
 
 from pathlib import Path
@@ -26,18 +20,6 @@ def small_params():
 
 # ---------------------------------------------------------------------------
 # parameters
-
-
-def test_parameter_count_frozen_values():
-    assert net.parameter_count(net.ModelDims(39, 50, 50)) == 16800
-    assert net.parameter_count(net.ModelDims(1, 1, 1)) == 15
-
-
-def test_parameter_count_matches_tensor_sizes(small_params):
-    total = sum(
-        getattr(small_params, name).size for name in net.TRAINABLE_TENSORS
-    )
-    assert total == net.parameter_count(small_params.dims)
 
 
 def test_init_params_contract(small_params):

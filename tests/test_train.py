@@ -615,21 +615,47 @@ def _recording_workers(monkeypatch):
     return made
 
 
-@needs_fork
-def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkeypatch):
-    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
-    cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4)
+def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
+    """Train with the worker and in process; require identical results."""
     made = _recording_workers(monkeypatch)
     _cpus(monkeypatch, 2)
-    forked = tr.train(cfg, train_pairs, val_pairs, tiny_features)
+    forked = tr.train(cfg, train_pairs, val_pairs, store)
     _cpus(monkeypatch, 1)
-    inline = tr.train(cfg, train_pairs, val_pairs, tiny_features)
+    inline = tr.train(cfg, train_pairs, val_pairs, store)
     assert made[0] is net.BackwardWorker and made[1] is not net.BackwardWorker
     assert forked.history == inline.history
     for name in net.ALL_TENSORS:
         for a, b in ((forked.params, inline.params), (forked.best_params, inline.best_params)):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkeypatch):
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4)
+    _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, tiny_features)
+
+
+class _CopyingStore:
+    """A store that returns a fresh copy of a key's matrix on every lookup."""
+
+    def __init__(self, feats):
+        self.feats = feats
+
+    def __getitem__(self, key):
+        return self.feats[key].copy()
+
+
+@needs_fork
+def test_train_worker_sized_for_a_copying_store(monkeypatch):
+    """Each lookup of a copying store is a distinct matrix, so a batch of
+    6 pairs over 3 keys holds 12; the worker's buffers are sized for them."""
+    rng = np.random.default_rng(3)
+    store = _CopyingStore({k: rng.normal(size=(9, 39)) for k in "abc"})
+    pairs = [(l, r, y) for l, r in ("ab", "bc", "ca") for y in (0, 1)]
+    cfg = tr.TrainConfig(epochs=2, batch_size=6, seed=1)
+    _forked_and_inline(monkeypatch, cfg, pairs, [], store)
 
 
 def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
