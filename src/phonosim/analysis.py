@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import SCRIPT_SENTENCES, Manifest, PairExample
 from .corpus import build_condition_pairs, build_solo_pairs
 from .errors import DataError
-from .train import score_similarities
+from .train import THRESHOLD, score_similarities
 
 # Scores are differences of means of cosines in [0, 1], so a mean's rounding
 # error (~1e-16) can make equal scores differ; a smaller spread is no spread.
@@ -153,7 +153,6 @@ def cross_condition_pairs(
 
 @dataclass
 class ConvergenceReport:
-    threshold: float
     # condition -> relation -> {mean, std, n}
     condition_stats: dict = field(default_factory=dict)
     # speaker -> {imitation_ability, convergence_degree, + normalized}
@@ -164,7 +163,7 @@ class ConvergenceReport:
 
     def to_dict(self) -> dict:
         return {
-            "threshold": self.threshold,
+            "threshold": THRESHOLD,
             "condition_stats": self.condition_stats,
             "speaker_scores": self.speaker_scores,
             "correlation": self.correlation,
@@ -176,7 +175,6 @@ def build_report(
     manifest: Manifest,
     store,
     sessions: list[int],
-    threshold: float = 0.5,
     solo_range: tuple[int, int] | None = None,
 ) -> ConvergenceReport:
     """Score, filter, and summarize a corpus into a ConvergenceReport.
@@ -188,6 +186,11 @@ def build_report(
     baseline variant feeds the per-speaker scores.  ``solo_range`` picks
     the solo sentences, all of them by default; raises ``DataError`` when
     it gives no solo pairs.
+
+    Both members of a dyad get the same convergence degree, since every
+    intra-dyad pair holds both of them.  The Pearson r is taken over
+    speakers, so it counts each dyad twice, and its ``n`` and p-value
+    overstate the evidence: the independent units are the dyads.
     """
     lo, hi = solo_range or (1, SCRIPT_SENTENCES)
     solo_pairs = build_solo_pairs(manifest, lo, hi)
@@ -211,10 +214,10 @@ def build_report(
     table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)
     ends = np.cumsum([len(s) for s in pair_sets]).tolist()
     solo, inter, imit, inter_vs_solo, imit_vs_solo = (
-        filter_scores(table.take(slice(a, b)), threshold) for a, b in zip([0] + ends, ends)
+        filter_scores(table.take(slice(a, b)), THRESHOLD) for a, b in zip([0] + ends, ends)
     )
 
-    report = ConvergenceReport(threshold=threshold)
+    report = ConvergenceReport()
     within = {"solo": solo, "interactive": inter, "imitation": imit}
     baseline = {"interactive": inter_vs_solo, "imitation": imit_vs_solo}
     for condition, part in within.items():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import reprlib
 import sys
@@ -20,10 +19,10 @@ from .errors import PhonosimError, check_name, read_json
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
-    """Serialize the resolved arguments next to the subcommand's outputs."""
+    """Serialize the resolved arguments next to the subcommand's outputs:
+    into ``out`` when the stage made it a directory, else beside the file."""
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    if os.path.isdir(out) or not os.path.splitext(out)[1]:
-        os.makedirs(out, exist_ok=True)
+    if os.path.isdir(out):
         path = os.path.join(out, "resolved_config.json")
     else:
         path = os.path.splitext(out)[0] + ".config.json"
@@ -70,12 +69,6 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
     for key in dict.fromkeys(k for p in pairs for k in p[:2]):
         check_name(key, f"pairs file {path}: key", corpus.MAX_KEY_CHARS)
     return pairs
-
-
-def _check_flag(flag: str, value: float, positive: bool = False) -> None:
-    if not math.isfinite(value) or (positive and value <= 0):
-        need = "finite and positive" if positive else "finite"
-        raise PhonosimError(f"{flag} must be {need}, got {value}")
 
 
 def _load_config(cls, what: str, path: str | None, **overrides):
@@ -167,11 +160,10 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    _check_flag("--threshold", args.threshold)
     params = net.load_checkpoint(args.model)
     pairs = _load_pairs_file(args.pairs)
     store = dsp.FeatureStore(args.features)
-    report = training.evaluate(params, pairs, store, args.threshold)
+    report = training.evaluate(params, pairs, store)
     with open(args.report, "w") as fh:
         json.dump(report.to_dict(), fh, indent=1)
     print(
@@ -182,7 +174,6 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    _check_flag("--threshold", args.threshold)
     params = net.load_checkpoint(args.model)
     manifest = corpus.load_manifest(args.manifest)
     store = dsp.FeatureStore(args.features)
@@ -192,7 +183,6 @@ def _cmd_analyze(args) -> None:
         manifest,
         store,
         sessions=_parse_sessions(args.sessions),
-        threshold=args.threshold,
         solo_range=solo_range,
     )
     analysis.emit_report(report, args.out)
@@ -200,7 +190,6 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_gradcheck(args) -> None:
-    _check_flag("--tolerance", args.tolerance, positive=True)
     try:
         d_in, d_hidden, d_rep = (int(v) for v in args.dims.split(","))
     except ValueError:
@@ -211,12 +200,12 @@ def _cmd_gradcheck(args) -> None:
     worst = max(errors.values())
     for name, err in errors.items():
         print(f"{name:10s} max relative error {err:.3e}")
-    if worst >= args.tolerance:
+    if worst >= training.GRADCHECK_TOLERANCE:
         raise PhonosimError(
             f"gradient check failed: worst relative error {worst:.3e} "
-            f">= {args.tolerance}"
+            f">= {training.GRADCHECK_TOLERANCE}"
         )
-    print(f"gradient check passed (worst {worst:.3e} < {args.tolerance})")
+    print(f"gradient check passed (worst {worst:.3e} < {training.GRADCHECK_TOLERANCE})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON file of MFCC parameter overrides")
+    p.add_argument("--config", help='JSON MFCC config, e.g. {"n_ceps": 12}')
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("pairs", help="build labeled verification pairs")
@@ -269,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_eval)
 
@@ -278,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--sessions", required=True, help="interactive sessions, e.g. 1,2")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--solo-range", help="solo sentence range LO:HI")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
@@ -286,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--dims", default="5,4,3", help="d_in,d_hidden,d_rep")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -2,8 +2,8 @@
 
 Audio goes in as PCM WAV, comes out as per-utterance feature matrices:
 ``n_ceps`` static MFCCs + as many deltas + as many delta-deltas (13 each,
-39 columns, by default), optionally CMVN-normalized, persisted in a small
-binary format (magic ``ARTF``).
+39 columns, by default), CMVN-normalized, persisted in a small binary
+format (magic ``ARTF``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import reprlib
 import struct
 import wave
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,56 +26,27 @@ PIPELINE_RATE = 16000
 FEATURE_MAGIC = b"ARTF"
 
 
+# the front end is fixed: 25 ms Hann frames every 10 ms at PIPELINE_RATE,
+# a 512-point FFT, 40 mel filters over 0-8 kHz and a floored log
+WINDOW_SAMPLES = 400
+HOP_SAMPLES = 160
+N_FFT = 512
+N_MELS = 40
+PREEMPHASIS = 0.97
+FMIN = 0.0
+FMAX = 8000.0
+LOG_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class MfccConfig:
-    window: float = 0.025
-    hop: float = 0.010
-    n_fft: int = 512
-    n_mels: int = 40
     n_ceps: int = 13
-    preemphasis: float = 0.97
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    log_floor: float = 1e-10
-    delta_window: int = 4
+    delta_window: ClassVar[int] = 4
 
     def __post_init__(self):
-        # mel_filterbank and the DCT basis are cached by config, so a value
-        # that cannot produce features must fail here, before it is cached
         check_numeric_fields(self)
-        try:
-            sizes = (
-                self.n_fft, self.n_mels, self.n_ceps,
-                self.window_samples, self.hop_samples, self.delta_window,
-            )
-        except OverflowError:
-            raise DataError("MFCC window or hop is too long")
-        if min(sizes) < 1:
-            raise DataError(
-                "MFCC n_fft, n_mels, n_ceps, window, hop and "
-                "delta_window must each be at least one (sample)"
-            )
-        if self.n_ceps > self.n_mels:
-            raise DataError(f"n_ceps {self.n_ceps} exceeds n_mels {self.n_mels}")
-        if self.window_samples > self.n_fft:
-            raise DataError(
-                f"window of {self.window_samples} samples exceeds n_fft {self.n_fft}"
-            )
-        if not 0 <= self.fmin < self.fmax <= PIPELINE_RATE / 2:
-            raise DataError(
-                f"need 0 <= fmin < fmax <= {PIPELINE_RATE / 2:g} Hz (Nyquist), "
-                f"got fmin {self.fmin}, fmax {self.fmax}"
-            )
-        if self.log_floor <= 0:
-            raise DataError("log_floor must be > 0")
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window * PIPELINE_RATE))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop * PIPELINE_RATE))
+        if not 1 <= self.n_ceps <= N_MELS:
+            raise DataError(f"n_ceps must lie in [1, {N_MELS}], got {self.n_ceps}")
 
 
 @dataclass(frozen=True)
@@ -173,17 +145,17 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft // 2 + 1).
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filterbank, shape (N_MELS, N_FFT // 2 + 1).
 
-    Built once per config; every caller gets the same read-only array.
+    Built once; every caller gets the same read-only array.
     """
-    mel_pts = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    mel_pts = np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), N_MELS + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    bins = np.fft.rfftfreq(cfg.n_fft, d=1.0 / PIPELINE_RATE)
-    fb = np.zeros((cfg.n_mels, len(bins)))
-    for i in range(cfg.n_mels):
+    bins = np.fft.rfftfreq(N_FFT, d=1.0 / PIPELINE_RATE)
+    fb = np.zeros((N_MELS, len(bins)))
+    for i in range(N_MELS):
         lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         rise = (bins - lo) / (mid - lo)
         fall = (hi - bins) / (hi - mid)
@@ -193,8 +165,9 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _dct_basis(n: int, k: int) -> np.ndarray:
-    """The first ``k`` orthonormal DCT-II vectors over ``n`` points, as columns."""
+def _dct_basis(k: int) -> np.ndarray:
+    """The first ``k`` orthonormal DCT-II vectors over ``N_MELS`` points, as columns."""
+    n = N_MELS
     j = np.arange(k)
     basis = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, j))
     basis *= np.where(j == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
@@ -203,8 +176,8 @@ def _dct_basis(n: int, k: int) -> np.ndarray:
 
 
 def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
-    """Static MFCCs: ``cfg.n_ceps`` coefficients per ``cfg.window`` frame,
-    one frame per ``cfg.hop`` (13, 25 ms and 10 ms by default).
+    """Static MFCCs: ``cfg.n_ceps`` coefficients (13 by default) per
+    ``WINDOW_SAMPLES`` frame (25 ms), one frame per ``HOP_SAMPLES`` (10 ms).
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
     log (floored), DCT-II (ortho), keep coefficients 0 to n_ceps - 1.  Raises
@@ -215,19 +188,16 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
         raise DataError(
             f"MFCC needs {PIPELINE_RATE} Hz audio, waveform is {w.sample_rate} Hz"
         )
-    win = cfg.window_samples
-    hop = cfg.hop_samples
-    n = frame_count(len(w.samples), win, hop)
+    n = frame_count(len(w.samples), WINDOW_SAMPLES, HOP_SAMPLES)
 
     x = w.samples
-    emph = np.concatenate(([x[0]], x[1:] - cfg.preemphasis * x[:-1]))
-    idx = np.arange(win)[None, :] + hop * np.arange(n)[:, None]
-    frames = emph[idx] * np.hanning(win)
+    emph = np.concatenate(([x[0]], x[1:] - PREEMPHASIS * x[:-1]))
+    idx = np.arange(WINDOW_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(n)[:, None]
+    frames = emph[idx] * np.hanning(WINDOW_SAMPLES)
 
-    spec = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1))
-    fb = mel_filterbank(cfg)
-    energies = np.log(np.maximum(spec @ fb.T, cfg.log_floor))
-    ceps = energies @ _dct_basis(cfg.n_mels, cfg.n_ceps)
+    spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
+    energies = np.log(np.maximum(spec @ mel_filterbank().T, LOG_FLOOR))
+    ceps = energies @ _dct_basis(cfg.n_ceps)
     return FeatureMatrix(frames=ceps)
 
 

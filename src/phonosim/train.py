@@ -29,6 +29,12 @@ from .net import (
 
 PROB_CLIP = 1e-7
 
+# a pair whose similarity reaches THRESHOLD is called a same-speaker pair
+THRESHOLD = 0.5
+
+# phonosim gradcheck fails at or above this worst relative error
+GRADCHECK_TOLERANCE = 1e-4
+
 # utterances per inference batch; larger batches raise peak memory for
 # little speed
 EMBED_ROWS = 16
@@ -43,10 +49,6 @@ class TrainConfig:
     l1_coeff: float = 1e-5
     dropout_rate: float = 0.2
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    threshold: float = 0.5
 
     def __post_init__(self):
         check_numeric_fields(self)
@@ -63,10 +65,6 @@ class TrainConfig:
             raise DataError("dropout_rate must lie in [0, 1)")
         if self.l1_coeff < 0:
             raise DataError("l1_coeff must be >= 0")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise DataError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise DataError("adam_eps must be > 0")
 
 
 def bce_loss(similarity: float, label: int) -> float:
@@ -172,7 +170,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Standard bias-corrected Adam update, in place.
+    """Standard bias-corrected Adam update, in place, with the defaults of
+    Kingma & Ba (2015).
 
     One pass over the concatenated gradient; every element takes the same
     operations in the same order as a per-tensor update, so the result is
@@ -260,7 +259,7 @@ def roc_auc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def metrics_from_scores(scores, labels, threshold: float = 0.5) -> MetricsReport:
+def metrics_from_scores(scores, labels, threshold: float = THRESHOLD) -> MetricsReport:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) == 0:
@@ -322,14 +321,15 @@ def score_similarities(params: ModelParams, pairs, store) -> np.ndarray:
     return sims
 
 
-def evaluate(params: ModelParams, pairs, store, threshold: float = 0.5) -> MetricsReport:
-    """Threshold the infer-mode similarities and compute the metric suite."""
+def evaluate(params: ModelParams, pairs, store) -> MetricsReport:
+    """Threshold the infer-mode similarities at ``THRESHOLD`` and compute the
+    metric suite."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("empty pair set")
     sims = score_similarities(params, pairs, store)
     labels = np.array([p[2] for p in pairs])
-    return metrics_from_scores(sims, labels, threshold)
+    return metrics_from_scores(sims, labels)
 
 
 @dataclass
@@ -373,7 +373,15 @@ def train(
     lefts = [store[p[0]] for p in train_pairs]
     rights = [store[p[1]] for p in train_pairs]
     distinct = {id(f): f for f in lefts + rights}.values()
-    d_in = init.dims.d_in if init is not None else lefts[0].shape[1]
+    widths = sorted({f.shape[1] for f in distinct})
+    if len(widths) > 1:
+        raise DataError(f"training features differ in width: {widths} columns")
+    d_in = widths[0]
+    if init is not None and init.dims.d_in != d_in:
+        raise DataError(
+            f"training features have {d_in} columns, the initial model "
+            f"expects {init.dims.d_in}"
+        )
     max_len = max(len(f) for f in distinct)
     max_rows = min(2 * config.batch_size, len(distinct))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
@@ -398,16 +406,13 @@ def train(
                 )
                 if not np.isfinite(loss):
                     raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                adam_step(
-                    state, params, grads, lr,
-                    config.adam_beta1, config.adam_beta2, config.adam_eps,
-                )
+                adam_step(state, params, grads, lr)
                 params.bn_mean = BN_MOMENTUM * params.bn_mean + (1.0 - BN_MOMENTUM) * mu
                 params.bn_var = BN_MOMENTUM * params.bn_var + (1.0 - BN_MOMENTUM) * var
                 total_loss += loss * len(idx)
 
             # accuracy and the rank-sum AUC do not depend on the pairs' order
-            train_report = metrics_from_scores(sims, labels, config.threshold)
+            train_report = metrics_from_scores(sims, labels)
             record = {
                 "epoch": epoch,
                 "lr": lr,
@@ -415,7 +420,7 @@ def train(
                 "train_accuracy": train_report.accuracy,
             }
             if val_pairs:
-                val_report = evaluate(params, val_pairs, store, config.threshold)
+                val_report = evaluate(params, val_pairs, store)
                 record["validation"] = val_report.to_dict()
                 score = val_report.accuracy
             else:
@@ -435,20 +440,19 @@ def gradient_check(
     dims: ModelDims = ModelDims(5, 4, 3),
     seed: int = 0,
     lengths: tuple = (7, 5, 6, 4),
-    eps: float = 1e-5,
-    dropout_rate: float = 0.2,
-    l1_coeff: float = 1e-4,
 ) -> dict[str, float]:
     """Max relative error of each tensor's analytic gradient vs central FD.
 
     The check point uses a larger weight scale than training init: tiny
     weights put every embedding near 0.5, driving the cosine similarity to
     ~1 where the 1/(1-p) cross-entropy factor amplifies roundoff and
-    drowns small finite differences.  Weights within ``10 * eps`` of 0 are
-    moved to ``+-10 * eps``, so no difference straddles the kink of the L1
-    term at 0.
+    drowns small finite differences.  The differences step by ``eps``
+    (1e-5), under dropout 0.2 and an L1 weight of 1e-4.  Weights within
+    ``10 * eps`` of 0 are moved to ``+-10 * eps``, so no difference
+    straddles the kink of the L1 term at 0.
     """
     check_seed(seed)
+    eps, dropout_rate, l1_coeff = 1e-5, 0.2, 1e-4
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed)
     for name in WEIGHT_TENSORS + ("bf", "bb", "by", "be"):

@@ -469,9 +469,7 @@ def test_config_validation():
         tr.TrainConfig(l1_coeff=-1.0)
     for bad in (
         {"epochs": 0}, {"epochs": "5"}, {"epochs": True}, {"batch_size": 2.5},
-        {"seed": -3}, {"lr0": float("nan")}, {"threshold": float("inf")},
-        {"adam_beta1": 1.0}, {"adam_beta2": -0.1}, {"adam_eps": 0.0},
-        {"lr0": 10**400},
+        {"seed": -3}, {"lr0": float("nan")}, {"lr0": 10**400},
     ):
         with pytest.raises(DataError):
             tr.TrainConfig(**bad)
@@ -588,6 +586,23 @@ def test_train_one_label_set_errors(tiny_corpus, tiny_features, monkeypatch):
     with pytest.raises(DataError, match="training set has only label-1 pairs"):
         tr.train(tr.TrainConfig(epochs=1), positives, val_pairs, tiny_features)
     assert steps == []
+
+
+def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, monkeypatch):
+    """Mixed feature widths, or features of another width than the initial
+    model, fail before the backward worker starts, naming every width."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    started = []
+    monkeypatch.setattr(tr, "backward_worker", lambda *args: started.append(args))
+    mixed = dict(tiny_features)
+    mixed[train_pairs[-1].right] = np.zeros((5, 36))
+    cfg = tr.TrainConfig(epochs=1)
+    with pytest.raises(DataError, match=r"differ in width: \[36, 39\]"):
+        tr.train(cfg, train_pairs, val_pairs, mixed)
+    init = net.init_params(net.ModelDims(36), seed=0)
+    with pytest.raises(DataError, match="have 39 columns, the initial model expects 36"):
+        tr.train(cfg, train_pairs, val_pairs, tiny_features, init=init)
+    assert started == []
 
 
 # ---------------------------------------------------------------------------
