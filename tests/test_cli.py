@@ -381,44 +381,54 @@ def test_bad_mfcc_config_exit_code(pipeline, tmp_path, capsys, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exit_code(pipeline, tmp_path, capsys, command, threshold):
+    """The threshold is the constant train.THRESHOLD: eval and analyze take no
+    --threshold, so any value for it is an unknown argument (exit 1)."""
+    model = os.path.join(pipeline["model_dir"], "model.artm")
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--model", model, "--pairs", pipeline["pairs"],
+                "--report", str(out)]
+    else:
+        argv = ["analyze", "--model", model, "--sessions", "1", "--out", str(out),
+                "--manifest", os.path.join(pipeline["corpus"], "manifest.json")]
+    argv += ["--features", pipeline["features"], f"--threshold={threshold}"]
+    assert cli.main(argv) == 1
+    assert f"unrecognized arguments: --threshold={threshold}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_bad_gradcheck_tolerance_exit_code(capsys, tolerance):
+    """The bound is the constant train.GRADCHECK_TOLERANCE: gradcheck takes no
+    --tolerance, so any value for it is an unknown argument (exit 1)."""
+    assert cli.main(["gradcheck", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --tolerance={tolerance}" in captured.err
+    assert "passed" not in captured.out
+
+
 @pytest.mark.parametrize(
     "reader, setting",
     [
-        ("eval", "--threshold 0.5"), ("analyze", "--threshold 0.5"),
-        ("gradcheck", "--tolerance 1e-4"),
         ("train-config", '{"threshold": 0.6}'), ("train-config", '{"adam_beta1": 0.8}'),
         ("mfcc-config", '{"window": 0.04}'), ("mfcc-config", '{"n_mels": 30}'),
         ("mfcc-config", '{"delta_window": 2}'),
     ],
-    ids=[
-        "eval-threshold", "analyze-threshold", "gradcheck-tolerance", "train-threshold",
-        "train-adam_beta1", "mfcc-window", "mfcc-n_mels", "mfcc-delta_window",
-    ],
+    ids=["train-threshold", "train-adam_beta1", "mfcc-window", "mfcc-n_mels", "mfcc-delta_window"],
 )
 def test_removed_setting_rejected(pipeline, tmp_path, capsys, reader, setting):
-    """The threshold, Adam, MFCC-frame and gradcheck values are constants: a
-    flag that sets one is an unknown argument (exit 1), and a config field
+    """The threshold, Adam and MFCC-frame values are constants: a config field
     that sets one is an unknown field (exit 2, naming field and file)."""
     out = tmp_path / "out"
-    if reader.endswith("-config"):
-        path = tmp_path / "config.json"
-        path.write_text(setting)
-        assert cli.main(_reading(pipeline, reader, path, out)) == 2
-        (name,) = json.loads(setting)
-        err = capsys.readouterr().err
-        assert f"unknown field {name!r}" in err and str(path) in err
-    else:
-        model = os.path.join(pipeline["model_dir"], "model.artm")
-        argv = {
-            "eval": ["eval", "--model", model, "--pairs", pipeline["pairs"],
-                     "--features", pipeline["features"], "--report", str(out)],
-            "analyze": ["analyze", "--model", model, "--features", pipeline["features"],
-                        "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
-                        "--sessions", "1", "--out", str(out)],
-            "gradcheck": ["gradcheck"],
-        }[reader]
-        assert cli.main([*argv, *setting.split()]) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(setting)
+    assert cli.main(_reading(pipeline, reader, path, out)) == 2
+    (name,) = json.loads(setting)
+    err = capsys.readouterr().err
+    assert f"unknown field {name!r}" in err and str(path) in err
     assert not out.exists()
 
 
