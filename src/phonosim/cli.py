@@ -15,7 +15,7 @@ import reprlib
 import sys
 
 from . import analysis, corpus, dsp, net, train as training
-from .errors import PhonosimError, check_name, read_json
+from .errors import PhonosimError, check_name, read_json, run_split
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
@@ -105,14 +105,21 @@ def _cmd_synth(args) -> None:
 def _cmd_features(args) -> None:
     manifest = corpus.load_manifest(args.manifest)
     cfg = _load_config(dsp.MfccConfig, "MFCC config", args.config)
-    os.makedirs(args.out, exist_ok=True)
     store = dsp.FeatureStore(args.out)
+    tasks = []  # (WAV path, feature path) of each utterance, checked before any is written
     for u in manifest.utterances:
         if u.audio_path is None:
             raise PhonosimError(f"utterance {u.key} has no audio_path")
-        wav = dsp.load_audio(manifest.resolve(u.audio_path))
+        tasks.append((manifest.resolve(u.audio_path), store.path_for(u.key)))
+
+    def extract(task):
+        wav_path, feature_path = task
+        wav = dsp.load_audio(wav_path)
         feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
-        dsp.write_features(dsp.cmvn(feats), store.path_for(u.key))
+        dsp.write_features(dsp.cmvn(feats), feature_path)
+
+    os.makedirs(args.out, exist_ok=True)
+    run_split(extract, tasks)
     print(f"wrote {len(manifest.utterances)} feature files to {args.out}", file=sys.stderr)
 
 

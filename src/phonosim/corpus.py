@@ -23,6 +23,7 @@ import numpy as np
 from .dsp import PIPELINE_RATE
 from .errors import (
     DataError, ManifestError, check_name, check_numeric_fields, check_seed, read_json,
+    run_split,
 )
 
 CONDITIONS = ("solo", "interactive", "imitation")
@@ -409,7 +410,9 @@ def generate_synthetic_corpus(
     noise, delivered at a speaker-specific amplitude-modulation rate.  In the
     interactive and imitation conditions the second member of each dyad speaks
     with envelope and rate interpolated toward the partner by the convergence
-    parameter ``lam``.  Identical (config, seed) gives byte-identical output.
+    parameter ``lam``.  Identical (config, seed) gives byte-identical output:
+    each WAV draws from its own seed sequence, so it does not matter which
+    process ``run_split`` gives it to.
     """
     check_seed(seed)
     out_dir = str(out_dir)
@@ -427,6 +430,7 @@ def generate_synthetic_corpus(
     schedule += [("imitation", k + 1) for k in range(config.imitation_sessions)]
 
     utterances = []
+    tasks = []  # (traits, sentence, seed entropy, WAV path) of each utterance
     cond_index = {c: i for i, c in enumerate(CONDITIONS)}
     for si, spk in enumerate(speakers):
         for condition, session in schedule:
@@ -434,20 +438,21 @@ def generate_synthetic_corpus(
             if condition != "solo" and si % 2 == 1:  # converges toward the first member
                 spk_traits = effective_traits(spk_traits, traits[si - 1], config.lam)
             for sentence in range(1, config.n_sentences + 1):
-                order, durations = _sentence_content(seed, sentence)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        [seed, si, cond_index[condition], session, sentence]
-                    )
-                )
-                x = _synth_utterance(spk_traits, order, durations, rng)
                 u = Utterance(spk.id, condition, session, sentence)
                 u = replace(u, audio_path=os.path.join("audio", u.key + ".wav"))
-                _write_wav(os.path.join(out_dir, u.audio_path), x)
                 utterances.append(u)
+                entropy = [seed, si, cond_index[condition], session, sentence]
+                tasks.append((spk_traits, sentence, entropy, os.path.join(out_dir, u.audio_path)))
+
+    def write(task):
+        spk_traits, sentence, entropy, path = task
+        order, durations = _sentence_content(seed, sentence)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        _write_wav(path, _synth_utterance(spk_traits, order, durations, rng))
 
     manifest = Manifest(
         speakers=speakers, dyads=dyads, utterances=utterances, root=out_dir
     )
+    run_split(write, tasks)
     save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, PhonosimError
+from .errors import CheckpointError, DataError, PhonosimError, usable_cpus
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
@@ -166,6 +166,7 @@ def _run_direction(x, w, u, b, active, hseq):
     steps = len(hseq)
     wt = np.ascontiguousarray(w.T)
     ut = np.ascontiguousarray(u.T)
+    bias = np.tile(b, (n, 1))  # a same-shape add is cheaper than a broadcast one
     rec = np.empty((n, w.shape[0]))
     final = np.empty_like(rec)
     for t in range(len(x)):
@@ -174,7 +175,7 @@ def _run_direction(x, w, u, b, active, hseq):
         np.dot(x[t, :k], wt, out=h)
         if t > 0:  # h_{-1} = 0
             h += np.dot(hseq[(t - 1) % steps, :k], ut, out=rec[:k])
-        h += b
+        h += bias[:k]
         np.tanh(h, out=h)
         ended = active[t + 1]
         if ended < k:
@@ -434,9 +435,8 @@ def backward_worker(dims: ModelDims, max_len: int, max_rows: int):
     or in a daemon process, which may not start children."""
     import multiprocessing  # here, so that importing phonosim stays cheap
 
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if (
-        len(cpus) < 2
+        usable_cpus() < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):

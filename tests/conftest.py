@@ -1,7 +1,9 @@
-"""Shared fixtures: a tiny synthetic corpus with in-memory features, and
-the hypothesis strategies that fuzz the JSON input files."""
+"""Shared fixtures: a tiny synthetic corpus with in-memory features, the
+usable-CPU patch, and the hypothesis strategies that fuzz the JSON input
+files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ def tiny_features(tiny_corpus):
         feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
         store[u.key] = dsp.cmvn(feats).frames
     return store
+
+
+def set_cpus(monkeypatch, n):
+    """Make the package see ``n`` usable CPUs: with two or more, ``train``
+    starts its backward worker and ``synth``/``features`` fork a child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1,)):

@@ -5,12 +5,15 @@ then exercises gradcheck and the error paths (exit code 2 for data errors,
 1 for usage errors).
 """
 
+import contextlib
 import dataclasses
+import faulthandler
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,9 @@ import pytest
 
 import phonosim
 from phonosim import cli, corpus, dsp, net, train as training
-from phonosim.errors import PhonosimError
+from phonosim.errors import AudioError, DataError, PhonosimError, run_split
+
+from conftest import set_cpus
 
 
 @pytest.fixture(scope="module")
@@ -701,6 +706,162 @@ def test_long_value_error_is_short(pipeline, tmp_path, capsys, case):
     assert err.startswith("error:") and str(path) in err
     assert len(err.encode()) < 1024
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# synth and features on two CPUs: a forked child takes the odd-indexed
+# utterances, the caller the even-indexed ones
+
+
+def _assert_no_child_left():
+    """Every child of this process has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Abort the test run with a traceback, not hang, past ``seconds``."""
+    faulthandler.dump_traceback_later(seconds, exit=True, file=sys.__stderr__)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _file_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but the argument records, which hold paths."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and not p.name.endswith("config.json")
+    }
+
+
+def test_split_stages_bytes_match_inline(tmp_path, monkeypatch):
+    """synth then features write the same bytes with two usable CPUs as with
+    one, for an even utterance count, an odd one and a single utterance."""
+    real_fork = os.fork
+    trees, forks = {}, {}
+    for n in (1, 2):
+        made = forks[n] = []
+        set_cpus(monkeypatch, n)
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real_fork())
+        root = tmp_path / f"cpus{n}"
+        corpus_dir = root / "corpus"
+        assert cli.main([
+            "synth", "--speakers", "2", "--sentences", "3", "--interactive-sessions", "1",
+            "--seed", "4", "--out", str(corpus_dir),
+        ]) == 0
+        doc = json.loads((corpus_dir / "manifest.json").read_text())
+        utterances = doc["utterances"]
+        subsets = (("all", utterances), ("odd", utterances[:-1]), ("one", utterances[:1]))
+        for name, subset in subsets:
+            manifest = corpus_dir / f"{name}.json"
+            manifest.write_text(json.dumps({**doc, "utterances": subset}))
+            argv = ["features", "--manifest", str(manifest), "--out", str(root / name)]
+            assert cli.main(argv) == 0
+        trees[n] = _file_bytes(root)
+        _assert_no_child_left()
+    assert len(utterances) == 18
+    assert forks == {1: [], 2: [1, 1, 1]}  # synth, all, odd; one task runs inline
+    assert sum(name.endswith(".artf") for name in trees[2]) == 18 + 17 + 1
+    assert trees[1] == trees[2]
+
+
+def _copied_corpus(pipeline, tmp_path):
+    """A copy of the pipeline corpus, and its manifest's utterances."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus_dir)
+    manifest = corpus_dir / "manifest.json"
+    return manifest, json.loads(manifest.read_text())["utterances"]
+
+
+@pytest.mark.parametrize("index", [2, 3], ids=["caller-share", "child-share"])
+def test_features_corrupt_wav_in_either_share(pipeline, tmp_path, capsys, monkeypatch, index):
+    """A corrupt WAV exits 2 naming the file, whichever process reads it;
+    the child's AudioError reaches the caller as an AudioError."""
+    set_cpus(monkeypatch, 2)
+    manifest, utterances = _copied_corpus(pipeline, tmp_path)
+    wav = manifest.parent / utterances[index]["audio_path"]
+    wav.write_bytes(b"this is not audio")
+    argv = ["features", "--manifest", str(manifest), "--out", str(tmp_path / "features")]
+    with _deadline(120):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"corrupt WAV: {wav}" in err
+        _assert_no_child_left()
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(AudioError, match=f"corrupt WAV: {wav}"):
+            args.func(args)
+    _assert_no_child_left()
+
+
+def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatch):
+    """A child that dies without reporting (here: os._exit(3) while reading
+    an odd-indexed WAV) exits 2 with its exit code, and does not hang."""
+    set_cpus(monkeypatch, 2)
+    manifest, utterances = _copied_corpus(pipeline, tmp_path)
+    odd = str(manifest.parent / utterances[1]["audio_path"])
+    load_audio = dsp.load_audio
+    monkeypatch.setattr(
+        dsp, "load_audio", lambda path: os._exit(3) if path == odd else load_audio(path)
+    )
+    with _deadline(120):
+        assert cli.main([
+            "features", "--manifest", str(manifest), "--out", str(tmp_path / "features"),
+        ]) == 2
+    assert "error: forked worker exited with code 3" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "exc", [DataError("bad value 3"), FileNotFoundError(2, "No such file", "x.wav")],
+    ids=["phonosim", "os"],
+)
+def test_split_raises_child_error_again(monkeypatch, exc):
+    """An error raised in the child is raised in the caller with its type
+    and message."""
+    set_cpus(monkeypatch, 2)
+
+    def task(i):
+        if i == 3:
+            raise exc
+
+    with _deadline(60), pytest.raises(type(exc)) as raised:
+        run_split(task, range(6))
+    assert str(raised.value) == str(exc)
+    _assert_no_child_left()
+
+
+def test_split_interrupt_kills_child(monkeypatch):
+    """Ctrl-C in the caller's share ends the child at once, reaped."""
+    set_cpus(monkeypatch, 2)
+
+    def task(i):
+        if i == 1:
+            time.sleep(60)
+        elif i == 2:
+            raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with _deadline(60), pytest.raises(KeyboardInterrupt):
+        run_split(task, range(4))
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_features_checks_every_audio_path_first(pipeline, tmp_path, capsys):
+    """A manifest whose last utterance has no audio path exits 2 before any
+    feature file is written."""
+    doc = _manifest_with_speaker(pipeline, "S01")
+    del doc["utterances"][-1]["audio_path"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "features"
+    assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "has no audio_path" in capsys.readouterr().err
+    assert _files_under(tmp_path) == ["manifest.json"]
 
 
 try:

@@ -23,6 +23,8 @@ from phonosim import net
 from phonosim import train as tr
 from phonosim.errors import DataError, PhonosimError
 
+from conftest import set_cpus
+
 
 @pytest.fixture()
 def small_params():
@@ -613,11 +615,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _cpus(monkeypatch, n):
-    """Make train see ``n`` usable CPUs: two or more start the worker."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def _recording_workers(monkeypatch):
     made = []
 
@@ -633,9 +630,9 @@ def _recording_workers(monkeypatch):
 def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
     """Train with the worker and in process; require identical results."""
     made = _recording_workers(monkeypatch)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     forked = tr.train(cfg, train_pairs, val_pairs, store)
-    _cpus(monkeypatch, 1)
+    set_cpus(monkeypatch, 1)
     inline = tr.train(cfg, train_pairs, val_pairs, store)
     assert made[0] is net.BackwardWorker and made[1] is not net.BackwardWorker
     assert forked.history == inline.history
@@ -676,7 +673,7 @@ def test_train_worker_sized_for_a_copying_store(monkeypatch):
 def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
     """A daemon process may not start children, so it trains in process."""
     made = _recording_workers(monkeypatch)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     tr.train(tr.TrainConfig(epochs=1), train_pairs, val_pairs, tiny_features)
@@ -694,7 +691,7 @@ def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
         return net.backward_worker(dims, max_len, max_rows)
 
     monkeypatch.setattr(tr, "backward_worker", record)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     runs = [
         tr.train(
             tr.TrainConfig(epochs=2, batch_size=b, seed=4), train_pairs, val_pairs, tiny_features
@@ -737,7 +734,7 @@ def _failing_adam(monkeypatch, at_call, action):
 def test_train_error_leaves_no_worker(tiny_corpus, tiny_features, monkeypatch):
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     made = _recording_workers(monkeypatch)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
 
     def fail():
         assert len(multiprocessing.active_children()) == 1
@@ -753,7 +750,7 @@ def test_train_error_leaves_no_worker(tiny_corpus, tiny_features, monkeypatch):
 @needs_fork
 def test_train_dead_worker_raises(tiny_corpus, tiny_features, monkeypatch):
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
 
     def kill():
         (child,) = multiprocessing.active_children()
