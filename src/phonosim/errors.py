@@ -1,7 +1,7 @@
 """Common exception types, the one JSON reader for every input file, the
-checks that config classes and input files share, the one rule for how many
-CPUs the package may use, and ``run_split``, which hands half of a stage's
-per-utterance work to a forked child."""
+checks that config classes and input files share, and the package's one way
+to use a second CPU: ``Forked``, a forked child behind the ``can_fork`` gate,
+which ``run_split`` uses to hand half of a stage's work to the child."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ import numbers
 import os
 import pickle
 import reprlib
+import select
 import signal
+import sys
 
 
 class PhonosimError(Exception):
@@ -95,66 +97,82 @@ def check_numeric_fields(config) -> None:
             )
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def can_fork() -> bool:
+    """Whether a ``Forked`` child may work beside this process: it may use
+    two or more CPUs, has ``os.fork`` and is not a daemonic
+    ``multiprocessing`` worker (read without importing ``multiprocessing``)."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    mp = sys.modules.get("multiprocessing")
+    return len(cpus) >= 2 and hasattr(os, "fork") and not (mp and mp.current_process().daemon)
+
+
+class Forked:
+    """A forked child that calls ``fn()`` with SIGINT ignored (the caller
+    handles Ctrl-C) and ends with ``os._exit``, so that it never unwinds into
+    the caller's stack or flushes the caller's stdio.  ``poll`` and ``join``
+    raise the child's exception again in the caller, sent pickled through a
+    pipe, or a ``PhonosimError`` if it failed without one.  When the ``with``
+    block ends, the child is killed if it still runs, and reaped."""
+
+    def __init__(self, fn):
+        self._read, write = os.pipe()
+        self.pid, self._status = os.fork(), None
+        if self.pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                fn()
+                os._exit(0)
+            except Exception as exc:
+                with open(write, "wb") as fh:
+                    fh.write(pickle.dumps(exc))
+            finally:
+                os._exit(1)
+        os.close(write)
+
+    def poll(self) -> bool:
+        """False while the child runs and has sent no error; else ``join``,
+        then True.  It asks the pipe, not ``waitpid``: a child whose error is
+        larger than the pipe holds cannot end until ``join`` reads it."""
+        if self._status is None and not select.select([self._read], [], [], 0)[0]:
+            return False
+        self.join()
+        return True
+
+    def join(self) -> None:
+        """Wait for the child to end; raise its error if it failed."""
+        with open(self._read, "rb", closefd=False) as fh:
+            report = fh.read()
+        if self._status is None:
+            self._status = os.waitpid(self.pid, 0)[1]
+        if report:
+            raise pickle.loads(report)
+        code = os.waitstatus_to_exitcode(self._status)
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise PhonosimError(f"forked worker {how} without reporting an error")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self._read)
+        if self._status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def run_split(fn, tasks) -> None:
-    """Call ``fn`` on every item of the sequence ``tasks``, half of them in a
-    forked child.
-
-    With two or more usable CPUs and two or more tasks, one forked child
-    calls ``fn`` on the odd-indexed tasks while the caller takes the
-    even-indexed ones; otherwise the caller runs them all in order.  ``fn``
-    may only write files: nothing it returns or changes in memory comes back
-    from the child.  An exception raised in the child is raised again in the
-    caller with its type and message; a child that ends without reporting
-    one gives a ``PhonosimError``.  On every path out, Ctrl-C included, the
-    child has ended and been reaped.
-    """
-    if usable_cpus() < 2 or len(tasks) < 2:
+    """Call ``fn`` on every item of the sequence ``tasks``.  Where
+    ``can_fork()``, a ``Forked`` child takes the odd-indexed items and the
+    caller the even-indexed ones, and the child's error is raised before the
+    caller's next item.  ``fn`` may only write files: nothing it returns or
+    changes in memory comes back from the child."""
+    if len(tasks) < 2 or not can_fork():
         for task in tasks:
             fn(task)
         return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _run_child_share(fn, tasks[1::2], read_end, write_end)
-    status = None
-    try:
-        os.close(write_end)
+    with Forked(lambda: [fn(task) for task in tasks[1::2]]) as child:
         for task in tasks[::2]:
+            child.poll()
             fn(task)
-        with open(read_end, "rb", closefd=False) as fh:
-            report = fh.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        os.close(read_end)
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if report:
-        raise pickle.loads(report)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        raise PhonosimError(f"forked worker {how} without reporting an error")
-
-
-def _run_child_share(fn, tasks, read_end, write_end):
-    """The child's side of ``run_split``: it never returns, so that it
-    cannot unwind into the caller's stack or flush the caller's stdio."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
-        os.close(read_end)
-        try:
-            for task in tasks:
-                fn(task)
-            code = 0
-        except Exception as exc:  # raised again in the caller
-            with open(write_end, "wb") as fh:
-                fh.write(pickle.dumps(exc))
-    finally:
-        os._exit(code)
+        child.join()

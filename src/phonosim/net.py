@@ -20,13 +20,12 @@ import contextlib
 import math
 import mmap
 import os
-import signal
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, PhonosimError, usable_cpus
+from .errors import CheckpointError, DataError, Forked, PhonosimError, can_fork
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
@@ -110,12 +109,8 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _pack(feats: list[np.ndarray], d_in: int, xrev_buffer: np.ndarray | None = None):
@@ -340,7 +335,7 @@ def _acquire(sem, alive) -> bool:
     return True
 
 
-class BackwardWorker:
+class BackwardWorker(Forked):
     """A forked process that runs the backward direction of training batches.
 
     Per batch, ``_embed_forward`` packs ``xrev`` into the shared buffer,
@@ -352,7 +347,9 @@ class BackwardWorker:
     Leaving the ``with`` block kills the process.
     """
 
-    def __init__(self, context, dims: ModelDims, max_len: int, max_rows: int):
+    def __init__(self, dims: ModelDims, max_len: int, max_rows: int):
+        import multiprocessing  # here, so that importing phonosim stays cheap
+
         dh, di = dims.d_hidden, dims.d_in
         # head: phase (0 forward, 1 backward), rows, steps, active[0..steps]
         layout = dict(
@@ -369,12 +366,11 @@ class BackwardWorker:
             setattr(self, name, np.ndarray(shape, dtype, buffer=self._map, offset=offset))
             offset += 8 * math.prod(shape)
         self._hb_size = max_len * max_rows * dh
+        context = multiprocessing.get_context("fork")
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
-        self._proc = context.Process(target=self._serve, daemon=True)
-        self._proc.start()
+        super().__init__(self._serve)
 
     def _serve(self):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
         parent = os.getppid()
         hb = np.empty(self._hb_size)
         while _acquire(self._go, lambda: os.getppid() == parent):
@@ -393,10 +389,8 @@ class BackwardWorker:
             self._done.release()
 
     def _wait(self) -> None:
-        if not _acquire(self._done, lambda: self._proc.exitcode is None):
-            raise PhonosimError(
-                f"backward-direction worker exited with code {self._proc.exitcode}"
-            )
+        if not _acquire(self._done, lambda: not self.poll()):
+            raise PhonosimError("backward-direction worker ended before its batch")
 
     def start_forward(self, params: ModelParams, shape, active) -> None:
         lmax, n, _ = shape
@@ -421,27 +415,13 @@ class BackwardWorker:
         self._wait()
         return self.dw.copy(), self.du.copy(), self.db.copy()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._proc.kill()
-        self._proc.join()
-
 
 def backward_worker(dims: ModelDims, max_len: int, max_rows: int):
-    """A started ``BackwardWorker``, or a null context (giving None, the
-    in-process path) without a second usable CPU or the fork start method,
-    or in a daemon process, which may not start children."""
-    import multiprocessing  # here, so that importing phonosim stays cheap
-
-    if (
-        usable_cpus() < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
+    """A started ``BackwardWorker`` where ``can_fork()``, else a null
+    context (giving None, the in-process path)."""
+    if not can_fork():
         return contextlib.nullcontext()
-    return BackwardWorker(multiprocessing.get_context("fork"), dims, max_len, max_rows)
+    return BackwardWorker(dims, max_len, max_rows)
 
 
 def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:

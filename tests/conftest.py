@@ -1,6 +1,6 @@
 """Shared fixtures: a tiny synthetic corpus with in-memory features, the
-usable-CPU patch, and the hypothesis strategies that fuzz the JSON input
-files."""
+usable-CPU patch, the no-child-left check, and the hypothesis strategies
+that fuzz the JSON input files."""
 
 import json
 import os
@@ -38,6 +38,12 @@ def set_cpus(monkeypatch, n):
     """Make the package see ``n`` usable CPUs: with two or more, ``train``
     starts its backward worker and ``synth``/``features`` fork a child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    """Every child of this process has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1,)):

@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import faulthandler
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -23,7 +24,7 @@ import phonosim
 from phonosim import cli, corpus, dsp, net, train as training
 from phonosim.errors import AudioError, DataError, PhonosimError, run_split
 
-from conftest import set_cpus
+from conftest import assert_no_child_left, set_cpus
 
 
 @pytest.fixture(scope="module")
@@ -713,12 +714,6 @@ def test_long_value_error_is_short(pipeline, tmp_path, capsys, case):
 # utterances, the caller the even-indexed ones
 
 
-def _assert_no_child_left():
-    """Every child of this process has ended and been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @contextlib.contextmanager
 def _deadline(seconds):
     """Abort the test run with a traceback, not hang, past ``seconds``."""
@@ -762,7 +757,7 @@ def test_split_stages_bytes_match_inline(tmp_path, monkeypatch):
             argv = ["features", "--manifest", str(manifest), "--out", str(root / name)]
             assert cli.main(argv) == 0
         trees[n] = _file_bytes(root)
-        _assert_no_child_left()
+        assert_no_child_left()
     assert len(utterances) == 18
     assert forks == {1: [], 2: [1, 1, 1]}  # synth, all, odd; one task runs inline
     assert sum(name.endswith(".artf") for name in trees[2]) == 18 + 17 + 1
@@ -790,11 +785,11 @@ def test_features_corrupt_wav_in_either_share(pipeline, tmp_path, capsys, monkey
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"corrupt WAV: {wav}" in err
-        _assert_no_child_left()
+        assert_no_child_left()
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(AudioError, match=f"corrupt WAV: {wav}"):
             args.func(args)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatch):
@@ -812,7 +807,7 @@ def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatc
             "features", "--manifest", str(manifest), "--out", str(tmp_path / "features"),
         ]) == 2
     assert "error: forked worker exited with code 3" in capsys.readouterr().err
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -831,7 +826,7 @@ def test_split_raises_child_error_again(monkeypatch, exc):
     with _deadline(60), pytest.raises(type(exc)) as raised:
         run_split(task, range(6))
     assert str(raised.value) == str(exc)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_split_interrupt_kills_child(monkeypatch):
@@ -848,7 +843,42 @@ def test_split_interrupt_kills_child(monkeypatch):
     with _deadline(60), pytest.raises(KeyboardInterrupt):
         run_split(task, range(4))
     assert time.monotonic() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+def test_split_child_error_stops_the_caller_early(tmp_path, monkeypatch):
+    """The child's error is raised before the caller's next task, not after
+    the caller's whole share: the caller's task 0 waits until the child has
+    failed at task 1, so tasks 2 and 4 never run."""
+    set_cpus(monkeypatch, 2)
+    marker = tmp_path / "child-failed"
+    ran = []
+
+    def task(i):
+        if i == 1:
+            marker.touch()
+            raise DataError("failed at task 1")
+        if i == 0:
+            while not marker.exists():
+                time.sleep(0.01)
+            time.sleep(1.0)
+        ran.append(i)
+
+    with _deadline(60), pytest.raises(DataError, match="failed at task 1"):
+        run_split(task, range(6))
+    assert ran in ([], [0])  # the child may fail before task 0 starts
+    assert_no_child_left()
+
+
+def test_split_in_daemon_process_runs_inline(monkeypatch):
+    """A daemonic multiprocessing worker runs every task itself, in order,
+    as train does."""
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    ran = []
+    run_split(ran.append, range(5))
+    assert ran == [0, 1, 2, 3, 4]
+    assert_no_child_left()
 
 
 def test_features_checks_every_audio_path_first(pipeline, tmp_path, capsys):

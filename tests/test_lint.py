@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ``ast``:
-every module-level import is used by its module, and every private
-module-level function or constant is used by some module."""
+every module-level import is used by its module, every private module-level
+function or constant is used by some module, one function forks, and no
+module imports ``multiprocessing`` when it is imported."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,29 @@ def _private_definitions(tree) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _fork_callers(node, where):
+    """The qualified name of the function (or class or module) around each
+    ``os.fork()`` or ``fork()`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _fork_callers(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "attr", None) == "fork" or getattr(func, "id", None) == "fork":
+                yield where
+        yield from _fork_callers(child, where)
+
+
+def _run_at_import(node):
+    """Every node under ``node`` that runs when its module is imported: all
+    but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _run_at_import(child)
+
+
 def test_source_modules_found():
     assert {"cli.py", "dsp.py", "train.py"} <= set(MODULES)
 
@@ -74,3 +98,27 @@ def test_no_unreferenced_private_definition(module):
     referenced = set().union(*map(_references, MODULES.values()))
     unused = [n for n in _private_definitions(MODULES[module]) if n not in referenced]
     assert unused == []
+
+
+def test_one_function_forks():
+    """Every child process the package starts comes from one function, so
+    they share one lifecycle: one CPU gate, one error path, one reaping."""
+    callers = {
+        caller
+        for module, tree in MODULES.items()
+        for caller in _fork_callers(tree, module.removesuffix(".py"))
+    }
+    assert len(callers) == 1, sorted(callers)
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_no_multiprocessing_import_at_import_time(module):
+    """``multiprocessing`` is slow to import, so ``import phonosim`` and the
+    CLI load it only in the function that needs it."""
+    modules = []
+    for node in _run_at_import(MODULES[module]):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    assert [m for m in modules if m.split(".")[0] == "multiprocessing"] == []

@@ -109,6 +109,27 @@ def test_embed_utterance_range_and_determinism(small_params):
     np.testing.assert_array_equal(e1, e2)
 
 
+def _sigmoid_by_masks(z):
+    """The reference sigmoid: exp of the non-positive argument, through
+    boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    """Each element gets the same exp argument, sum and quotient as the
+    masked formula, so the bytes are equal, also at the extremes."""
+    rng = np.random.default_rng(0)
+    extremes = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    for z in (rng.normal(scale=10.0, size=500_000), np.array(extremes), rng.normal(size=(32, 50))):
+        with np.errstate(over="raise", under="ignore"):
+            assert net._sigmoid(z).tobytes() == _sigmoid_by_masks(z).tobytes()
+
+
 def test_cosine_similarity_frozen_value():
     got = net.cosine_similarity([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert got == pytest.approx(0.9746318461970762, abs=1e-12)

@@ -10,6 +10,7 @@ Oracles:
     classification metrics
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -23,7 +24,7 @@ from phonosim import net
 from phonosim import train as tr
 from phonosim.errors import DataError, PhonosimError
 
-from conftest import set_cpus
+from conftest import assert_no_child_left, set_cpus
 
 
 @pytest.fixture()
@@ -610,17 +611,16 @@ def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, 
 # ---------------------------------------------------------------------------
 # the backward-direction worker
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 def _recording_workers(monkeypatch):
+    """The context that each ``train`` call's ``backward_worker`` gave."""
     made = []
 
     def record(*args):
         context = net.backward_worker(*args)
-        made.append(type(context))
+        made.append(context)
         return context
 
     monkeypatch.setattr(tr, "backward_worker", record)
@@ -634,12 +634,12 @@ def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
     forked = tr.train(cfg, train_pairs, val_pairs, store)
     set_cpus(monkeypatch, 1)
     inline = tr.train(cfg, train_pairs, val_pairs, store)
-    assert made[0] is net.BackwardWorker and made[1] is not net.BackwardWorker
+    assert type(made[0]) is net.BackwardWorker and type(made[1]) is not net.BackwardWorker
     assert forked.history == inline.history
     for name in net.ALL_TENSORS:
         for a, b in ((forked.params, inline.params), (forked.best_params, inline.best_params)):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @needs_fork
@@ -677,7 +677,7 @@ def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeyp
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     tr.train(tr.TrainConfig(epochs=1), train_pairs, val_pairs, tiny_features)
-    assert len(made) == 1 and made[0] is not net.BackwardWorker
+    assert len(made) == 1 and type(made[0]) is not net.BackwardWorker
 
 
 def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
@@ -716,6 +716,22 @@ def test_acquire_outlasts_spinning_and_sees_death():
     assert not net._acquire(sem, lambda: False)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the test, rather than hang, past ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"train still waits on its worker after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _failing_adam(monkeypatch, at_call, action):
     """Run ``action`` in place of the ``at_call``-th Adam step."""
     calls = []
@@ -737,39 +753,54 @@ def test_train_error_leaves_no_worker(tiny_corpus, tiny_features, monkeypatch):
     set_cpus(monkeypatch, 2)
 
     def fail():
-        assert len(multiprocessing.active_children()) == 1
+        assert os.waitpid(made[0].pid, os.WNOHANG) == (0, 0)  # still running
         raise DataError("injected")
 
     _failing_adam(monkeypatch, 3, fail)
     with pytest.raises(DataError, match="injected"):
         tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
-    assert made == [net.BackwardWorker]
-    assert multiprocessing.active_children() == []
+    assert [type(m) for m in made] == [net.BackwardWorker]
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "message", ["injected in worker", "x" * 200_000], ids=["short", "larger-than-a-pipe"]
+)
+def test_train_worker_error_reaches_caller(tiny_corpus, tiny_features, monkeypatch, message):
+    """An exception raised in the backward worker reaches ``train`` with its
+    type and message, also one too large to fit the pipe at once, and leaves
+    no child."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    made = _recording_workers(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    caller, backward = os.getpid(), net._direction_backward
+
+    def direction_backward(*args):
+        if os.getpid() != caller:
+            raise DataError(message)
+        return backward(*args)
+
+    monkeypatch.setattr(net, "_direction_backward", direction_backward)
+    with _deadline(30), pytest.raises(DataError) as raised:
+        tr.train(tr.TrainConfig(epochs=1, batch_size=4), train_pairs, val_pairs, tiny_features)
+    assert str(raised.value) == message
+    assert [type(m) for m in made] == [net.BackwardWorker]
+    assert_no_child_left()
 
 
 @needs_fork
 def test_train_dead_worker_raises(tiny_corpus, tiny_features, monkeypatch):
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    made = _recording_workers(monkeypatch)
     set_cpus(monkeypatch, 2)
 
     def kill():
-        (child,) = multiprocessing.active_children()
-        os.kill(child.pid, signal.SIGKILL)
-
-    def hung(signum, frame):
-        raise TimeoutError("train waits on a dead worker")
+        os.kill(made[0].pid, signal.SIGKILL)
 
     _failing_adam(monkeypatch, 3, kill)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
     start = time.monotonic()
-    try:
-        with pytest.raises(PhonosimError, match="worker exited"):
-            tr.train(
-                tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features
-            )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with _deadline(30), pytest.raises(PhonosimError, match="killed by signal 9"):
+        tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert time.monotonic() - start < 10.0
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
