@@ -118,6 +118,8 @@ def load_audio(path: str | os.PathLike) -> Waveform:
         except Exception as exc:
             raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
     rate, data = read
+    if rate <= 0:
+        raise AudioError(f"sample rate {rate} Hz in WAV header: {path}")
     if data.size == 0:
         raise AudioError(f"zero-length audio: {path}")
     if data.dtype == np.int16:

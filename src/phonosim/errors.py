@@ -116,7 +116,12 @@ class Forked:
 
     def __init__(self, fn):
         self._read, write = os.pipe()
-        self.pid, self._status = os.fork(), None
+        try:
+            self.pid, self._status = os.fork(), None
+        except OSError:  # e.g. EAGAIN: no process can be made
+            os.close(self._read)
+            os.close(write)
+            raise
         if self.pid == 0:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)

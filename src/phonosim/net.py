@@ -9,9 +9,10 @@ the rows that still have a frame there, and a matrix object that fills
 several slots of a batch runs through them once.
 The public per-utterance functions wrap that kernel with a batch of one.
 
-In training, a ``BackwardWorker`` process can run the backward direction
-on buffers shared with the caller while the caller runs the forward one;
-it calls the same kernel functions on the same values, bit-identically.
+In training, a ``BackwardWorker`` process, forked with the training
+matrices, can pack and run the backward direction while the caller runs
+the forward one; it calls the same kernel functions on the same values,
+bit-identically.
 """
 
 from __future__ import annotations
@@ -113,14 +114,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _pack(feats: list[np.ndarray], d_in: int, xrev_buffer: np.ndarray | None = None):
+def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False):
     """Time-major zero-padded batch, longest row first.
 
-    Returns ``x`` and its per-row time-reversed twin ``xrev``, both
-    ``(lmax, n, d_in)`` float64 so that ``x[t]`` is contiguous (``xrev`` is
-    a view of the flat ``xrev_buffer`` when one is given; its padding is
-    then left as it was, since the kernel never reads padding); ``order``,
-    the caller's index of each sorted row (a stable sort, so ties keep the
+    Returns ``x``, ``(lmax, n, d_in)`` float64 so that ``x[t]`` is
+    contiguous, each row time-reversed when ``reverse``; ``order``, the
+    caller's index of each sorted row (a stable sort, so ties keep the
     caller's order); and ``active``, the number of rows with a frame at step
     ``t``, which are rows ``:active[t]``, for ``t`` in ``0..lmax``
     (``active[lmax]`` is 0).
@@ -138,13 +137,11 @@ def _pack(feats: list[np.ndarray], d_in: int, xrev_buffer: np.ndarray | None = N
     n = len(feats)
     lmax = int(lengths[0])
     x = np.zeros((lmax, n, d_in))
-    xrev = np.zeros_like(x) if xrev_buffer is None else xrev_buffer[: x.size].reshape(x.shape)
     for j, i in enumerate(order):
         f = feats[i]
-        x[: len(f), j] = f
-        xrev[: len(f), j] = f[::-1]
+        x[: len(f), j] = f[::-1] if reverse else f
     active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
-    return x, xrev, order, active.tolist()
+    return x, order, active.tolist()
 
 
 def _run_direction(x, w, u, b, active, hseq):
@@ -231,19 +228,18 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
         if id(f) not in first:
             first[id(f)] = len(distinct)
             distinct.append(f)
-    if worker is None:
-        x, xrev, order, active = _pack(distinct, params.dims.d_in)
-    else:
-        x, xrev, order, active = _pack(distinct, params.dims.d_in, worker.xrev)
-        worker.start_forward(params, xrev.shape, active)
+    if worker is not None:
+        worker.start_forward(params, distinct)
+    x, order, active = _pack(distinct, params.dims.d_in)
     steps = len(x) if training else 2
     hf = np.empty((steps, len(distinct), params.dims.d_hidden))
     final_f = _run_direction(x, params.wf, params.uf, params.bf, active, hf)
     if worker is None:
+        xrev = _pack(distinct, params.dims.d_in, reverse=True)[0]
         hb = np.empty_like(hf)
         final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
     else:
-        hb = None
+        xrev = hb = None
         final_b = worker.finish_forward()
     sorted_row = np.empty_like(order)
     sorted_row[order] = np.arange(len(order))
@@ -338,22 +334,24 @@ def _acquire(sem, alive) -> bool:
 class BackwardWorker(Forked):
     """A forked process that runs the backward direction of training batches.
 
-    Per batch, ``_embed_forward`` packs ``xrev`` into the shared buffer,
-    calls ``start_forward``, runs the forward direction and then
-    ``finish_forward``; ``_embed_backward`` does the same with
-    ``start_backward`` and ``finish_backward``.  Batches hold up to
-    ``max_rows`` distinct utterances of up to ``max_len`` frames.  The
-    worker's recurrent states stay in one buffer for its whole life.
+    It keeps its copy-on-write view of the training matrices ``feats``.  Per
+    batch, ``_embed_forward`` calls ``start_forward``, which sends the ids
+    of the batch's distinct matrices, runs the forward direction and calls
+    ``finish_forward``, while the worker packs and runs the time-reversed
+    batch (the stable sort gives it the caller's row order);
+    ``_embed_backward`` does the same with ``start_backward`` and
+    ``finish_backward``.  Batches hold up to ``max_rows`` distinct matrices,
+    and the recurrent states stay in one buffer for the worker's life.
     Leaving the ``with`` block kills the process.
     """
 
-    def __init__(self, dims: ModelDims, max_len: int, max_rows: int):
+    def __init__(self, dims: ModelDims, feats, max_rows: int):
         import multiprocessing  # here, so that importing phonosim stays cheap
 
         dh, di = dims.d_hidden, dims.d_in
-        # head: phase (0 forward, 1 backward), rows, steps, active[0..steps]
+        # head: phase (0 forward, 1 backward), rows, then each row's matrix id
         layout = dict(
-            head=(max_len + 4,), xrev=(max_len * max_rows * di,),
+            head=(max_rows + 2,),
             w=(dh, di), u=(dh, dh), b=(dh,),
             final=(max_rows * dh,), d_final=(max_rows * dh,),
             dw=(dh, di), du=(dh, dh), db=(dh,),
@@ -365,20 +363,20 @@ class BackwardWorker(Forked):
             dtype = np.int64 if name == "head" else np.float64
             setattr(self, name, np.ndarray(shape, dtype, buffer=self._map, offset=offset))
             offset += 8 * math.prod(shape)
-        self._hb_size = max_len * max_rows * dh
+        self._feats = {id(f): f for f in feats}
         context = multiprocessing.get_context("fork")
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
         super().__init__(self._serve)
 
     def _serve(self):
         parent = os.getppid()
-        hb = np.empty(self._hb_size)
+        hb = np.empty(max(len(f) for f in self._feats.values()) * self.final.size)
         while _acquire(self._go, lambda: os.getppid() == parent):
-            phase, n, lmax = self.head[:3].tolist()
-            active = self.head[3 : lmax + 4].tolist()
-            xrev = self.xrev[: lmax * n * self.w.shape[1]].reshape(lmax, n, -1)
-            hseq = hb[: lmax * n * self.b.size].reshape(lmax, n, -1)
+            phase, n = self.head[:2].tolist()
             if phase == 0:
+                batch = [self._feats[i] for i in self.head[2 : n + 2].tolist()]
+                xrev, _, active = _pack(batch, self.w.shape[1], reverse=True)
+                hseq = hb[: len(xrev) * n * self.b.size].reshape(len(xrev), n, -1)
                 final = _run_direction(xrev, self.w, self.u, self.b, active, hseq)
                 self.final[: final.size] = final.ravel()
             else:
@@ -392,11 +390,11 @@ class BackwardWorker(Forked):
         if not _acquire(self._done, lambda: not self.poll()):
             raise PhonosimError("backward-direction worker ended before its batch")
 
-    def start_forward(self, params: ModelParams, shape, active) -> None:
-        lmax, n, _ = shape
-        self._rows = n
-        self.head[:3] = 0, n, lmax
-        self.head[3 : lmax + 4] = active
+    def start_forward(self, params: ModelParams, distinct) -> None:
+        """``distinct``: the batch's matrices, each one the worker has."""
+        self._rows = n = len(distinct)
+        self.head[:2] = 0, n
+        self.head[2 : n + 2] = [id(f) for f in distinct]
         self.w[...], self.u[...], self.b[...] = params.wb, params.ub, params.bb
         self._go.release()
 
@@ -416,12 +414,12 @@ class BackwardWorker(Forked):
         return self.dw.copy(), self.du.copy(), self.db.copy()
 
 
-def backward_worker(dims: ModelDims, max_len: int, max_rows: int):
-    """A started ``BackwardWorker`` where ``can_fork()``, else a null
-    context (giving None, the in-process path)."""
+def backward_worker(dims: ModelDims, feats, max_rows: int):
+    """A started ``BackwardWorker`` over ``feats`` where ``can_fork()``,
+    else a null context (giving None, the in-process path)."""
     if not can_fork():
         return contextlib.nullcontext()
-    return BackwardWorker(dims, max_len, max_rows)
+    return BackwardWorker(dims, feats, max_rows)
 
 
 def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:
@@ -440,11 +438,11 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    x, xrev, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
+    x, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
     hf = np.empty((len(x), 1, params.dims.d_hidden))
     hb = np.empty_like(hf)
     _run_direction(x, params.wf, params.uf, params.bf, active, hf)
-    _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
+    _run_direction(x[::-1], params.wb, params.ub, params.bb, active, hb)  # one row, no padding
     return np.hstack([hf[:, 0], hb[::-1, 0]])
 
 

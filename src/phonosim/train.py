@@ -100,8 +100,8 @@ def pair_forward_backward(
     (left0, right0, left1, right1, ...) order; both Siamese branches
     accumulate into the same gradient tensors.  A matrix object that fills
     several slots runs through the recurrences and BPTT once.  A
-    ``net.BackwardWorker`` as ``worker`` runs the backward direction
-    alongside the forward one, with bit-identical results.
+    ``net.BackwardWorker`` as ``worker``, forked with these matrices, runs
+    the backward direction alongside the forward one, bit-identically.
     """
     n_pairs = len(left_feats)
     if n_pairs == 0:
@@ -368,8 +368,9 @@ def train(
             )
     # the pair set is read from the store once, and a batch gathers its rows
     # by index.  Only the dedup (a key's slots share its RNN pass) relies on
-    # the store returning one object per key; the worker bound counts the
-    # distinct objects read here, so it holds whatever the store returns
+    # the store returning one object per key; the worker is forked with the
+    # distinct objects read here and its bound counts them, so both hold
+    # whatever the store returns
     lefts = [store[p[0]] for p in train_pairs]
     rights = [store[p[1]] for p in train_pairs]
     distinct = {id(f): f for f in lefts + rights}.values()
@@ -382,7 +383,6 @@ def train(
             f"training features have {d_in} columns, the initial model "
             f"expects {init.dims.d_in}"
         )
-    max_len = max(len(f) for f in distinct)
     max_rows = min(2 * config.batch_size, len(distinct))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
@@ -392,7 +392,7 @@ def train(
     best_params = params.copy()
     best_score = -np.inf
     sims = np.empty(len(labels))
-    with backward_worker(params.dims, max_len, max_rows) as worker:
+    with backward_worker(params.dims, distinct, max_rows) as worker:
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = rng.permutation(len(labels))

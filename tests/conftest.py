@@ -1,9 +1,11 @@
 """Shared fixtures: a tiny synthetic corpus with in-memory features, the
-usable-CPU patch, the no-child-left check, and the hypothesis strategies
-that fuzz the JSON input files."""
+usable-CPU patch, the deadline and no-child-left checks for tests that
+fork, and the hypothesis strategies that fuzz the JSON input files."""
 
+import contextlib
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -38,6 +40,22 @@ def set_cpus(monkeypatch, n):
     """Make the package see ``n`` usable CPUs: with two or more, ``train``
     starts its backward worker and ``synth``/``features`` fork a child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the test, rather than hang, past ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():

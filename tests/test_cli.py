@@ -5,13 +5,13 @@ then exercises gradcheck and the error paths (exit code 2 for data errors,
 1 for usage errors).
 """
 
-import contextlib
 import dataclasses
-import faulthandler
+import errno
 import json
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -24,7 +24,7 @@ import phonosim
 from phonosim import cli, corpus, dsp, net, train as training
 from phonosim.errors import AudioError, DataError, PhonosimError, run_split
 
-from conftest import assert_no_child_left, set_cpus
+from conftest import assert_no_child_left, deadline, set_cpus
 
 
 @pytest.fixture(scope="module")
@@ -714,16 +714,6 @@ def test_long_value_error_is_short(pipeline, tmp_path, capsys, case):
 # utterances, the caller the even-indexed ones
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Abort the test run with a traceback, not hang, past ``seconds``."""
-    faulthandler.dump_traceback_later(seconds, exit=True, file=sys.__stderr__)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-
-
 def _file_bytes(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` but the argument records, which hold paths."""
     return {
@@ -772,6 +762,56 @@ def _copied_corpus(pipeline, tmp_path):
     return manifest, json.loads(manifest.read_text())["utterances"]
 
 
+def _write_zero_hz_wav(path):
+    """A 16-bit mono WAV whose header gives sample rate 0, built by hand
+    because ``wave`` refuses to write one."""
+    data = np.zeros(1600, dtype="<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)  # PCM, mono, 0 Hz, 0 B/s
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
+def test_zero_hz_wav_is_an_audio_error(pipeline, tmp_path, capsys):
+    """A WAV whose header gives sample rate 0 raises AudioError naming the
+    file, and features exits 2 with one error line, not a traceback."""
+    manifest, utterances = _copied_corpus(pipeline, tmp_path)
+    wav = manifest.parent / utterances[0]["audio_path"]
+    _write_zero_hz_wav(wav)
+    with pytest.raises(AudioError, match="sample rate 0 Hz") as raised:
+        dsp.load_audio(wav)
+    assert str(wav) in str(raised.value)
+    argv = ["features", "--manifest", str(manifest), "--out", str(tmp_path / "features")]
+    with deadline(120):
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(wav) in err
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_failed_fork_leaves_no_descriptor(pipeline, tmp_path, capsys, monkeypatch):
+    """A fork that fails with EAGAIN is raised by run_split and makes
+    features exit 2; neither leaves its pipe open."""
+    set_cpus(monkeypatch, 2)
+    manifest, _ = _copied_corpus(pipeline, tmp_path)
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(OSError) as raised:
+            run_split(lambda task: None, range(4))
+        assert raised.value.errno == errno.EAGAIN
+    argv = ["features", "--manifest", str(manifest), "--out", str(tmp_path / "features")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("index", [2, 3], ids=["caller-share", "child-share"])
 def test_features_corrupt_wav_in_either_share(pipeline, tmp_path, capsys, monkeypatch, index):
     """A corrupt WAV exits 2 naming the file, whichever process reads it;
@@ -781,7 +821,7 @@ def test_features_corrupt_wav_in_either_share(pipeline, tmp_path, capsys, monkey
     wav = manifest.parent / utterances[index]["audio_path"]
     wav.write_bytes(b"this is not audio")
     argv = ["features", "--manifest", str(manifest), "--out", str(tmp_path / "features")]
-    with _deadline(120):
+    with deadline(120):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"corrupt WAV: {wav}" in err
@@ -802,7 +842,7 @@ def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatc
     monkeypatch.setattr(
         dsp, "load_audio", lambda path: os._exit(3) if path == odd else load_audio(path)
     )
-    with _deadline(120):
+    with deadline(120):
         assert cli.main([
             "features", "--manifest", str(manifest), "--out", str(tmp_path / "features"),
         ]) == 2
@@ -823,7 +863,7 @@ def test_split_raises_child_error_again(monkeypatch, exc):
         if i == 3:
             raise exc
 
-    with _deadline(60), pytest.raises(type(exc)) as raised:
+    with deadline(60), pytest.raises(type(exc)) as raised:
         run_split(task, range(6))
     assert str(raised.value) == str(exc)
     assert_no_child_left()
@@ -840,7 +880,7 @@ def test_split_interrupt_kills_child(monkeypatch):
             raise KeyboardInterrupt
 
     start = time.monotonic()
-    with _deadline(60), pytest.raises(KeyboardInterrupt):
+    with deadline(60), pytest.raises(KeyboardInterrupt):
         run_split(task, range(4))
     assert time.monotonic() - start < 30
     assert_no_child_left()
@@ -864,7 +904,7 @@ def test_split_child_error_stops_the_caller_early(tmp_path, monkeypatch):
             time.sleep(1.0)
         ran.append(i)
 
-    with _deadline(60), pytest.raises(DataError, match="failed at task 1"):
+    with deadline(60), pytest.raises(DataError, match="failed at task 1"):
         run_split(task, range(6))
     assert ran in ([], [0])  # the child may fail before task 0 starts
     assert_no_child_left()

@@ -10,7 +10,6 @@ Oracles:
     classification metrics
 """
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -24,7 +23,7 @@ from phonosim import net
 from phonosim import train as tr
 from phonosim.errors import DataError, PhonosimError
 
-from conftest import assert_no_child_left, set_cpus
+from conftest import assert_no_child_left, deadline, set_cpus
 
 
 @pytest.fixture()
@@ -183,9 +182,9 @@ def test_repeated_matrices_match_distinct_copies(monkeypatch):
     packed = []
     pack = net._pack
 
-    def counting_pack(feats, d_in):
+    def counting_pack(feats, d_in, reverse=False):
         packed.append(len(feats))
-        return pack(feats, d_in)
+        return pack(feats, d_in, reverse)
 
     monkeypatch.setattr(net, "_pack", counting_pack)
     loss, grads, (mu, var), sims = tr.pair_forward_backward(
@@ -194,7 +193,8 @@ def test_repeated_matrices_match_distinct_copies(monkeypatch):
     loss_c, grads_c, (mu_c, var_c), sims_c = tr.pair_forward_backward(
         p, [f.copy() for f in lefts], [f.copy() for f in rights], labels, 1e-4, masks
     )
-    assert packed == [4, 10]  # distinct objects, then one row per slot
+    # distinct objects, then one row per slot; each packed in both time orders
+    assert packed == [4, 4, 10, 10]
     assert abs(loss - loss_c) <= 1e-12
     for got, want in ((mu, mu_c), (var, var_c), (sims, sims_c)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -631,7 +631,8 @@ def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
     """Train with the worker and in process; require identical results."""
     made = _recording_workers(monkeypatch)
     set_cpus(monkeypatch, 2)
-    forked = tr.train(cfg, train_pairs, val_pairs, store)
+    with deadline(120):
+        forked = tr.train(cfg, train_pairs, val_pairs, store)
     set_cpus(monkeypatch, 1)
     inline = tr.train(cfg, train_pairs, val_pairs, store)
     assert type(made[0]) is net.BackwardWorker and type(made[1]) is not net.BackwardWorker
@@ -644,9 +645,20 @@ def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
 
 @needs_fork
 def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkeypatch):
+    """Also on strongly mixed lengths, which the worker packs in the
+    caller's row order: 3 to 120 frames, two equal-length copies (sort
+    ties) and keys repeated within a batch."""
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4)
     _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, tiny_features)
+    rng = np.random.default_rng(5)
+    lengths = dict(a=3, b=120, c=57, d=8, e=90, f=33, g=3, h=71, i=15)
+    store = {k: rng.normal(size=(n, 39)) for k, n in lengths.items()}
+    store["c2"] = store["c"].copy()
+    keys = sorted(store)
+    pairs = [(l, r, (i + j) % 2) for i, l in enumerate(keys) for j, r in enumerate(keys) if i < j]
+    cfg = tr.TrainConfig(epochs=2, batch_size=7, seed=2)
+    _forked_and_inline(monkeypatch, cfg, pairs, [], store)
 
 
 class _CopyingStore:
@@ -670,6 +682,36 @@ def test_train_worker_sized_for_a_copying_store(monkeypatch):
     _forked_and_inline(monkeypatch, cfg, pairs, [], store)
 
 
+@needs_fork
+def test_train_zero_frame_matrix_leaves_no_worker(monkeypatch):
+    """The worker packs its batch as the caller packs its own, so both meet
+    a zero-frame matrix; train raises the caller's DataError and leaves no
+    child."""
+    made = _recording_workers(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(4)
+    store = {"a": rng.normal(size=(9, 39)), "b": np.zeros((0, 39)), "c": rng.normal(size=(5, 39))}
+    pairs = [("a", "c", 1), ("a", "b", 0), ("c", "a", 0)]
+    with deadline(30), pytest.raises(DataError, match="utterance with zero frames"):
+        tr.train(tr.TrainConfig(epochs=1), pairs, [], store)
+    assert [type(m) for m in made] == [net.BackwardWorker]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_worker_shared_memory_independent_of_frame_count():
+    """The memory shared with the worker holds no frames: workers over
+    matrices of 10 and of 1,000 frames map the same number of bytes."""
+    dims = net.ModelDims()
+    mapped = []
+    for frames in (10, 1000):
+        feats = [np.zeros((frames, dims.d_in)) for _ in range(4)]
+        with net.BackwardWorker(dims, feats, max_rows=4) as worker:
+            mapped.append(len(worker._map))
+    assert mapped[0] == mapped[1]
+    assert_no_child_left()
+
+
 def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
     """A daemon process may not start children, so it trains in process."""
     made = _recording_workers(monkeypatch)
@@ -686,9 +728,9 @@ def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     rows = []
 
-    def record(dims, max_len, max_rows):
+    def record(dims, feats, max_rows):
         rows.append(max_rows)
-        return net.backward_worker(dims, max_len, max_rows)
+        return net.backward_worker(dims, feats, max_rows)
 
     monkeypatch.setattr(tr, "backward_worker", record)
     set_cpus(monkeypatch, 2)
@@ -714,22 +756,6 @@ def test_acquire_outlasts_spinning_and_sees_death():
     timer.join(timeout=5)
     assert not timer.is_alive()
     assert not net._acquire(sem, lambda: False)
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise ``TimeoutError`` in the test, rather than hang, past ``seconds``."""
-
-    def hung(signum, frame):
-        raise TimeoutError(f"train still waits on its worker after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _failing_adam(monkeypatch, at_call, action):
@@ -782,7 +808,7 @@ def test_train_worker_error_reaches_caller(tiny_corpus, tiny_features, monkeypat
         return backward(*args)
 
     monkeypatch.setattr(net, "_direction_backward", direction_backward)
-    with _deadline(30), pytest.raises(DataError) as raised:
+    with deadline(30), pytest.raises(DataError) as raised:
         tr.train(tr.TrainConfig(epochs=1, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert str(raised.value) == message
     assert [type(m) for m in made] == [net.BackwardWorker]
@@ -800,7 +826,7 @@ def test_train_dead_worker_raises(tiny_corpus, tiny_features, monkeypatch):
 
     _failing_adam(monkeypatch, 3, kill)
     start = time.monotonic()
-    with _deadline(30), pytest.raises(PhonosimError, match="killed by signal 9"):
+    with deadline(30), pytest.raises(PhonosimError, match="killed by signal 9"):
         tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert time.monotonic() - start < 10.0
     assert_no_child_left()
