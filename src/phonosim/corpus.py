@@ -282,6 +282,10 @@ class SynthConfig:
             raise DataError(f"convergence parameter must lie in [0, 1], got {self.lam}")
 
 
+# readings of one sentence synthesized together; larger batches raise peak
+# memory for little speed
+SYNTH_ROWS = 32
+
 N_VOWELS = 3  # vowel qualities per speaker; each sentence reads every one twice
 _FORMANT_RANGES = ((300.0, 900.0), (1100.0, 2200.0), (2500.0, 3600.0))
 _FORMANT_GAINS = (1.0, 0.7, 0.5)
@@ -355,41 +359,53 @@ def _sentence_content(seed: int, sentence: int) -> tuple[np.ndarray, np.ndarray]
     return order, durations
 
 
-def _synth_utterance(
-    traits: SpeakerTraits,
+def _synth_sentence(
+    traits: list[SpeakerTraits],
+    rngs: list[np.random.Generator],
     order: np.ndarray,
     durations: np.ndarray,
-    rng: np.random.Generator,
 ) -> np.ndarray:
+    """One script sentence read with each row's traits: (rows, samples).
+
+    The rows share the sentence's segment lengths, so each segment is one
+    2-D FFT.  Row r draws from ``rngs[r]`` alone, in the order of a lone
+    utterance (per segment the peak jitters, then the noise; then the
+    modulation phase), so its samples do not depend on its batch.
+    """
     sr = PIPELINE_RATE
-    pieces = []
+    vowels = np.stack([t.vowels for t in traits])  # (rows, N_VOWELS, 3)
+    ramps = np.array([[t.ramp] for t in traits])
+    rates = np.array([[t.mod_rate] for t in traits])
+    x = np.empty((len(rngs), sum(int(dur * sr) for dur in durations)))
+    start = 0
     for vi, dur in zip(order, durations):
-        v = traits.vowels[vi]
         n = int(dur * sr)
-        peaks = v * (1.0 + rng.normal(0.0, 0.01, size=v.shape))
-        noise = rng.standard_normal(n)
+        jitter = np.empty((len(rngs), vowels.shape[2]))
+        seg = x[:, start : start + n]
+        start += n
+        for row, rng in enumerate(rngs):
+            jitter[row] = rng.normal(0.0, 0.01, size=jitter.shape[1])
+            seg[row] = rng.standard_normal(n)
+        peaks = vowels[:, vi] * (1.0 + jitter)
         freqs = np.fft.rfftfreq(n, d=1.0 / sr)
-        env = np.full_like(freqs, 0.02)
-        for pk, gain in zip(peaks, _FORMANT_GAINS):
-            env += gain * np.exp(-0.5 * ((freqs - pk) / _FORMANT_BW) ** 2)
-        seg = np.fft.irfft(np.fft.rfft(noise) * env, n)
+        env = np.full((len(rngs), len(freqs)), 0.02)
+        for k, gain in enumerate(_FORMANT_GAINS):
+            env += gain * np.exp(-0.5 * ((freqs - peaks[:, k, None]) / _FORMANT_BW) ** 2)
+        seg[...] = np.fft.irfft(np.fft.rfft(seg) * env, n)
         # speaker-signed loudness slope across the segment (swell vs decay)
         tau = np.arange(n) / max(n - 1, 1)
-        seg = seg * (1.0 + traits.ramp * (tau - 0.5))
+        seg *= 1.0 + ramps * (tau - 0.5)
         fade = min(int(0.005 * sr), n // 2)
         edge = np.linspace(0.0, 1.0, fade)
-        seg[:fade] *= edge
-        seg[-fade:] *= edge[::-1]
-        pieces.append(seg)
-    x = np.concatenate(pieces)
+        seg[:, :fade] *= edge
+        seg[:, -fade:] *= edge[::-1]
     # speaker-rate amplitude modulation spanning the whole utterance
-    t = np.arange(len(x)) / sr
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    x = x * (1.0 + 0.3 * np.sin(2.0 * np.pi * traits.mod_rate * t + phase))
-    peak = np.max(np.abs(x))
-    if peak > 0:
-        x = 0.5 * x / peak
-    return x
+    t = np.arange(x.shape[1]) / sr
+    phases = np.array([[rng.uniform(0.0, 2.0 * np.pi)] for rng in rngs])
+    mod = 2.0 * np.pi * rates * t + phases
+    x *= 1.0 + 0.3 * np.sin(mod, out=mod)
+    peak = np.max(np.abs(x), axis=1, keepdims=True)
+    return np.divide(0.5 * x, peak, out=x, where=peak > 0)
 
 
 def _write_wav(path: str, x: np.ndarray) -> None:
@@ -412,7 +428,8 @@ def generate_synthetic_corpus(
     with envelope and rate interpolated toward the partner by the convergence
     parameter ``lam``.  Identical (config, seed) gives byte-identical output:
     each WAV draws from its own seed sequence, so it does not matter which
-    process ``run_split`` gives it to.
+    readings of its sentence share its batch, or which process ``run_split``
+    gives that batch to.
     """
     check_seed(seed)
     out_dir = str(out_dir)
@@ -430,7 +447,7 @@ def generate_synthetic_corpus(
     schedule += [("imitation", k + 1) for k in range(config.imitation_sessions)]
 
     utterances = []
-    tasks = []  # (traits, sentence, seed entropy, WAV path) of each utterance
+    readings = [[] for _ in range(config.n_sentences)]  # (traits, seed entropy, WAV path)
     cond_index = {c: i for i, c in enumerate(CONDITIONS)}
     for si, spk in enumerate(speakers):
         for condition, session in schedule:
@@ -442,13 +459,25 @@ def generate_synthetic_corpus(
                 u = replace(u, audio_path=os.path.join("audio", u.key + ".wav"))
                 utterances.append(u)
                 entropy = [seed, si, cond_index[condition], session, sentence]
-                tasks.append((spk_traits, sentence, entropy, os.path.join(out_dir, u.audio_path)))
+                readings[sentence - 1].append(
+                    (spk_traits, entropy, os.path.join(out_dir, u.audio_path))
+                )
+
+    # one task per batch of a sentence's readings; equal batches keep the
+    # two processes of run_split equally loaded
+    tasks = []
+    for sentence, rows in enumerate(readings, start=1):
+        k = -(-len(rows) // SYNTH_ROWS)
+        bounds = [i * len(rows) // k for i in range(k + 1)]
+        tasks += [(sentence, rows[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def write(task):
-        spk_traits, sentence, entropy, path = task
-        order, durations = _sentence_content(seed, sentence)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        _write_wav(path, _synth_utterance(spk_traits, order, durations, rng))
+        sentence, rows = task
+        spk_traits, entropies, paths = zip(*rows)
+        rngs = [np.random.default_rng(np.random.SeedSequence(e)) for e in entropies]
+        x = _synth_sentence(spk_traits, rngs, *_sentence_content(seed, sentence))
+        for path, samples in zip(paths, x):
+            _write_wav(path, samples)
 
     manifest = Manifest(
         speakers=speakers, dyads=dyads, utterances=utterances, root=out_dir

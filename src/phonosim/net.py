@@ -391,10 +391,14 @@ class BackwardWorker(Forked):
             raise PhonosimError("backward-direction worker ended before its batch")
 
     def start_forward(self, params: ModelParams, distinct) -> None:
-        """``distinct``: the batch's matrices, each one the worker has."""
+        """``distinct``: the batch's matrices, each one the worker has;
+        ``DataError``, with the worker still waiting, if one is not."""
+        ids = [id(f) for f in distinct]
+        if not all(i in self._feats for i in ids):
+            raise DataError("batch holds a matrix the backward worker was not forked with")
         self._rows = n = len(distinct)
         self.head[:2] = 0, n
-        self.head[2 : n + 2] = [id(f) for f in distinct]
+        self.head[2 : n + 2] = ids
         self.w[...], self.u[...], self.b[...] = params.wb, params.ub, params.bb
         self._go.release()
 

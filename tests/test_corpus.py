@@ -8,6 +8,7 @@ Pair-count oracles (closed form, per §-free accounting):
     combinations of that sentence
 """
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from phonosim import corpus
 from phonosim.errors import DataError, ManifestError
 
-from conftest import metadata_manifest
+from conftest import assert_no_child_left, deadline, metadata_manifest, set_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +353,76 @@ def test_generate_same_seed_byte_identical(tmp_path):
         b1 = Path(m1.resolve(u1.audio_path)).read_bytes()
         b2 = Path(m2.resolve(u2.audio_path)).read_bytes()
         assert b1 == b2
+
+
+def _digests(root) -> dict[str, str]:
+    """The SHA-256 of every file under ``root``, by its path relative to it."""
+    root = Path(root)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+# Recorded with the generator that synthesized one utterance at a time,
+# before readings of a sentence were batched: batching changes no byte.
+GOLDEN_DIGESTS = {
+    "manifest.json": "9e37cbb2ecf75b91c00013e58710ae640a7e52ac8ca9156d080144bdc620b1b8",
+    "audio/S01__imitation__1__001.wav": "06dc5e40e2194bad89524daeb303e51137df268d5117231bc6ac2d10dd1cdbf3",
+    "audio/S01__imitation__1__002.wav": "5ed8b8ce2975f129713bedd228a44bcdaf641a1d52159c605172c975ac66e899",
+    "audio/S01__imitation__1__003.wav": "bdedde46c49de21dfbefb9e5eb30c60fdd614b629fc161e4dd3c5d11f777c1c8",
+    "audio/S01__interactive__1__001.wav": "b5e323d92b075969882cd24e97714e745673fec3d1886a79a05e2851f280b7d4",
+    "audio/S01__interactive__1__002.wav": "a713b09bc381b80459c1993f0e0381cd98b059dcd8f0fb603c69eac3626c9961",
+    "audio/S01__interactive__1__003.wav": "857ffaf15110dd6bbebed522d674a23a071decbf42e7cd0209b2600c2af5705f",
+    "audio/S01__solo__1__001.wav": "1c732a91ea3cd641ad556ae0837ef395647a805880da73357a67f6c624def5a5",
+    "audio/S01__solo__1__002.wav": "021c2085155cac88a5461b3961c5d98774f26d91423bca623831b6d90268c612",
+    "audio/S01__solo__1__003.wav": "c6ebe194a0667be4166ea3c23fab65ec500ef7a4c3b0be04bace0aed57664c87",
+    "audio/S02__imitation__1__001.wav": "5918e75d9a0f5d59d9947f35f134f398db1703c21f3631d39bd91d3b229d17a9",
+    "audio/S02__imitation__1__002.wav": "1a9cc0490c42854727815f5481b90d744ac104c17d5fd46181e849a5b3ac0c38",
+    "audio/S02__imitation__1__003.wav": "b9c9933950d1a277d1c3e405285655515adda0854f2c3bf88e916edda8ed4182",
+    "audio/S02__interactive__1__001.wav": "96a61ef45bd3a33b30053dbeed5e9ecfb0f8dc09663fbf560f0fe49f2729278e",
+    "audio/S02__interactive__1__002.wav": "7aec8a98d9afd5d8a525ede6e69c1f4a23f6cfd43fdc7f4e7f6e7bc3da8ccf38",
+    "audio/S02__interactive__1__003.wav": "380a71c9ec8240e23fd7874369003b5ed2ee2b128d41c1f17145d2a9cd5e1b30",
+    "audio/S02__solo__1__001.wav": "74839bef019dca5326359e872d6c85a4a91cd08484132b601d54453a447b20f8",
+    "audio/S02__solo__1__002.wav": "d2babf17e5b7828fed7b09a5d5abc07fb0aa20970f9cbdd37be36c5ce78fd74c",
+    "audio/S02__solo__1__003.wav": "1442c8bb0a50f3d0cbd4ba75567a4499332c00e840ec037f29cff89bdcc79bc2",
+}
+
+
+def test_generate_bytes_pinned(tmp_path):
+    """Every WAV and the manifest of a small corpus, byte for byte: solo,
+    the converging member (lam 0.5) and imitation."""
+    cfg = corpus.SynthConfig(
+        n_speakers=2, n_sentences=3, lam=0.5, interactive_sessions=1, imitation_sessions=1
+    )
+    corpus.generate_synthetic_corpus(cfg, 4, tmp_path)
+    assert _digests(tmp_path) == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_generate_bytes_independent_of_batching(tmp_path, monkeypatch, rows, cpus):
+    """A sentence's 8 readings synthesized in batches of 1, or of 2, 3 and
+    3, in one process or two, give the bytes of the default batching."""
+    cfg = corpus.SynthConfig(n_speakers=2, n_sentences=3, lam=0.5)  # 2 x 4 sessions
+    corpus.generate_synthetic_corpus(cfg, 4, tmp_path / "default")
+    sizes = []
+    synth = corpus._synth_sentence
+
+    def recording(traits, *args):
+        sizes.append(len(traits))
+        return synth(traits, *args)
+
+    monkeypatch.setattr(corpus, "_synth_sentence", recording)
+    monkeypatch.setattr(corpus, "SYNTH_ROWS", rows)
+    set_cpus(monkeypatch, cpus)
+    with deadline(60):
+        corpus.generate_synthetic_corpus(cfg, 4, tmp_path / "split")
+    assert _digests(tmp_path / "split") == _digests(tmp_path / "default")
+    batches = {1: [1] * 8, 3: [2, 3, 3]}[rows] * cfg.n_sentences
+    assert sizes == (batches if cpus == 1 else batches[::2])  # a child's calls stay in it
+    assert_no_child_left()
 
 
 def test_generate_different_seed_differs(tmp_path):

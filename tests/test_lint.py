@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
-function or constant is used by some module, one function forks, and no
-module imports ``multiprocessing`` when it is imported."""
+function or constant is used by some module, one function forks, no
+module imports ``multiprocessing`` when it is imported, and no module draws
+from NumPy's global random state."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,53 @@ def test_no_multiprocessing_import_at_import_time(module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.append(node.module)
     assert [m for m in modules if m.split(".")[0] == "multiprocessing"] == []
+
+
+SEEDED_RANDOM = {"default_rng", "SeedSequence", "Generator"}
+
+
+def _global_random_calls(tree) -> list[str]:
+    """Each ``np.random.<name>(...)`` or ``numpy.random.<name>(...)`` call,
+    and each ``from numpy.random import <name>``, whose ``name`` is not one
+    of ``SEEDED_RANDOM``."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            calls += [
+                (node.lineno, f"from numpy.random import {alias.name}")
+                for alias in node.names
+                if alias.name not in SEEDED_RANDOM
+            ]
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        owner = node.func.value
+        if (
+            isinstance(owner, ast.Attribute)
+            and owner.attr == "random"
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id in ("np", "numpy")
+            and node.func.attr not in SEEDED_RANDOM
+        ):
+            calls.append((node.lineno, f"{owner.value.id}.random.{node.func.attr}"))
+    return [f"line {line}: {call}" for line, call in sorted(calls)]
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_no_global_random_state(module):
+    """Every draw comes from a generator seeded for its purpose, so output
+    depends on the seed alone, not on what else ran in the process."""
+    assert _global_random_calls(MODULES[module]) == []
+
+
+def test_global_random_calls_found():
+    source = (
+        "np.random.seed(1)\n"
+        "x = numpy.random.normal(size=3)\n"
+        "from numpy.random import default_rng, rand\n"
+        "rng = np.random.default_rng(np.random.SeedSequence([2, 3]))\n"
+    )
+    assert _global_random_calls(ast.parse(source)) == [
+        "line 1: np.random.seed",
+        "line 2: numpy.random.normal",
+        "line 3: from numpy.random import rand",
+    ]

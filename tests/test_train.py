@@ -712,6 +712,24 @@ def test_worker_shared_memory_independent_of_frame_count():
     assert_no_child_left()
 
 
+@needs_fork
+def test_worker_rejects_matrix_it_was_not_forked_with(small_params):
+    """A copy of a forked matrix is another matrix: the caller gets a
+    DataError before the worker is released, so the worker still serves
+    the next batch and ends with the ``with`` block."""
+    rng = np.random.default_rng(6)
+    left, right = _random_pair(rng)
+    with deadline(30):
+        with net.BackwardWorker(small_params.dims, [left, right], max_rows=2) as worker:
+            with pytest.raises(DataError, match="not forked with"):
+                tr.pair_forward_backward(
+                    small_params, [left], [right.copy()], np.ones(1), worker=worker
+                )
+            assert worker.poll() is False
+            tr.pair_forward_backward(small_params, [left], [right], np.ones(1), worker=worker)
+    assert_no_child_left()
+
+
 def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
     """A daemon process may not start children, so it trains in process."""
     made = _recording_workers(monkeypatch)
