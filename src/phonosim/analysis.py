@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,33 +151,14 @@ def cross_condition_pairs(
     return pairs
 
 
-@dataclass
-class ConvergenceReport:
-    # condition -> relation -> {mean, std, n}
-    condition_stats: dict = field(default_factory=dict)
-    # speaker -> {imitation_ability, convergence_degree, + normalized}
-    speaker_scores: dict = field(default_factory=dict)
-    correlation: dict | None = None
-    # rows (condition, relation, similarity) for the distribution plot
-    distributions: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": THRESHOLD,
-            "condition_stats": self.condition_stats,
-            "speaker_scores": self.speaker_scores,
-            "correlation": self.correlation,
-        }
-
-
 def build_report(
     params,
     manifest: Manifest,
     store,
     sessions: list[int],
     solo_range: tuple[int, int] | None = None,
-) -> ConvergenceReport:
-    """Score, filter, and summarize a corpus into a ConvergenceReport.
+) -> tuple[dict, list[tuple[str, str, float]]]:
+    """Score, filter, and summarize a corpus into the ``report.json`` document.
 
     ``sessions`` selects the interactive sessions to analyze; the imitation
     condition uses all of its sessions.  Intra-speaker similarity is
@@ -185,7 +166,8 @@ def build_report(
     and against the solo baseline (same sentence across conditions); the
     baseline variant feeds the per-speaker scores.  ``solo_range`` picks
     the solo sentences, all of them by default; raises ``DataError`` when
-    it gives no solo pairs.
+    it gives no solo pairs.  Returns the document and the
+    (condition, relation, similarity) rows of the distribution plot.
 
     Both members of a dyad get the same convergence degree, since every
     intra-dyad pair holds both of them.  The Pearson r is taken over
@@ -206,9 +188,7 @@ def build_report(
         if imit_sessions
         else [],
         cross_condition_pairs(manifest, "interactive", sessions),
-        cross_condition_pairs(manifest, "imitation", imit_sessions)
-        if imit_sessions
-        else [],
+        cross_condition_pairs(manifest, "imitation", imit_sessions),
     ]
     # one scoring call, so an utterance shared by several sets is embedded once
     table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)
@@ -217,23 +197,21 @@ def build_report(
         filter_scores(table.take(slice(a, b)), THRESHOLD) for a, b in zip([0] + ends, ends)
     )
 
-    report = ConvergenceReport()
+    condition_stats, speaker_scores, rows = {}, {}, []
     within = {"solo": solo, "interactive": inter, "imitation": imit}
     baseline = {"interactive": inter_vs_solo, "imitation": imit_vs_solo}
     for condition, part in within.items():
-        stats = report.condition_stats[condition] = {}
+        stats = condition_stats[condition] = {}
         for relation, label in (("intra_dyad", 0), ("intra_speaker", 1)):
             values = part.similarity[part.label == label]
             stats[relation] = _summary(values)
-            report.distributions += [(condition, relation, v) for v in values.tolist()]
+            rows += [(condition, relation, v) for v in values.tolist()]
     for condition, part in baseline.items():
         if not part:
             continue
         # every pair against the solo baseline is a same-speaker pair
-        report.condition_stats[condition]["intra_speaker_vs_solo"] = _summary(part.similarity)
-        report.distributions += [
-            (condition, "intra_speaker_vs_solo", v) for v in part.similarity.tolist()
-        ]
+        condition_stats[condition]["intra_speaker_vs_solo"] = _summary(part.similarity)
+        rows += [(condition, "intra_speaker_vs_solo", v) for v in part.similarity.tolist()]
 
     # imitation ability: the drop in a speaker's intra-speaker similarity from
     # solo to imitation; convergence degree: the rise in their intra-dyad
@@ -246,37 +224,45 @@ def build_report(
     scored = sorted(finite, key=ids.__getitem__)
     ability, degree = ability[scored], degree[scored]
     for i, a, c in zip(scored, ability.tolist(), degree.tolist()):
-        report.speaker_scores[ids[i]] = {"imitation_ability": a, "convergence_degree": c}
+        speaker_scores[ids[i]] = {"imitation_ability": a, "convergence_degree": c}
     spread = len(scored) >= 2 and min(np.ptp(ability), np.ptp(degree)) > MIN_SPREAD
     if spread:
         ab_norm = (ability - ability.min()) / np.ptp(ability)
         cd_norm = (degree - degree.min()) / np.ptp(degree)
         for i, a, c in zip(scored, ab_norm.tolist(), cd_norm.tolist()):
-            report.speaker_scores[ids[i]].update(
+            speaker_scores[ids[i]].update(
                 imitation_ability_norm=a, convergence_degree_norm=c
             )
+    correlation = None
     if spread and len(scored) >= 3:
         r, p = pearson(ability, degree)
-        report.correlation = {"r": r, "p": p, "n": len(scored)}
-    return report
+        correlation = {"r": r, "p": p, "n": len(scored)}
+    report = {
+        "threshold": THRESHOLD,
+        "condition_stats": condition_stats,
+        "speaker_scores": speaker_scores,
+        "correlation": correlation,
+    }
+    return report, rows
 
 
-def emit_report(report: ConvergenceReport, out_dir: str | os.PathLike) -> None:
-    """Write report.json plus the two plot-ready CSV files."""
+def emit_report(report: dict, rows, out_dir: str | os.PathLike) -> None:
+    """Write report.json plus the two plot-ready CSV files; ``rows`` are the
+    distribution plot's (condition, relation, similarity) rows."""
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(report, fh, indent=1)
     # every similarity is a Python float, which csv writes as its repr
     with open(os.path.join(out_dir, "fig3_distributions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition", "relation", "similarity"])
-        writer.writerows(report.distributions)
+        writer.writerows(rows)
     with open(os.path.join(out_dir, "fig4_scatter.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["speaker", "imitation_ability_norm", "convergence_degree_norm"])
         writer.writerows(
             [spk, s["imitation_ability_norm"], s["convergence_degree_norm"]]
-            for spk, s in report.speaker_scores.items()
+            for spk, s in report["speaker_scores"].items()
             if "imitation_ability_norm" in s
         )

@@ -172,10 +172,10 @@ def _cmd_eval(args) -> None:
     store = dsp.FeatureStore(args.features)
     report = training.evaluate(params, pairs, store)
     with open(args.report, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(report, fh, indent=1)
     print(
-        f"accuracy {report.accuracy:.3f}, AUC {report.auc:.3f} "
-        f"on {report.n} pairs",
+        f"accuracy {report['accuracy']:.3f}, AUC {report['auc']:.3f} "
+        f"on {len(pairs)} pairs",
         file=sys.stderr,
     )
 
@@ -185,14 +185,14 @@ def _cmd_analyze(args) -> None:
     manifest = corpus.load_manifest(args.manifest)
     store = dsp.FeatureStore(args.features)
     solo_range = _parse_range(args.solo_range) if args.solo_range else None
-    report = analysis.build_report(
+    report, rows = analysis.build_report(
         params,
         manifest,
         store,
         sessions=_parse_sessions(args.sessions),
         solo_range=solo_range,
     )
-    analysis.emit_report(report, args.out)
+    analysis.emit_report(report, rows, args.out)
     print(f"wrote convergence report to {args.out}", file=sys.stderr)
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import AudioError, DataError, FeatureIOError, check_numeric_fields
 
 PIPELINE_RATE = 16000
+# lowest WAV rate read: resampling to PIPELINE_RATE then grows a file at most 16x
+MIN_SAMPLE_RATE = 1000
 
 FEATURE_MAGIC = b"ARTF"
 
@@ -105,7 +107,8 @@ def load_audio(path: str | os.PathLike) -> Waveform:
     """Load a PCM WAV file as a mono waveform at the pipeline rate.
 
     Stereo channels are averaged; integer samples are scaled to [-1, 1];
-    other sample rates are brought to 16 kHz by linear interpolation.
+    other sample rates are brought to 16 kHz by linear interpolation.  A
+    rate below ``MIN_SAMPLE_RATE`` raises ``AudioError``.
     """
     read = _read_pcm16(path)
     if read is None:
@@ -118,8 +121,10 @@ def load_audio(path: str | os.PathLike) -> Waveform:
         except Exception as exc:
             raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
     rate, data = read
-    if rate <= 0:
-        raise AudioError(f"sample rate {rate} Hz in WAV header: {path}")
+    if rate < MIN_SAMPLE_RATE:
+        raise AudioError(
+            f"sample rate {rate} Hz in WAV header, below {MIN_SAMPLE_RATE} Hz: {path}"
+        )
     if data.size == 0:
         raise AudioError(f"zero-length audio: {path}")
     if data.dtype == np.int16:
@@ -194,8 +199,8 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
 
     x = w.samples
     emph = np.concatenate(([x[0]], x[1:] - PREEMPHASIS * x[:-1]))
-    idx = np.arange(WINDOW_SAMPLES)[None, :] + HOP_SAMPLES * np.arange(n)[:, None]
-    frames = emph[idx] * np.hanning(WINDOW_SAMPLES)
+    windows = np.lib.stride_tricks.sliding_window_view(emph, WINDOW_SAMPLES)
+    frames = windows[::HOP_SAMPLES][:n] * np.hanning(WINDOW_SAMPLES)
 
     spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
     energies = np.log(np.maximum(spec @ mel_filterbank().T, LOG_FLOOR))

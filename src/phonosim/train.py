@@ -206,38 +206,6 @@ def adam_step(
 # metrics
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    accuracy: float
-    auc: float
-    positive: ClassMetrics
-    negative: ClassMetrics
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "positive": vars(self.positive).copy(),
-            "negative": vars(self.negative).copy(),
-            "counts": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
-        }
-
-
 def roc_auc(scores, labels) -> float:
     """AUC as the Mann-Whitney statistic, ties counted half.
 
@@ -259,7 +227,9 @@ def roc_auc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def metrics_from_scores(scores, labels, threshold: float = THRESHOLD) -> MetricsReport:
+def metrics_from_scores(scores, labels, threshold: float = THRESHOLD) -> dict:
+    """Accuracy, AUC, per-class precision/recall/F1 and the confusion
+    counts, as the document ``eval.json`` holds."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) == 0:
@@ -275,15 +245,15 @@ def metrics_from_scores(scores, labels, threshold: float = THRESHOLD) -> Metrics
         prec = tp_ / (tp_ + fp_) if tp_ + fp_ else 0.0
         rec = tp_ / (tp_ + fn_) if tp_ + fn_ else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        return ClassMetrics(precision=prec, recall=rec, f1=f1)
+        return {"precision": prec, "recall": rec, "f1": f1}
 
-    return MetricsReport(
-        accuracy=(tp + tn) / len(scores),
-        auc=roc_auc(scores, labels),
-        positive=cls(tp, fp, fn),
-        negative=cls(tn, fn, fp),  # negatives as the target class
-        tp=tp, fp=fp, tn=tn, fn=fn,
-    )
+    return {
+        "accuracy": (tp + tn) / len(scores),
+        "auc": roc_auc(scores, labels),
+        "positive": cls(tp, fp, fn),
+        "negative": cls(tn, fn, fp),  # negatives as the target class
+        "counts": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +291,7 @@ def score_similarities(params: ModelParams, pairs, store) -> np.ndarray:
     return sims
 
 
-def evaluate(params: ModelParams, pairs, store) -> MetricsReport:
+def evaluate(params: ModelParams, pairs, store) -> dict:
     """Threshold the infer-mode similarities at ``THRESHOLD`` and compute the
     metric suite."""
     pairs = list(pairs)
@@ -412,19 +382,17 @@ def train(
                 total_loss += loss * len(idx)
 
             # accuracy and the rank-sum AUC do not depend on the pairs' order
-            train_report = metrics_from_scores(sims, labels)
             record = {
                 "epoch": epoch,
                 "lr": lr,
                 "train_loss": total_loss / len(labels),
-                "train_accuracy": train_report.accuracy,
+                "train_accuracy": metrics_from_scores(sims, labels)["accuracy"],
             }
             if val_pairs:
-                val_report = evaluate(params, val_pairs, store)
-                record["validation"] = val_report.to_dict()
-                score = val_report.accuracy
+                record["validation"] = evaluate(params, val_pairs, store)
+                score = record["validation"]["accuracy"]
             else:
-                score = train_report.accuracy
+                score = record["train_accuracy"]
             if score > best_score:
                 best_score = score
                 best_params = params.copy()

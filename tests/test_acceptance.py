@@ -107,12 +107,13 @@ def test_criterion_4_generalization(corpora, trained):
     manifest, store = corpora[0.0]
     heldout = corpus.build_solo_pairs(manifest, *HELDOUT_SENT)
     report = tr.evaluate(trained.best_params, heldout, store)
-    ok = report.accuracy >= 0.80
+    ok = report["accuracy"] >= 0.80
     verdict(
         4,
         "held-out sentence verification accuracy >= 0.80",
         ok,
-        f"accuracy {report.accuracy:.3f}, AUC {report.auc:.3f}, n={report.n}",
+        f"accuracy {report['accuracy']:.3f}, AUC {report['auc']:.3f}, "
+        f"n={sum(report['counts'].values())}",
     )
 
 
@@ -172,17 +173,17 @@ def test_criterion_6_metric_oracles():
 
         rep = tr.metrics_from_scores(scores, labels, 0.5)
         ok &= abs(tr.roc_auc(scores, labels) - auc_oracle) < 1e-12
-        ok &= (rep.tp, rep.fp, rep.tn, rep.fn) == (tp, fp, tn, fn)
-        ok &= rep.accuracy == (tp + tn) / n
+        ok &= rep["counts"] == {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+        ok &= rep["accuracy"] == (tp + tn) / n
         for cls, (tp_, fp_, fn_) in (
-            (rep.positive, (tp, fp, fn)),
-            (rep.negative, (tn, fn, fp)),
+            (rep["positive"], (tp, fp, fn)),
+            (rep["negative"], (tn, fn, fp)),
         ):
             p_, r_, f_ = prf(tp_, fp_, fn_)
             ok &= (
-                abs(cls.precision - p_) < 1e-12
-                and abs(cls.recall - r_) < 1e-12
-                and abs(cls.f1 - f_) < 1e-12
+                abs(cls["precision"] - p_) < 1e-12
+                and abs(cls["recall"] - r_) < 1e-12
+                and abs(cls["f1"] - f_) < 1e-12
             )
         if not ok:
             break

@@ -7,9 +7,11 @@ Oracles:
   - a per-pair Python loop for the filter, the summaries and the
     per-speaker means over a random PairTable, and for the speaker scores
     of a whole report built from scripted similarities
+  - SHA-256 of the files emit_report writes for scripted similarities
 """
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -256,26 +258,26 @@ def test_cross_condition_pairs_structure():
 
 def test_build_and_emit_report(tiny_corpus, tiny_features, tmp_path):
     params = net.init_params(net.ModelDims(), seed=0)
-    report = analysis.build_report(
+    report, dist = analysis.build_report(
         params,
         tiny_corpus,
         tiny_features,
         sessions=[1],
     )
-    assert set(report.condition_stats) == {"solo", "interactive", "imitation"}
+    assert set(report["condition_stats"]) == {"solo", "interactive", "imitation"}
     for cond in ("interactive", "imitation"):
-        assert "intra_speaker_vs_solo" in report.condition_stats[cond]
-    for spk, scores in report.speaker_scores.items():
+        assert "intra_speaker_vs_solo" in report["condition_stats"][cond]
+    for spk, scores in report["speaker_scores"].items():
         assert "imitation_ability" in scores and "convergence_degree" in scores
 
     out = tmp_path / "report"
-    analysis.emit_report(report, out)
+    analysis.emit_report(report, dist, out)
     doc = json.loads((out / "report.json").read_text())
     assert doc["threshold"] == 0.5
     with open(out / "fig3_distributions.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["condition", "relation", "similarity"]
-    assert len(rows) == 1 + len(report.distributions)
+    assert len(rows) == 1 + len(dist)
     with open(out / "fig4_scatter.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["speaker", "imitation_ability_norm", "convergence_degree_norm"]
@@ -286,9 +288,9 @@ def _scripted_report(monkeypatch, similarities, manifest=None):
     (or on ``manifest``), with ``similarities(labels)`` in place of the
     network's scores.
 
-    Returns the manifest, the report and the five filtered tables in the
-    order ``build_report`` makes them: solo, interactive, imitation,
-    interactive vs solo and imitation vs solo.
+    Returns the manifest, the report, its distribution rows and the five
+    filtered tables in the order ``build_report`` makes them: solo,
+    interactive, imitation, interactive vs solo and imitation vs solo.
     """
     if manifest is None:
         manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
@@ -304,8 +306,8 @@ def _scripted_report(monkeypatch, similarities, manifest=None):
         return tables[-1]
 
     monkeypatch.setattr(analysis, "filter_scores", recording)
-    report = analysis.build_report(None, manifest, {}, sessions=[1])
-    return manifest, report, tables
+    report, dist = analysis.build_report(None, manifest, {}, sessions=[1])
+    return manifest, report, dist, tables
 
 
 def _read_csv(path):
@@ -316,13 +318,13 @@ def _read_csv(path):
 def test_build_report_scores_every_speaker(monkeypatch, tmp_path):
     # label-consistent similarities: every pair survives the threshold
     rng = np.random.default_rng(3)
-    manifest, report, tables = _scripted_report(
+    manifest, report, dist, tables = _scripted_report(
         monkeypatch,
         lambda labels: np.where(labels == 1, 0.6, 0.1) + 0.3 * rng.random(len(labels)),
     )
     solo, inter, _, _, imit_vs_solo = tables
     ids = sorted(s.id for s in manifest.speakers)
-    assert list(report.speaker_scores) == ids
+    assert list(report["speaker_scores"]) == ids
     index = {s.id: i for i, s in enumerate(manifest.speakers)}
     ability = [
         _loop_speaker_mean(solo, index[s], 1) - _loop_speaker_mean(imit_vs_solo, index[s], 1)
@@ -333,7 +335,7 @@ def test_build_report_scores_every_speaker(monkeypatch, tmp_path):
         for s in ids
     ]
     for spk, a, c in zip(ids, ability, degree):
-        scores = report.speaker_scores[spk]
+        scores = report["speaker_scores"][spk]
         assert (scores["imitation_ability"], scores["convergence_degree"]) == (a, c)
         assert scores["imitation_ability_norm"] == pytest.approx(
             (a - min(ability)) / (max(ability) - min(ability)), abs=1e-12
@@ -342,19 +344,19 @@ def test_build_report_scores_every_speaker(monkeypatch, tmp_path):
             (c - min(degree)) / (max(degree) - min(degree)), abs=1e-12
         )
     ref = scipy.stats.pearsonr(ability, degree)
-    assert report.correlation["n"] == len(ids)
-    assert report.correlation["r"] == pytest.approx(ref.statistic, abs=1e-12)
-    assert report.correlation["p"] == pytest.approx(ref.pvalue, abs=1e-10)
+    assert report["correlation"]["n"] == len(ids)
+    assert report["correlation"]["r"] == pytest.approx(ref.statistic, abs=1e-12)
+    assert report["correlation"]["p"] == pytest.approx(ref.pvalue, abs=1e-10)
 
-    analysis.emit_report(report, tmp_path)
+    analysis.emit_report(report, dist, tmp_path)
     rows = _read_csv(tmp_path / "fig4_scatter.csv")
     assert rows[1:] == [
         [spk, repr(s["imitation_ability_norm"]), repr(s["convergence_degree_norm"])]
-        for spk, s in report.speaker_scores.items()
+        for spk, s in report["speaker_scores"].items()
     ]
     # every number in both plot files is a plain float
     fig3 = _read_csv(tmp_path / "fig3_distributions.csv")
-    assert len(fig3) == 1 + len(report.distributions)
+    assert len(fig3) == 1 + len(dist)
     for row in fig3[1:]:
         float(row[2])
     for row in rows[1:]:
@@ -366,19 +368,19 @@ def test_min_max_normalize(monkeypatch, tmp_path):
     are left out, and the speakers are still scored."""
     rng = np.random.default_rng(4)
     # 0.75 is exact in binary, so every mean of it is 0.75 and every ability 0
-    manifest, report, _ = _scripted_report(
+    manifest, report, dist, _ = _scripted_report(
         monkeypatch,
         lambda labels: np.where(labels == 1, 0.75, 0.1 + 0.3 * rng.random(len(labels))),
     )
-    assert len(report.speaker_scores) == len(manifest.speakers)
+    assert len(report["speaker_scores"]) == len(manifest.speakers)
     degrees = set()
-    for scores in report.speaker_scores.values():
+    for scores in report["speaker_scores"].values():
         assert set(scores) == {"imitation_ability", "convergence_degree"}
         assert scores["imitation_ability"] == 0.0
         degrees.add(scores["convergence_degree"])
     assert len(degrees) > 1
-    assert report.correlation is None
-    analysis.emit_report(report, tmp_path)
+    assert report["correlation"] is None
+    analysis.emit_report(report, dist, tmp_path)
     assert len(_read_csv(tmp_path / "fig4_scatter.csv")) == 1
 
 
@@ -389,16 +391,46 @@ def test_rounding_noise_is_no_spread(monkeypatch):
     manifest = metadata_manifest(6, 6, conditions=corpus.CONDITIONS, sessions=(1,))
     manifest.utterances.remove(corpus.Utterance("P000", "solo", 1, 1))
     rng = np.random.default_rng(4)
-    _, report, _ = _scripted_report(
+    _, report, _, _ = _scripted_report(
         monkeypatch,
         lambda labels: np.where(labels == 1, 0.8, 0.1 + 0.3 * rng.random(len(labels))),
         manifest,
     )
-    abilities = [s["imitation_ability"] for s in report.speaker_scores.values()]
+    abilities = [s["imitation_ability"] for s in report["speaker_scores"].values()]
     assert len(abilities) == 6 and 0 < np.ptp(abilities) < 1e-12
-    for scores in report.speaker_scores.values():
+    for scores in report["speaker_scores"].values():
         assert set(scores) == {"imitation_ability", "convergence_degree"}
-    assert report.correlation is None
+    assert report["correlation"] is None
+
+
+# Recorded with the record-class report (ConvergenceReport.to_dict), before
+# build_report built the document itself: the refactor changes no byte.
+GOLDEN_REPORT_DIGESTS = {
+    "report.json": "95580efe21100eee3d6e00de3fb9dc3e4df05e06368ffcca8baba53641d3137e",
+    "fig3_distributions.csv": "995e0aaecfeae3ee2615fd13460d0533464debe9c5352c996cd08de7f6407929",
+    "fig4_scatter.csv": "ef27076d63150e3dc26b41232725a18cc520634334b30c79ad4624dc9c9df6b3",
+}
+
+
+def test_emitted_report_bytes_are_pinned(monkeypatch, tmp_path):
+    """The files ``emit_report`` writes for fixed scripted similarities,
+    byte for byte.  The filter drops pairs on both sides of the threshold
+    and every speaker is normalized, so each key of report.json shows; no
+    network runs, so no BLAS sum enters the bytes."""
+
+    def similarities(labels):
+        rng = np.random.default_rng(3)
+        return np.where(labels == 1, 0.45, 0.05) + 0.5 * rng.random(len(labels))
+
+    _, report, dist, tables = _scripted_report(monkeypatch, similarities)
+    assert [len(t) for t in tables] == [182, 44, 44, 31, 32]
+    assert report["correlation"]["n"] == 6
+    analysis.emit_report(report, dist, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_REPORT_DIGESTS
+    }
+    assert digests == GOLDEN_REPORT_DIGESTS
 
 
 def test_build_report_needs_solo_pairs(tiny_corpus, tiny_features):

@@ -306,6 +306,28 @@ def test_import_loads_no_scipy():
     assert _modules_loaded_by("import phonosim.cli") == "[]"
 
 
+def test_pairs_train_eval_load_no_scipy(pipeline, tmp_path):
+    """pairs, a one-epoch train and eval, each in a fresh interpreter, load
+    no SciPy module; ``cli.eval_s`` and ``cli.pairs_s`` rest on this."""
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    pairs, model = str(tmp_path / "pairs.json"), str(tmp_path / "model")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1}))
+    stages = [
+        ["pairs", "--manifest", manifest, "--condition", "solo", "--range", "1:4",
+         "--out", pairs],
+        ["train", "--features", pipeline["features"], "--pairs", pairs,
+         "--val-pairs", pipeline["pairs"], "--config", str(config), "--out", model],
+        ["eval", "--model", os.path.join(model, "model.artm"), "--pairs", pairs,
+         "--features", pipeline["features"], "--report", str(tmp_path / "eval.json")],
+    ]
+    for argv in stages:
+        loaded = _modules_loaded_by(
+            f"from phonosim import cli; assert cli.main({argv!r}) == 0", ("scipy",)
+        )
+        assert loaded == "[]", argv[0]
+
+
 def test_features_loads_no_scipy(pipeline, tmp_path):
     """synth writes 16-bit PCM, which features reads without SciPy; a
     missing WAV fails with exit 2 before SciPy is tried."""
@@ -762,30 +784,37 @@ def _copied_corpus(pipeline, tmp_path):
     return manifest, json.loads(manifest.read_text())["utterances"]
 
 
-def _write_zero_hz_wav(path):
-    """A 16-bit mono WAV whose header gives sample rate 0, built by hand
-    because ``wave`` refuses to write one."""
-    data = np.zeros(1600, dtype="<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)  # PCM, mono, 0 Hz, 0 B/s
+def _write_wav_at(path, rate, n_samples):
+    """A silent 16-bit mono WAV whose header gives sample rate ``rate``,
+    built by hand because ``wave`` refuses to write rate 0."""
+    data = np.zeros(n_samples, dtype="<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)  # PCM, mono
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(data)) + data
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
 def test_zero_hz_wav_is_an_audio_error(pipeline, tmp_path, capsys):
-    """A WAV whose header gives sample rate 0 raises AudioError naming the
-    file, and features exits 2 with one error line, not a traceback."""
+    """A WAV whose header gives sample rate 0, or 10 Hz (below
+    MIN_SAMPLE_RATE; the 2,044-byte file would resample to 1.6 million
+    samples), raises AudioError naming the file before resampling, and
+    features exits 2 with one error line, not a traceback."""
     manifest, utterances = _copied_corpus(pipeline, tmp_path)
     wav = manifest.parent / utterances[0]["audio_path"]
-    _write_zero_hz_wav(wav)
-    with pytest.raises(AudioError, match="sample rate 0 Hz") as raised:
-        dsp.load_audio(wav)
-    assert str(wav) in str(raised.value)
-    argv = ["features", "--manifest", str(manifest), "--out", str(tmp_path / "features")]
-    with deadline(120):
-        assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and str(wav) in err
+    for rate, n_samples in ((0, 1600), (10, 1000)):
+        _write_wav_at(wav, rate, n_samples)
+        with pytest.raises(AudioError, match=f"sample rate {rate} Hz") as raised:
+            dsp.load_audio(wav)
+        assert str(wav) in str(raised.value)
+        out = tmp_path / f"features{rate}"
+        argv = ["features", "--manifest", str(manifest), "--out", str(out)]
+        with deadline(120):
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(wav) in err
+    assert wav.stat().st_size == 2044
+    _write_wav_at(wav, dsp.MIN_SAMPLE_RATE, 1000)
+    assert len(dsp.load_audio(wav).samples) == 999 * 16 + 1
     assert_no_child_left()
 
 

@@ -10,6 +10,8 @@ Oracles:
     classification metrics
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 import signal
@@ -346,9 +348,10 @@ def test_auc_and_metrics_match_bruteforce_random_trials():
             _auc_oracle(scores, labels), abs=1e-12
         )
         rep = tr.metrics_from_scores(scores, labels, 0.5)
-        assert (rep.tp, rep.fp, rep.tn, rep.fn) == _metrics_oracle(scores, labels, 0.5)
-        assert rep.accuracy == pytest.approx((rep.tp + rep.tn) / n, abs=1e-12)
-        assert rep.n == n
+        tp, fp, tn, fn = (rep["counts"][k] for k in ("tp", "fp", "tn", "fn"))
+        assert (tp, fp, tn, fn) == _metrics_oracle(scores, labels, 0.5)
+        assert rep["accuracy"] == pytest.approx((tp + tn) / n, abs=1e-12)
+        assert tp + fp + tn + fn == n
 
 
 def test_auc_frozen_examples():
@@ -430,10 +433,10 @@ try:
         if min(y, default=0) == max(y, default=0):
             return  # AUC undefined for one class
         rep = tr.metrics_from_scores(scores, y, threshold)
-        assert rep.tp + rep.fp + rep.tn + rep.fn == len(scores)
-        assert 0.0 <= rep.accuracy <= 1.0 and 0.0 <= rep.auc <= 1.0
-        for cls in (rep.positive, rep.negative):
-            for v in (cls.precision, cls.recall, cls.f1):
+        assert sum(rep["counts"].values()) == len(scores)
+        assert 0.0 <= rep["accuracy"] <= 1.0 and 0.0 <= rep["auc"] <= 1.0
+        for cls in (rep["positive"], rep["negative"]):
+            for v in (cls["precision"], cls["recall"], cls["f1"]):
                 assert 0.0 <= v <= 1.0
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
@@ -447,14 +450,19 @@ def test_metrics_per_class_definitions():
     scores = [0.9, 0.8, 0.7, 0.2, 0.1, 0.3, 0.4]
     labels = [1, 1, 0, 0, 0, 0, 1]
     rep = tr.metrics_from_scores(scores, labels, 0.5)
-    assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 3, 1)
-    assert rep.positive.precision == pytest.approx(2 / 3)
-    assert rep.positive.recall == pytest.approx(2 / 3)
-    assert rep.positive.f1 == pytest.approx(2 / 3)
-    assert rep.negative.precision == pytest.approx(3 / 4)
-    assert rep.negative.recall == pytest.approx(3 / 4)
-    d = rep.to_dict()
-    assert d["counts"] == {"tp": 2, "fp": 1, "tn": 3, "fn": 1}
+    assert rep["counts"] == {"tp": 2, "fp": 1, "tn": 3, "fn": 1}
+    assert rep["positive"]["precision"] == pytest.approx(2 / 3)
+    assert rep["positive"]["recall"] == pytest.approx(2 / 3)
+    assert rep["positive"]["f1"] == pytest.approx(2 / 3)
+    assert rep["negative"]["precision"] == pytest.approx(3 / 4)
+    assert rep["negative"]["recall"] == pytest.approx(3 / 4)
+    # the eval.json text byte for byte: keys, their order and each number's
+    # repr, as recorded from MetricsReport.to_dict before the record class went
+    text = json.dumps(rep, indent=1)
+    assert list(rep) == ["accuracy", "auc", "positive", "negative", "counts"]
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2827cdf1c8b1c5f339d178361220104538be76f906020f6f1bfb938bfd1edc0d"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +498,8 @@ def test_evaluate_invariant_to_pair_order(tiny_features):
     params = net.init_params(net.ModelDims(), seed=0)
     a = tr.evaluate(params, pairs, tiny_features)
     b = tr.evaluate(params, pairs[::-1], tiny_features)
-    assert a.accuracy == b.accuracy and a.auc == b.auc
-    assert (a.tp, a.fp, a.tn, a.fn) == (b.tp, b.fp, b.tn, b.fn)
+    assert a["accuracy"] == b["accuracy"] and a["auc"] == b["auc"]
+    assert a["counts"] == b["counts"]
 
 
 def test_score_similarities_accepts_pair_objects(tiny_corpus, tiny_features):
@@ -506,9 +514,8 @@ def test_score_similarities_accepts_pair_objects(tiny_corpus, tiny_features):
         tr.score_similarities(params, pairs, tiny_features),
         tr.score_similarities(params, triples, tiny_features),
     )
-    assert (
-        tr.evaluate(params, pairs, tiny_features).to_dict()
-        == tr.evaluate(params, triples, tiny_features).to_dict()
+    assert tr.evaluate(params, pairs, tiny_features) == tr.evaluate(
+        params, triples, tiny_features
     )
 
 
@@ -569,7 +576,7 @@ def test_train_history_contract_and_lr_decay(tiny_corpus, tiny_features):
         assert "validation" in h and "accuracy" in h["validation"]
     best_acc = max(h["validation"]["accuracy"] for h in res.history)
     final_val = tr.evaluate(res.best_params, val_pairs, tiny_features)
-    assert final_val.accuracy == pytest.approx(best_acc)
+    assert final_val["accuracy"] == pytest.approx(best_acc)
 
 
 def test_train_empty_dataset_errors(tiny_features):
