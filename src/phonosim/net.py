@@ -3,11 +3,17 @@
 ``_embed_forward``/``_embed_backward`` take a batch of variable-length
 utterances through tied-weight forward/backward tanh recurrences read at
 each utterance's true last frame, dropout and batch normalization, a tanh
-feedforward layer and a sigmoid embedding layer.  The recurrences run
-time-major over the rows sorted longest first, and step ``t`` computes only
-the rows that still have a frame there, and a matrix object that fills
-several slots of a batch runs through them once.
-The public per-utterance functions wrap that kernel with a batch of one.
+feedforward layer and a sigmoid embedding layer.  The recurrences run over
+a packed batch: the rows sorted longest first, time-major, with only the
+frames that exist stored, so step ``t`` computes only the rows that still
+have a frame there.  The input projection and, in BPTT, the weight
+gradients are one product over every frame of the batch, outside the time
+loop; each step is three NumPy calls forward and two backward.  Every
+state is kept, in training and in inference.  A matrix object that fills
+several slots of a batch runs through the recurrences once.  In training
+the packed inputs, states and BPTT scratch live in ``run_buffers``, made
+once per run.  The public per-utterance functions wrap that kernel with a
+batch of one.
 
 In training, a ``BackwardWorker`` process, forked with the training
 matrices, can pack and run the backward direction while the caller runs
@@ -114,15 +120,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False):
-    """Time-major zero-padded batch, longest row first.
+def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False, buf=None):
+    """Packed batch, longest row first, in the layout of PyTorch's ``PackedSequence``.
 
-    Returns ``x``, ``(lmax, n, d_in)`` float64 so that ``x[t]`` is
-    contiguous, each row time-reversed when ``reverse``; ``order``, the
-    caller's index of each sorted row (a stable sort, so ties keep the
-    caller's order); and ``active``, the number of rows with a frame at step
-    ``t``, which are rows ``:active[t]``, for ``t`` in ``0..lmax``
-    (``active[lmax]`` is 0).
+    Returns ``x``, ``(N, d_in)`` float64 over the batch's ``N`` frames, a
+    view of the flat ``buf`` when one is given; ``order``, the caller's
+    index of each sorted row (a stable sort, so ties keep the caller's
+    order); ``active``, the number of rows with a frame at step ``t``,
+    which are rows ``:active[t]``, and ``off``, where step ``t`` starts in
+    ``x``, for ``t`` in ``0..lmax`` (``active[lmax]`` is 0 and ``off[lmax]``
+    is ``N``); and ``last``, the position in ``x`` of each sorted row's
+    last frame.  Sorted row ``j``'s frame ``t`` is ``x[off[t] + j]``, each
+    row time-reversed when ``reverse``.
     """
     for f in feats:
         if f.ndim != 2 or f.shape[1] != d_in:
@@ -136,91 +145,120 @@ def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False):
     lengths = caller_lengths[order]
     n = len(feats)
     lmax = int(lengths[0])
-    x = np.zeros((lmax, n, d_in))
+    active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
+    off = np.zeros(lmax + 1, dtype=np.intp)
+    np.cumsum(active[:lmax], out=off[1:])
+    x = _rows(buf, int(off[lmax]), d_in)
     for j, i in enumerate(order):
         f = feats[i]
-        x[: len(f), j] = f[::-1] if reverse else f
-    active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
-    return x, order, active.tolist()
+        x[off[: len(f)] + j] = f[::-1] if reverse else f
+    last = off[lengths - 1] + np.arange(n)
+    return x, order, active.tolist(), off.tolist(), last
 
 
-def _run_direction(x, w, u, b, active, hseq):
-    """One tanh recurrence over a ``_pack`` batch; returns each row's final state.
+def _rows(buf, n: int, width: int) -> np.ndarray:
+    """An ``(n, width)`` array: the start of the flat ``buf``, or a new one."""
+    if buf is None:
+        return np.empty((n, width))
+    return buf[: n * width].reshape(n, width)
 
-    Step ``t`` computes only the live rows ``:active[t]`` into
-    ``hseq[t % len(hseq)]``, so a ``(lmax, n, dh)`` buffer keeps every state
-    (BPTT needs them) and a ``(2, n, dh)`` one only the running state.  A
-    row's final state is copied out at the step it ends, which for rows
-    ``active[t + 1]:active[t]`` is ``t``; entries past a row's last frame are
-    never written, and no caller reads them.
+
+# a direction's (x, h, g) buffers when the batch allocates its own
+_UNBUFFERED = (None, None, None)
+
+
+def run_buffers(dims: ModelDims, feats, max_rows: int, directions: int = 2):
+    """Flat buffers for every batch of one training run, in one allocation.
+
+    For each of ``directions`` recurrences: the packed input ``x``, the
+    states ``h`` and the BPTT gather ``g`` of any batch of up to
+    ``max_rows`` of ``feats``, sized by their ``max_rows`` longest.  A batch
+    uses the start of each, so the pages it touches stay mapped for the
+    next batch.  Returns a ``(forward, backward)`` pair of ``(x, h, g)``
+    triples; ``backward`` is ``_UNBUFFERED`` for one direction.
     """
-    n = x.shape[1]
-    steps = len(hseq)
-    wt = np.ascontiguousarray(w.T)
+    lengths = sorted((len(f) for f in feats), reverse=True)
+    frames = sum(lengths[:max_rows])
+    di, dh = dims.d_in, dims.d_hidden
+    base = np.empty(directions * frames * (di + 2 * dh))
+    triples = tuple(
+        tuple(np.split(part, [frames * di, frames * (di + dh)]))
+        for part in np.split(base, directions)
+    )
+    return triples + (_UNBUFFERED,) * (2 - directions)
+
+
+def _run_direction(x, w, u, b, active, off, last, h):
+    """One tanh recurrence over a ``_pack`` batch, its states into ``h``
+    (``(N, dh)``, the layout of ``x``); returns each sorted row's final state.
+
+    The input projection ``x @ w.T + b`` is one product over every frame;
+    step ``t`` then adds ``h_{t-1} @ u.T`` to its live rows and takes the
+    ``tanh``, three NumPy calls whatever the row count.
+    """
+    np.dot(x, w.T, out=h)
+    h += b
     ut = np.ascontiguousarray(u.T)
-    bias = np.tile(b, (n, 1))  # a same-shape add is cheaper than a broadcast one
-    rec = np.empty((n, w.shape[0]))
-    final = np.empty_like(rec)
-    for t in range(len(x)):
+    rec = np.empty((active[0], w.shape[0]))
+    prev = h[: active[0]]
+    np.tanh(prev, out=prev)  # h_{-1} = 0
+    for t in range(1, len(off) - 1):
         k = active[t]
-        h = hseq[t % steps, :k]
-        np.dot(x[t, :k], wt, out=h)
-        if t > 0:  # h_{-1} = 0
-            h += np.dot(hseq[(t - 1) % steps, :k], ut, out=rec[:k])
-        h += bias[:k]
-        np.tanh(h, out=h)
-        ended = active[t + 1]
-        if ended < k:
-            final[ended:k] = h[ended:]
-    return final
+        ht = h[off[t] : off[t] + k]
+        ht += np.dot(prev[:k], ut, out=rec[:k])
+        np.tanh(ht, out=ht)
+        prev = ht
+    return h[last]
 
 
-def _direction_backward(x, hseq, active, u, d_final):
-    """BPTT of one direction over a ``_pack`` batch.
+def _direction_backward(x, h, active, off, u, d_final, g=None):
+    """BPTT of one direction over a ``_pack`` batch; overwrites ``h``.
 
-    ``d_final`` enters each row at its last frame: the rows ending at step
-    ``t`` are ``active[t + 1]:active[t]``.  Only live rows are stepped, so
-    padded steps add no gradient.
+    ``d_final`` enters each sorted row at its last frame: the rows ending at
+    step ``t`` are ``active[t + 1]:active[t]``.  ``h`` becomes ``1 - h**2``
+    in bulk and then, step by step, the gradient ``d`` at each frame's
+    pre-activation: one multiply and one chain product per step.  The
+    weight gradients are products over every frame after the loop; for
+    ``du`` the state before each frame of steps ``t >= 1`` is gathered into
+    ``g`` (flat, or None for a new array).
     """
-    lmax, n, dh = hseq.shape
-    dw = np.zeros((dh, x.shape[2]))
-    du = np.zeros((dh, dh))
-    db = np.zeros((n, dh))
-    gw = np.empty_like(dw)
-    gu = np.empty_like(du)
-    dh_t = np.zeros((n, dh))
-    da = np.empty((n, dh))
+    n_frames = len(h)
+    lmax = len(off) - 1
+    # frame off[t] + j follows frame off[t - 1] + j, active[t - 1] earlier
+    prev = np.arange(off[1], n_frames) - np.repeat(active[: lmax - 1], active[1:lmax])
+    g = _rows(g, len(prev), h.shape[1])
+    np.take(h, prev, axis=0, out=g, mode="clip")  # "raise" would buffer
+    d = h
+    np.multiply(d, d, out=d)
+    np.subtract(1.0, d, out=d)
+    dh_t = np.empty((active[0], h.shape[1]))
     for t in range(lmax - 1, -1, -1):
         k = active[t]
         ended = active[t + 1]
-        if k > ended:
-            # these rows were not live at t + 1, so their dh_t is still zero
+        if k > ended:  # rows not live at t + 1 have no chained gradient
             dh_t[ended:k] = d_final[ended:k]
-        h = hseq[t, :k]
-        d = da[:k]
-        np.multiply(h, h, out=d)
-        np.subtract(1.0, d, out=d)
-        d *= dh_t[:k]
-        dw += np.dot(d.T, x[t, :k], out=gw)
+        dt = d[off[t] : off[t] + k]
+        dt *= dh_t[:k]
         if t > 0:  # h_{-1} = 0
-            du += np.dot(d.T, hseq[t - 1, :k], out=gu)
-        db[:k] += d
-        np.dot(d, u, out=dh_t[:k])
-    return dw, du, db.sum(axis=0)
+            np.dot(dt, u, out=dh_t[:k])
+    return d.T @ x, d[off[1] :].T @ g, d.sum(axis=0)
 
 
-def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=None, worker=None):
+def _embed_forward(
+    params: ModelParams, feats, training: bool, dropout_masks=None, worker=None, buffers=None
+):
     """Embeddings for a batch of utterances; returns (e, cache).
 
     The recurrences run once per distinct matrix object in ``feats``: an
     object that fills several slots shares its recurrent states, since
     dropout acts only after them.  Batch-norm uses the batch statistics
     (cache ``mu``, ``var``) when ``training``, else the running ones.
-    ``dropout_masks``: one row per slot.  Inference keeps only the running
-    recurrent state.  A training batch's backward direction runs in
-    ``worker`` (a ``BackwardWorker``) when one is given, which
-    ``_embed_backward`` then uses too.  Raises ``DataError`` for a feature
-    matrix that is not ``(frames, d_in)``.
+    ``dropout_masks``: one row per slot.  A training batch's backward
+    direction runs in ``worker`` (a ``BackwardWorker``) when one is given,
+    which ``_embed_backward`` then uses too.  ``buffers``, from
+    ``run_buffers``, hold the packed inputs and states; without them the
+    batch allocates its own.  Raises ``DataError`` for a feature matrix
+    that is not ``(frames, d_in)``.
     """
     first = {}  # id of each distinct matrix -> its index in `distinct`
     distinct = []
@@ -230,14 +268,15 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
             distinct.append(f)
     if worker is not None:
         worker.start_forward(params, distinct)
-    x, order, active = _pack(distinct, params.dims.d_in)
-    steps = len(x) if training else 2
-    hf = np.empty((steps, len(distinct), params.dims.d_hidden))
-    final_f = _run_direction(x, params.wf, params.uf, params.bf, active, hf)
+    buf_f, buf_b = buffers or (_UNBUFFERED, _UNBUFFERED)
+    dh = params.dims.d_hidden
+    x, order, active, off, last = _pack(distinct, params.dims.d_in, buf=buf_f[0])
+    hf = _rows(buf_f[1], len(x), dh)
+    final_f = _run_direction(x, params.wf, params.uf, params.bf, active, off, last, hf)
     if worker is None:
-        xrev = _pack(distinct, params.dims.d_in, reverse=True)[0]
-        hb = np.empty_like(hf)
-        final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, hb)
+        xrev = _pack(distinct, params.dims.d_in, reverse=True, buf=buf_b[0])[0]
+        hb = _rows(buf_b[1], len(x), dh)
+        final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, off, last, hb)
     else:
         xrev = hb = None
         final_b = worker.finish_forward()
@@ -257,15 +296,16 @@ def _embed_forward(params: ModelParams, feats, training: bool, dropout_masks=Non
     y = np.tanh(z @ params.wy.T + params.by)
     e = _sigmoid(y @ params.we.T + params.be)
     cache = dict(
-        x=x, xrev=xrev, rows=rows, active=active, hf=hf, hb=hb, worker=worker,
-        dropout_masks=dropout_masks,
+        x=x, xrev=xrev, rows=rows, active=active, off=off, hf=hf, hb=hb,
+        worker=worker, buffers=(buf_f, buf_b), dropout_masks=dropout_masks,
         mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
     )
     return e, cache
 
 
 def _embed_backward(params: ModelParams, de, cache):
-    """Gradients of all trainable tensors given d(loss)/d(embeddings), training mode."""
+    """Gradients of all trainable tensors given d(loss)/d(embeddings), training
+    mode.  BPTT overwrites the cache's states, so a cache serves one call."""
     e, y, z, xhat = cache["e"], cache["y"], cache["z"], cache["xhat"]
     s = de * e * (1.0 - e)
     grads = {
@@ -289,19 +329,20 @@ def _embed_backward(params: ModelParams, de, cache):
     dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
     # BPTT is linear in the injected gradient, so the slots that share a
     # matrix add into its sorted row and it is back-propagated once
-    d_final = np.zeros((cache["x"].shape[1], dhcat.shape[1]))
+    d_final = np.zeros((cache["active"][0], dhcat.shape[1]))
     np.add.at(d_final, cache["rows"], dhcat)
 
     dh = params.dims.d_hidden
-    active, worker = cache["active"], cache["worker"]
+    active, off, worker = cache["active"], cache["off"], cache["worker"]
+    buf_f, buf_b = cache["buffers"]
     if worker is not None:
         worker.start_backward(d_final[:, dh:])
     dwf, duf, dbf = _direction_backward(
-        cache["x"], cache["hf"], active, params.uf, d_final[:, :dh]
+        cache["x"], cache["hf"], active, off, params.uf, d_final[:, :dh], buf_f[2]
     )
     if worker is None:
         dwb, dub, dbb = _direction_backward(
-            cache["xrev"], cache["hb"], active, params.ub, d_final[:, dh:]
+            cache["xrev"], cache["hb"], active, off, params.ub, d_final[:, dh:], buf_b[2]
         )
     else:
         dwb, dub, dbb = worker.finish_backward()
@@ -341,7 +382,8 @@ class BackwardWorker(Forked):
     batch (the stable sort gives it the caller's row order);
     ``_embed_backward`` does the same with ``start_backward`` and
     ``finish_backward``.  Batches hold up to ``max_rows`` distinct matrices,
-    and the recurrent states stay in one buffer for the worker's life.
+    and their packed inputs and states stay in ``run_buffers`` for the
+    worker's life.
     Leaving the ``with`` block kills the process.
     """
 
@@ -364,25 +406,26 @@ class BackwardWorker(Forked):
             setattr(self, name, np.ndarray(shape, dtype, buffer=self._map, offset=offset))
             offset += 8 * math.prod(shape)
         self._feats = {id(f): f for f in feats}
+        self._dims, self._max_rows = dims, max_rows
         context = multiprocessing.get_context("fork")
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
         super().__init__(self._serve)
 
     def _serve(self):
         parent = os.getppid()
-        hb = np.empty(max(len(f) for f in self._feats.values()) * self.final.size)
+        buf = run_buffers(self._dims, self._feats.values(), self._max_rows, directions=1)[0]
         while _acquire(self._go, lambda: os.getppid() == parent):
             phase, n = self.head[:2].tolist()
             if phase == 0:
                 batch = [self._feats[i] for i in self.head[2 : n + 2].tolist()]
-                xrev, _, active = _pack(batch, self.w.shape[1], reverse=True)
-                hseq = hb[: len(xrev) * n * self.b.size].reshape(len(xrev), n, -1)
-                final = _run_direction(xrev, self.w, self.u, self.b, active, hseq)
+                xrev, _, active, off, last = _pack(batch, self.w.shape[1], True, buf[0])
+                hseq = _rows(buf[1], len(xrev), self.b.size)
+                final = _run_direction(xrev, self.w, self.u, self.b, active, off, last, hseq)
                 self.final[: final.size] = final.ravel()
             else:
                 d_final = self.d_final[: n * self.b.size].reshape(n, -1)
                 self.dw[...], self.du[...], self.db[...] = _direction_backward(
-                    xrev, hseq, active, self.u, d_final
+                    xrev, hseq, active, off, self.u, d_final, buf[2]
                 )
             self._done.release()
 
@@ -442,12 +485,13 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    x, _, active = _pack([_true_frames(frames, true_length)], params.dims.d_in)
-    hf = np.empty((len(x), 1, params.dims.d_hidden))
+    x, _, active, off, last = _pack([_true_frames(frames, true_length)], params.dims.d_in)
+    hf = np.empty((len(x), params.dims.d_hidden))
     hb = np.empty_like(hf)
-    _run_direction(x, params.wf, params.uf, params.bf, active, hf)
-    _run_direction(x[::-1], params.wb, params.ub, params.bb, active, hb)  # one row, no padding
-    return np.hstack([hf[:, 0], hb[::-1, 0]])
+    _run_direction(x, params.wf, params.uf, params.bf, active, off, last, hf)
+    # one row, so frame t is x[t] and the reversed rows are x[::-1]
+    _run_direction(x[::-1], params.wb, params.ub, params.bb, active, off, last, hb)
+    return np.hstack([hf, hb[::-1]])
 
 
 def embed_utterance(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:

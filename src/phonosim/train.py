@@ -25,6 +25,7 @@ from .net import (
     _embed_forward,
     backward_worker,
     init_params,
+    run_buffers,
 )
 
 PROB_CLIP = 1e-7
@@ -93,6 +94,7 @@ def pair_forward_backward(
     l1_coeff: float = 0.0,
     dropout_masks: np.ndarray | None = None,
     worker=None,
+    buffers=None,
 ):
     """Training-mode loss, gradients, batch-norm batch statistics, and similarities.
 
@@ -102,6 +104,8 @@ def pair_forward_backward(
     several slots runs through the recurrences and BPTT once.  A
     ``net.BackwardWorker`` as ``worker``, forked with these matrices, runs
     the backward direction alongside the forward one, bit-identically.
+    ``buffers`` (``net.run_buffers``) hold the batch's packed inputs and
+    states; without them it allocates its own.
     """
     n_pairs = len(left_feats)
     if n_pairs == 0:
@@ -109,7 +113,8 @@ def pair_forward_backward(
     labels = np.asarray(labels, dtype=np.float64)
     feats = [f for pair in zip(left_feats, right_feats) for f in pair]
     e, cache = _embed_forward(
-        params, feats, training=True, dropout_masks=dropout_masks, worker=worker
+        params, feats, training=True, dropout_masks=dropout_masks, worker=worker,
+        buffers=buffers,
     )
 
     el, er = e[0::2], e[1::2]
@@ -363,6 +368,8 @@ def train(
     best_score = -np.inf
     sims = np.empty(len(labels))
     with backward_worker(params.dims, distinct, max_rows) as worker:
+        # the kernel's buffers for every batch of the run, freed on return
+        buffers = run_buffers(params.dims, distinct, max_rows, 2 if worker is None else 1)
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = rng.permutation(len(labels))
@@ -372,7 +379,7 @@ def train(
                 masks = _dropout_masks(rng, 2 * len(idx), params, config.dropout_rate)
                 loss, grads, (mu, var), sims[idx] = pair_forward_backward(
                     params, [lefts[i] for i in idx], [rights[i] for i in idx],
-                    labels[idx], config.l1_coeff, masks, worker,
+                    labels[idx], config.l1_coeff, masks, worker, buffers,
                 )
                 if not np.isfinite(loss):
                     raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")

@@ -17,6 +17,7 @@ import os
 import signal
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -59,8 +60,8 @@ def test_bce_clamps_extremes():
 
 
 def test_gradient_check_all_tensors_under_tolerance():
-    # the second batch mixes short and long rows, so padded steps occur; the
-    # third has one-frame rows and ties, out of length order
+    # the second batch mixes short and long rows, so rows end at different
+    # steps; the third has one-frame rows and ties, out of length order
     for lengths in ((7, 5, 6, 4), (2, 9, 3, 8), (1, 6, 3, 6, 1, 3)):
         errors = tr.gradient_check(net.ModelDims(5, 4, 3), seed=0, lengths=lengths)
         assert set(errors) == set(net.TRAINABLE_TENSORS)
@@ -90,7 +91,7 @@ def test_identical_pair_loss_below_ln2(small_params):
 
 
 def test_batched_embeddings_match_single_path(small_params):
-    """The padded batch path agrees with per-utterance inference."""
+    """The packed batch path agrees with per-utterance inference."""
     rng = np.random.default_rng(3)
     feats = [rng.normal(size=(t, 5)) for t in (4, 9, 6)]
     e_batch, _ = net._embed_forward(small_params, feats, training=False)
@@ -118,9 +119,9 @@ def test_embed_all_batches_match_single_path(small_params):
 
 
 def test_pair_loss_matches_per_utterance_oracle():
-    """Independent oracle for the padded batch kernel in training mode.
+    """Independent oracle for the packed batch kernel in training mode.
 
-    Each utterance runs its own unpadded tanh loops; batch-norm uses the
+    Each utterance runs its own tanh loops; batch-norm uses the
     statistics of the dropped-out batch; then the head, cosine and BCE.
     """
     dims = net.ModelDims(6, 5, 4)
@@ -162,6 +163,90 @@ def test_pair_loss_matches_per_utterance_oracle():
     np.testing.assert_allclose(bn_var, var, rtol=0, atol=1e-12)
 
 
+def test_recurrent_gradients_match_per_utterance_bptt_oracle():
+    """Independent oracle for the gradients of wf, uf, bf, wb, ub and bb.
+
+    Every slot's utterance runs its own loops and its own BPTT, so a matrix
+    that fills several slots is back-propagated once per slot.  The
+    gradient at the final states comes from a head backward that takes
+    batch norm through its explicit Jacobian.  Mixed lengths, one-frame
+    rows, sort ties and repeated slots, one pair being (b, b).
+    """
+    dims = net.ModelDims(6, 5, 4)
+    dh = dims.d_hidden
+    p = net.init_params(dims, seed=5)
+    rng = np.random.default_rng(31)
+    for name in net.WEIGHT_TENSORS:
+        getattr(p, name)[...] *= 6.0  # keep the cosine away from 1
+    p.bf[...], p.bb[...] = rng.normal(scale=0.3, size=(2, dh))
+    a, b, c, d, e1, f = (rng.normal(size=(t, dims.d_in)) for t in (1, 23, 7, 7, 1, 40))
+    lefts, rights = [a, b, c, b, f, d], [d, b, e1, c, b, a]
+    labels = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    slots = [m for pair in zip(lefts, rights) for m in pair]
+    n = len(slots)
+    masks = (rng.random((n, 2 * dh)) >= 0.2) / 0.8
+    l1 = 1e-4
+
+    def states(x):
+        """hf[t + 1] after frame t from hf[0] = 0; hb[t] at frame t, hb[T] = 0."""
+        hf = [np.zeros(dh)]
+        for t in range(len(x)):
+            hf.append(np.tanh(p.wf @ x[t] + p.uf @ hf[-1] + p.bf))
+        hb = [np.zeros(dh)]
+        for t in range(len(x) - 1, -1, -1):
+            hb.insert(0, np.tanh(p.wb @ x[t] + p.ub @ hb[0] + p.bb))
+        return hf, hb
+
+    hs = [states(x) for x in slots]
+    drop = np.array([np.concatenate([hf[-1], hb[0]]) for hf, hb in hs]) * masks
+    mu, sd = drop.mean(axis=0), np.sqrt(drop.var(axis=0) + net.BN_EPS)
+    z = p.bn_scale * (drop - mu) / sd + p.bn_shift
+    y = np.tanh(z @ p.wy.T + p.by)
+    e = 1.0 / (1.0 + np.exp(-(y @ p.we.T + p.be)))
+    de = np.zeros_like(e)
+    for i, label in enumerate(labels):
+        u, v = e[2 * i], e[2 * i + 1]
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        sim = u @ v / (nu * nv)
+        assert tr.PROB_CLIP < sim < 1.0 - tr.PROB_CLIP
+        dsim = (sim - label) / (sim * (1.0 - sim)) / len(labels)
+        de[2 * i] = dsim * (v / (nu * nv) - sim * u / nu**2)
+        de[2 * i + 1] = dsim * (u / (nu * nv) - sim * v / nv**2)
+    da = (de * e * (1.0 - e)) @ p.we * (1.0 - y * y)
+    dxhat = da @ p.wy * p.bn_scale
+    dhcat = np.empty_like(drop)
+    for col in range(2 * dh):
+        centred = drop[:, col] - mu[col]
+        # jac[i, k] = d xhat_i / d drop_k
+        jac = (np.eye(n) - 1.0 / n) / sd[col] - np.outer(centred, centred) / (n * sd[col] ** 3)
+        dhcat[:, col] = jac.T @ dxhat[:, col] * masks[:, col]
+
+    want = {name: np.zeros_like(getattr(p, name)) for name in ("wf", "uf", "bf", "wb", "ub", "bb")}
+    for s, x in enumerate(slots):
+        hf, hb = hs[s]
+        g = dhcat[s, :dh]
+        for t in range(len(x) - 1, -1, -1):
+            dpre = g * (1.0 - hf[t + 1] ** 2)
+            want["wf"] += np.outer(dpre, x[t])
+            want["uf"] += np.outer(dpre, hf[t])
+            want["bf"] += dpre
+            g = p.uf.T @ dpre
+        g = dhcat[s, dh:]
+        for t in range(len(x)):
+            dpre = g * (1.0 - hb[t] ** 2)
+            want["wb"] += np.outer(dpre, x[t])
+            want["ub"] += np.outer(dpre, hb[t + 1])
+            want["bb"] += dpre
+            g = p.ub.T @ dpre
+    for name in ("wf", "uf", "wb", "ub"):
+        want[name] += l1 * np.sign(getattr(p, name))
+
+    _, grads, _, _ = tr.pair_forward_backward(p, lefts, rights, labels, l1, masks)
+    for name, w in want.items():
+        err = np.abs(grads[name] - w).max() / np.abs(w).max()
+        assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+
+
 def _repeated_batch():
     """A batch in which one matrix object fills four slots, one pair being
     (a, a), and a second object fills three."""
@@ -184,9 +269,9 @@ def test_repeated_matrices_match_distinct_copies(monkeypatch):
     packed = []
     pack = net._pack
 
-    def counting_pack(feats, d_in, reverse=False):
+    def counting_pack(feats, d_in, reverse=False, buf=None):
         packed.append(len(feats))
-        return pack(feats, d_in, reverse)
+        return pack(feats, d_in, reverse, buf)
 
     monkeypatch.setattr(net, "_pack", counting_pack)
     loss, grads, (mu, var), sims = tr.pair_forward_backward(
@@ -768,6 +853,36 @@ def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
     assert runs[0].history == runs[1].history
     keys = {k for p in train_pairs for k in p[:2]}
     assert len(keys) < 2 * len(train_pairs) and rows == [len(keys), len(keys)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+def test_train_batches_share_buffers_freed_on_return(tiny_corpus, monkeypatch, cpus):
+    """Every training batch of one ``train`` call packs its input and runs
+    its recurrences in the same base buffer, in process and beside the
+    worker; once ``train`` returns, that buffer is gone."""
+    train_pairs, _ = _quick_pairs(tiny_corpus)
+    rng = np.random.default_rng(7)
+    keys = {k for pair in train_pairs for k in pair[:2]}
+    store = {k: rng.normal(size=(int(rng.integers(1, 30)), 39)) for k in sorted(keys)}
+    set_cpus(monkeypatch, cpus)
+    caller, run = os.getpid(), net._run_direction
+    base, same = [], []
+
+    def recording(x, w, u, b, active, off, last, h):
+        if os.getpid() == caller:
+            buf = h.base
+            if not base and buf is not None:
+                base.append(weakref.ref(buf))
+            same.append(bool(base) and x.base is buf is base[0]())
+        return run(x, w, u, b, active, off, last, h)
+
+    monkeypatch.setattr(net, "_run_direction", recording)
+    cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=3)
+    tr.train(cfg, train_pairs, [], store)  # no validation, so every call is a batch
+    batches = cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
+    assert same == [True] * batches * (2 if cpus == 1 else 1)
+    assert base[0]() is None
+    assert_no_child_left()
 
 
 @needs_fork
