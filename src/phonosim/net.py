@@ -9,11 +9,12 @@ frames that exist stored, so step ``t`` computes only the rows that still
 have a frame there.  The input projection and, in BPTT, the weight
 gradients are one product over every frame of the batch, outside the time
 loop; each step is three NumPy calls forward and two backward.  Every
-state is kept, in training and in inference.  A matrix object that fills
-several slots of a batch runs through the recurrences once.  In training
-the packed inputs, states and BPTT scratch live in ``run_buffers``, made
-once per run.  The public per-utterance functions wrap that kernel with a
-batch of one.
+state is kept.  A matrix object that fills several slots of a batch runs
+through the recurrences once.  Every batch, training or inference, packs
+and runs each direction through ``_direction``, in the packed inputs,
+states and BPTT scratch of ``run_buffers``: one allocation for all the
+batches of a run, or one for a batch run on its own.  The public
+per-utterance functions wrap that kernel with a batch of one.
 
 In training, a ``BackwardWorker`` process, forked with the training
 matrices, can pack and run the backward direction while the caller runs
@@ -120,11 +121,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False, buf=None):
+def _pack(feats: list[np.ndarray], d_in: int, reverse: bool, buf):
     """Packed batch, longest row first, in the layout of PyTorch's ``PackedSequence``.
 
     Returns ``x``, ``(N, d_in)`` float64 over the batch's ``N`` frames, a
-    view of the flat ``buf`` when one is given; ``order``, the caller's
+    view of the start of the flat ``buf``; ``order``, the caller's
     index of each sorted row (a stable sort, so ties keep the caller's
     order); ``active``, the number of rows with a frame at step ``t``,
     which are rows ``:active[t]``, and ``off``, where step ``t`` starts in
@@ -157,35 +158,28 @@ def _pack(feats: list[np.ndarray], d_in: int, reverse: bool = False, buf=None):
 
 
 def _rows(buf, n: int, width: int) -> np.ndarray:
-    """An ``(n, width)`` array: the start of the flat ``buf``, or a new one."""
-    if buf is None:
-        return np.empty((n, width))
+    """The start of the flat ``buf`` as an ``(n, width)`` array."""
     return buf[: n * width].reshape(n, width)
 
 
-# a direction's (x, h, g) buffers when the batch allocates its own
-_UNBUFFERED = (None, None, None)
+def run_buffers(dims: ModelDims, feats, max_rows: int):
+    """Flat buffers for every batch of one run over ``feats``, in one allocation.
 
-
-def run_buffers(dims: ModelDims, feats, max_rows: int, directions: int = 2):
-    """Flat buffers for every batch of one training run, in one allocation.
-
-    For each of ``directions`` recurrences: the packed input ``x``, the
-    states ``h`` and the BPTT gather ``g`` of any batch of up to
-    ``max_rows`` of ``feats``, sized by their ``max_rows`` longest.  A batch
-    uses the start of each, so the pages it touches stay mapped for the
-    next batch.  Returns a ``(forward, backward)`` pair of ``(x, h, g)``
-    triples; ``backward`` is ``_UNBUFFERED`` for one direction.
+    For each recurrence: the packed input ``x``, the states ``h`` and the
+    BPTT gather ``g`` of any batch of up to ``max_rows`` of ``feats``, sized
+    by their ``max_rows`` longest.  A batch uses the start of each, so the
+    pages it touches stay mapped for the next batch, and a direction that
+    runs elsewhere never maps its pages.  Returns a ``(forward, backward)``
+    pair of ``(x, h, g)`` triples.
     """
     lengths = sorted((len(f) for f in feats), reverse=True)
     frames = sum(lengths[:max_rows])
     di, dh = dims.d_in, dims.d_hidden
-    base = np.empty(directions * frames * (di + 2 * dh))
-    triples = tuple(
+    base = np.empty(2 * frames * (di + 2 * dh))
+    return tuple(
         tuple(np.split(part, [frames * di, frames * (di + dh)]))
-        for part in np.split(base, directions)
+        for part in np.split(base, 2)
     )
-    return triples + (_UNBUFFERED,) * (2 - directions)
 
 
 def _run_direction(x, w, u, b, active, off, last, h):
@@ -211,7 +205,17 @@ def _run_direction(x, w, u, b, active, off, last, h):
     return h[last]
 
 
-def _direction_backward(x, h, active, off, u, d_final, g=None):
+def _direction(batch, w, u, b, reverse: bool, buf):
+    """Pack ``batch`` into the ``(x, h, g)`` triple ``buf`` and run one
+    direction; returns each sorted row's final state, ``_pack``'s ``order``
+    and the run ``(x, h, active, off, g)`` that ``_direction_backward`` takes."""
+    x, order, active, off, last = _pack(batch, w.shape[1], reverse, buf[0])
+    h = _rows(buf[1], len(x), w.shape[0])
+    final = _run_direction(x, w, u, b, active, off, last, h)
+    return final, order, (x, h, active, off, buf[2])
+
+
+def _direction_backward(x, h, active, off, g, u, d_final):
     """BPTT of one direction over a ``_pack`` batch; overwrites ``h``.
 
     ``d_final`` enters each sorted row at its last frame: the rows ending at
@@ -220,7 +224,7 @@ def _direction_backward(x, h, active, off, u, d_final, g=None):
     pre-activation: one multiply and one chain product per step.  The
     weight gradients are products over every frame after the loop; for
     ``du`` the state before each frame of steps ``t >= 1`` is gathered into
-    ``g`` (flat, or None for a new array).
+    the start of the flat ``g``.
     """
     n_frames = len(h)
     lmax = len(off) - 1
@@ -255,10 +259,9 @@ def _embed_forward(
     (cache ``mu``, ``var``) when ``training``, else the running ones.
     ``dropout_masks``: one row per slot.  A training batch's backward
     direction runs in ``worker`` (a ``BackwardWorker``) when one is given,
-    which ``_embed_backward`` then uses too.  ``buffers``, from
-    ``run_buffers``, hold the packed inputs and states; without them the
-    batch allocates its own.  Raises ``DataError`` for a feature matrix
-    that is not ``(frames, d_in)``.
+    which ``_embed_backward`` then uses too.  The batch packs and runs in
+    ``buffers``, from ``run_buffers``; None makes them for this batch alone.
+    Raises ``DataError`` for a feature matrix that is not ``(frames, d_in)``.
     """
     first = {}  # id of each distinct matrix -> its index in `distinct`
     distinct = []
@@ -266,20 +269,14 @@ def _embed_forward(
         if id(f) not in first:
             first[id(f)] = len(distinct)
             distinct.append(f)
+    buf_f, buf_b = buffers or run_buffers(params.dims, distinct, len(distinct))
     if worker is not None:
         worker.start_forward(params, distinct)
-    buf_f, buf_b = buffers or (_UNBUFFERED, _UNBUFFERED)
-    dh = params.dims.d_hidden
-    x, order, active, off, last = _pack(distinct, params.dims.d_in, buf=buf_f[0])
-    hf = _rows(buf_f[1], len(x), dh)
-    final_f = _run_direction(x, params.wf, params.uf, params.bf, active, off, last, hf)
+    final_f, order, run_f = _direction(distinct, params.wf, params.uf, params.bf, False, buf_f)
     if worker is None:
-        xrev = _pack(distinct, params.dims.d_in, reverse=True, buf=buf_b[0])[0]
-        hb = _rows(buf_b[1], len(x), dh)
-        final_b = _run_direction(xrev, params.wb, params.ub, params.bb, active, off, last, hb)
+        final_b, _, run_b = _direction(distinct, params.wb, params.ub, params.bb, True, buf_b)
     else:
-        xrev = hb = None
-        final_b = worker.finish_forward()
+        final_b, run_b = worker.finish_forward(), None
     sorted_row = np.empty_like(order)
     sorted_row[order] = np.arange(len(order))
     rows = sorted_row[[first[id(f)] for f in feats]]  # each slot's sorted row
@@ -296,8 +293,7 @@ def _embed_forward(
     y = np.tanh(z @ params.wy.T + params.by)
     e = _sigmoid(y @ params.we.T + params.be)
     cache = dict(
-        x=x, xrev=xrev, rows=rows, active=active, off=off, hf=hf, hb=hb,
-        worker=worker, buffers=(buf_f, buf_b), dropout_masks=dropout_masks,
+        runs=(run_f, run_b), rows=rows, worker=worker, dropout_masks=dropout_masks,
         mu=mu, var=var, istd=istd, xhat=xhat, z=z, y=y, e=e,
     )
     return e, cache
@@ -329,21 +325,16 @@ def _embed_backward(params: ModelParams, de, cache):
     dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
     # BPTT is linear in the injected gradient, so the slots that share a
     # matrix add into its sorted row and it is back-propagated once
-    d_final = np.zeros((cache["active"][0], dhcat.shape[1]))
+    run_f, run_b = cache["runs"]
+    d_final = np.zeros((run_f[2][0], dhcat.shape[1]))  # active[0]: every sorted row
     np.add.at(d_final, cache["rows"], dhcat)
 
-    dh = params.dims.d_hidden
-    active, off, worker = cache["active"], cache["off"], cache["worker"]
-    buf_f, buf_b = cache["buffers"]
+    dh, worker = params.dims.d_hidden, cache["worker"]
     if worker is not None:
         worker.start_backward(d_final[:, dh:])
-    dwf, duf, dbf = _direction_backward(
-        cache["x"], cache["hf"], active, off, params.uf, d_final[:, :dh], buf_f[2]
-    )
+    dwf, duf, dbf = _direction_backward(*run_f, params.uf, d_final[:, :dh])
     if worker is None:
-        dwb, dub, dbb = _direction_backward(
-            cache["xrev"], cache["hb"], active, off, params.ub, d_final[:, dh:], buf_b[2]
-        )
+        dwb, dub, dbb = _direction_backward(*run_b, params.ub, d_final[:, dh:])
     else:
         dwb, dub, dbb = worker.finish_backward()
     grads.update(wf=dwf, uf=duf, bf=dbf, wb=dwb, ub=dub, bb=dbb)
@@ -413,19 +404,17 @@ class BackwardWorker(Forked):
 
     def _serve(self):
         parent = os.getppid()
-        buf = run_buffers(self._dims, self._feats.values(), self._max_rows, directions=1)[0]
+        buf = run_buffers(self._dims, self._feats.values(), self._max_rows)[1]
         while _acquire(self._go, lambda: os.getppid() == parent):
             phase, n = self.head[:2].tolist()
             if phase == 0:
                 batch = [self._feats[i] for i in self.head[2 : n + 2].tolist()]
-                xrev, _, active, off, last = _pack(batch, self.w.shape[1], True, buf[0])
-                hseq = _rows(buf[1], len(xrev), self.b.size)
-                final = _run_direction(xrev, self.w, self.u, self.b, active, off, last, hseq)
+                final, _, run = _direction(batch, self.w, self.u, self.b, True, buf)
                 self.final[: final.size] = final.ravel()
             else:
                 d_final = self.d_final[: n * self.b.size].reshape(n, -1)
                 self.dw[...], self.du[...], self.db[...] = _direction_backward(
-                    xrev, hseq, active, off, self.u, d_final, buf[2]
+                    *run, self.u, d_final
                 )
             self._done.release()
 
@@ -485,12 +474,11 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    x, _, active, off, last = _pack([_true_frames(frames, true_length)], params.dims.d_in)
-    hf = np.empty((len(x), params.dims.d_hidden))
-    hb = np.empty_like(hf)
-    _run_direction(x, params.wf, params.uf, params.bf, active, off, last, hf)
-    # one row, so frame t is x[t] and the reversed rows are x[::-1]
-    _run_direction(x[::-1], params.wb, params.ub, params.bb, active, off, last, hb)
+    batch = [_true_frames(frames, true_length)]
+    buf_f, buf_b = run_buffers(params.dims, batch, 1)
+    hf = _direction(batch, params.wf, params.uf, params.bf, False, buf_f)[2][1]
+    hb = _direction(batch, params.wb, params.ub, params.bb, True, buf_b)[2][1]
+    # one row, so the states are in time order, the backward ones reversed
     return np.hstack([hf, hb[::-1]])
 
 

@@ -104,8 +104,8 @@ def pair_forward_backward(
     several slots runs through the recurrences and BPTT once.  A
     ``net.BackwardWorker`` as ``worker``, forked with these matrices, runs
     the backward direction alongside the forward one, bit-identically.
-    ``buffers`` (``net.run_buffers``) hold the batch's packed inputs and
-    states; without them it allocates its own.
+    The batch packs and runs in ``buffers`` (``net.run_buffers``); None
+    makes them for this batch alone.
     """
     n_pairs = len(left_feats)
     if n_pairs == 0:
@@ -270,14 +270,16 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
 
     The keys run in batches of ``EMBED_ROWS``, in (frame count, key) order,
     so a batch holds utterances of similar length and its rows do not
-    depend on the order of ``keys``.
+    depend on the order of ``keys``.  Every batch packs and runs in one
+    ``run_buffers``, freed on return.
     """
     feats = {key: store[key] for key in keys}
     ordered = sorted(feats, key=lambda k: (len(feats[k]), k))
+    buffers = run_buffers(params.dims, feats.values(), EMBED_ROWS)
     out = {}
     for start in range(0, len(ordered), EMBED_ROWS):
         chunk = ordered[start : start + EMBED_ROWS]
-        e, _ = _embed_forward(params, [feats[k] for k in chunk], training=False)
+        e, _ = _embed_forward(params, [feats[k] for k in chunk], training=False, buffers=buffers)
         out.update(zip(chunk, e))
     return out
 
@@ -358,6 +360,12 @@ def train(
             f"training features have {d_in} columns, the initial model "
             f"expects {init.dims.d_in}"
         )
+    # validation reads its matrices here, so a missing or misshapen one
+    # fails before the first epoch
+    val_store = {k: store[k] for p in val_pairs for k in p[:2]}
+    val_widths = sorted({f.shape[1] for f in val_store.values()} - {d_in})
+    if val_widths:
+        raise DataError(f"validation features have {val_widths} columns, training ones {d_in}")
     max_rows = min(2 * config.batch_size, len(distinct))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
@@ -369,7 +377,7 @@ def train(
     sims = np.empty(len(labels))
     with backward_worker(params.dims, distinct, max_rows) as worker:
         # the kernel's buffers for every batch of the run, freed on return
-        buffers = run_buffers(params.dims, distinct, max_rows, 2 if worker is None else 1)
+        buffers = run_buffers(params.dims, distinct, max_rows)
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = rng.permutation(len(labels))
@@ -396,7 +404,7 @@ def train(
                 "train_accuracy": metrics_from_scores(sims, labels)["accuracy"],
             }
             if val_pairs:
-                record["validation"] = evaluate(params, val_pairs, store)
+                record["validation"] = evaluate(params, val_pairs, val_store)
                 score = record["validation"]["accuracy"]
             else:
                 score = record["train_accuracy"]

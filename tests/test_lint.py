@@ -1,8 +1,8 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
-function or constant is used by some module, one function forks, no
-module imports ``multiprocessing`` when it is imported, and no module draws
-from NumPy's global random state."""
+function or constant is used by some module, one function forks, one
+function packs and runs a recurrence, no module imports ``multiprocessing``
+when it is imported, and no module draws from NumPy's global random state."""
 
 import ast
 from pathlib import Path
@@ -60,18 +60,27 @@ def _private_definitions(tree) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def _fork_callers(node, where):
+def _callers(node, where, name):
     """The qualified name of the function (or class or module) around each
-    ``os.fork()`` or ``fork()`` call under ``node``."""
+    call of ``name``, bare or as an attribute (``os.fork()`` or
+    ``fork()``), under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _fork_callers(child, f"{where}.{child.name}")
+            yield from _callers(child, f"{where}.{child.name}", name)
             continue
         if isinstance(child, ast.Call):
             func = child.func
-            if getattr(func, "attr", None) == "fork" or getattr(func, "id", None) == "fork":
+            if name in (getattr(func, "attr", None), getattr(func, "id", None)):
                 yield where
-        yield from _fork_callers(child, where)
+        yield from _callers(child, where, name)
+
+
+def _package_callers(name) -> set[str]:
+    return {
+        caller
+        for module, tree in MODULES.items()
+        for caller in _callers(tree, module.removesuffix(".py"), name)
+    }
 
 
 def _run_at_import(node):
@@ -104,12 +113,16 @@ def test_no_unreferenced_private_definition(module):
 def test_one_function_forks():
     """Every child process the package starts comes from one function, so
     they share one lifecycle: one CPU gate, one error path, one reaping."""
-    callers = {
-        caller
-        for module, tree in MODULES.items()
-        for caller in _fork_callers(tree, module.removesuffix(".py"))
-    }
+    callers = _package_callers("fork")
     assert len(callers) == 1, sorted(callers)
+
+
+@pytest.mark.parametrize("kernel", ["_pack", "_run_direction"])
+def test_one_function_packs_and_runs(kernel):
+    """Every batch, training or inference, in process or in the backward
+    worker, packs and runs each direction through ``net._direction``, so
+    the kernel has one batch path."""
+    assert _package_callers(kernel) == {"net._direction"}
 
 
 @pytest.mark.parametrize("module", list(MODULES))

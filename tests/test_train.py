@@ -22,9 +22,9 @@ import weakref
 import numpy as np
 import pytest
 
-from phonosim import net
+from phonosim import dsp, net
 from phonosim import train as tr
-from phonosim.errors import DataError, PhonosimError
+from phonosim.errors import DataError, FeatureIOError, PhonosimError
 
 from conftest import assert_no_child_left, deadline, set_cpus
 
@@ -269,7 +269,7 @@ def test_repeated_matrices_match_distinct_copies(monkeypatch):
     packed = []
     pack = net._pack
 
-    def counting_pack(feats, d_in, reverse=False, buf=None):
+    def counting_pack(feats, d_in, reverse, buf):
         packed.append(len(feats))
         return pack(feats, d_in, reverse, buf)
 
@@ -683,6 +683,30 @@ def test_train_one_label_set_errors(tiny_corpus, tiny_features, monkeypatch):
     assert steps == []
 
 
+def test_train_validation_features_read_before_first_step(
+    tiny_corpus, tiny_features, tmp_path, monkeypatch
+):
+    """A missing validation feature file, or validation features of another
+    width than the training ones, fail before any Adam step."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
+    train_keys = {k for p in train_pairs for k in p[:2]}
+    val_key = next(k for p in val_pairs for k in p[:2] if k not in train_keys)
+    for key, frames in tiny_features.items():
+        if key != val_key:
+            dsp.write_features(frames, tmp_path / f"{key}.artf")
+    cfg = tr.TrainConfig(epochs=1)
+    with pytest.raises(FeatureIOError, match="missing feature file"):
+        tr.train(cfg, train_pairs, val_pairs, dsp.FeatureStore(tmp_path))
+    assert steps == []
+    narrow = dict(tiny_features)
+    narrow[val_key] = np.zeros((5, 36))
+    with pytest.raises(DataError, match=r"validation features have \[36\] columns"):
+        tr.train(cfg, train_pairs, val_pairs, narrow)
+    assert steps == []
+
+
 def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, monkeypatch):
     """Mixed feature widths, or features of another width than the initial
     model, fail before the backward worker starts, naming every width."""
@@ -855,16 +879,10 @@ def test_train_batch_past_pair_count(tiny_corpus, tiny_features, monkeypatch):
     assert len(keys) < 2 * len(train_pairs) and rows == [len(keys), len(keys)]
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
-def test_train_batches_share_buffers_freed_on_return(tiny_corpus, monkeypatch, cpus):
-    """Every training batch of one ``train`` call packs its input and runs
-    its recurrences in the same base buffer, in process and beside the
-    worker; once ``train`` returns, that buffer is gone."""
-    train_pairs, _ = _quick_pairs(tiny_corpus)
-    rng = np.random.default_rng(7)
-    keys = {k for pair in train_pairs for k in pair[:2]}
-    store = {k: rng.normal(size=(int(rng.integers(1, 30)), 39)) for k in sorted(keys)}
-    set_cpus(monkeypatch, cpus)
+def _recording_buffer_bases(monkeypatch):
+    """A weak reference to the base array of this process's first
+    recurrence, and for each recurrence whether its packed input and its
+    states are views of that same base."""
     caller, run = os.getpid(), net._run_direction
     base, same = [], []
 
@@ -877,12 +895,40 @@ def test_train_batches_share_buffers_freed_on_return(tiny_corpus, monkeypatch, c
         return run(x, w, u, b, active, off, last, h)
 
     monkeypatch.setattr(net, "_run_direction", recording)
+    return base, same
+
+
+def _mixed_length_store(keys, seed):
+    rng = np.random.default_rng(seed)
+    return {k: rng.normal(size=(int(rng.integers(1, 30)), 39)) for k in sorted(keys)}
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+def test_train_batches_share_buffers_freed_on_return(tiny_corpus, monkeypatch, cpus):
+    """Every training batch of one ``train`` call packs its input and runs
+    its recurrences in the same base buffer, in process and beside the
+    worker; once ``train`` returns, that buffer is gone."""
+    train_pairs, _ = _quick_pairs(tiny_corpus)
+    store = _mixed_length_store({k for pair in train_pairs for k in pair[:2]}, 7)
+    set_cpus(monkeypatch, cpus)
+    base, same = _recording_buffer_bases(monkeypatch)
     cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=3)
     tr.train(cfg, train_pairs, [], store)  # no validation, so every call is a batch
     batches = cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
     assert same == [True] * batches * (2 if cpus == 1 else 1)
     assert base[0]() is None
     assert_no_child_left()
+
+
+def test_embed_all_batches_share_buffers_freed_on_return(monkeypatch):
+    """Every inference batch of one ``embed_all`` call packs its input and
+    runs both recurrences in the same base buffer; once ``embed_all``
+    returns, that buffer is gone."""
+    store = _mixed_length_store([f"u{i:02d}" for i in range(3 * tr.EMBED_ROWS + 5)], 8)
+    base, same = _recording_buffer_bases(monkeypatch)
+    tr.embed_all(net.init_params(net.ModelDims(), seed=0), store, store)
+    assert same == [True] * 2 * 4  # 4 batches, the last of 5 rows
+    assert base[0]() is None
 
 
 @needs_fork
