@@ -165,8 +165,9 @@ def build_report(
     reported both within each condition (adjacent same-speaker sentences)
     and against the solo baseline (same sentence across conditions); the
     baseline variant feeds the per-speaker scores.  ``solo_range`` picks
-    the solo sentences, all of them by default; raises ``DataError`` when
-    it gives no solo pairs.  Returns the document and the
+    the solo sentences, all of them by default.  Raises ``DataError`` when
+    it gives no solo pairs, or when a session in ``sessions`` has no
+    interactive utterances.  Returns the document and the
     (condition, relation, similarity) rows of the distribution plot.
 
     Both members of a dyad get the same convergence degree, since every
@@ -176,8 +177,6 @@ def build_report(
     """
     lo, hi = solo_range or (1, SCRIPT_SENTENCES)
     solo_pairs = build_solo_pairs(manifest, lo, hi)
-    if not solo_pairs:
-        raise DataError(f"no solo pairs in sentence range {lo}:{hi}")
     imit_sessions = sorted(
         {u.session for u in manifest.utterances if u.condition == "imitation"}
     )

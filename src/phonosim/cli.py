@@ -71,15 +71,14 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
     return pairs
 
 
-def _load_config(cls, what: str, path: str | None, **overrides):
-    """A ``cls`` from the JSON object in ``path`` (its defaults if there is
-    no file), with the overrides that are not None applied on top."""
+def _load_config(cls, what: str, path: str | None):
+    """A ``cls`` from the JSON object in ``path``; its defaults if there is
+    no file."""
     values = {}
     if path:
         values = read_json(path, what)
         if not isinstance(values, dict):
             raise PhonosimError(f"{what} {path} is not a JSON object")
-    values.update((k, v) for k, v in overrides.items() if v is not None)
     unknown = values.keys() - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise PhonosimError(f"bad {what} {path}: unknown field {reprlib.repr(min(unknown))}")
@@ -145,9 +144,9 @@ def _cmd_pairs(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    cfg = _load_config(
-        training.TrainConfig, "training config", args.config, seed=args.seed
-    )
+    cfg = _load_config(training.TrainConfig, "training config", args.config)
+    if args.seed is not None:  # a flag, so its error does not name the file
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     pairs = _load_pairs_file(args.pairs)
     val_pairs = _load_pairs_file(args.val_pairs) if args.val_pairs else []
     store = dsp.FeatureStore(args.features)

@@ -194,7 +194,8 @@ def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[Pa
 
     Positives: all unordered distinct-sentence pairs per speaker.
     Negatives: all cross-speaker sentence combinations per dyad, including
-    equal sentence indices.
+    equal sentence indices.  Raises ``DataError`` when the range gives no
+    pairs.
     """
     if sentence_lo > sentence_hi:
         raise DataError(f"empty sentence range {sentence_lo}:{sentence_hi}")
@@ -213,6 +214,8 @@ def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[Pa
         for ua in by_speaker.get(a, []):
             for ub in by_speaker.get(b, []):
                 pairs.append(PairExample(ua.key, ub.key, 0, "solo"))
+    if not pairs:
+        raise DataError(f"no solo pairs in sentence range {sentence_lo}:{sentence_hi}")
     return pairs
 
 
@@ -223,14 +226,17 @@ def build_condition_pairs(
 
     Positives: consecutive utterances by the same speaker within one session,
     ordered by sentence index.  Negatives: the same sentence index produced by
-    both dyad members, within or across the chosen sessions.
+    both dyad members, within or across the chosen sessions.  Raises
+    ``DataError`` naming every chosen session without utterances of
+    ``condition``.
     """
     if condition not in ("interactive", "imitation"):
         raise DataError(f"condition must be interactive or imitation, got {condition!r}")
     chosen = set(sessions)
     utts = [u for u in m.utterances if u.condition == condition and u.session in chosen]
-    if not utts:
-        raise DataError(f"no utterances for condition {condition!r} in sessions {sessions}")
+    missing = sorted(chosen - {u.session for u in utts})
+    if not utts or missing:
+        raise DataError(f"no utterances for condition {condition!r} in sessions {missing}")
 
     pairs: list[PairExample] = []
     by_spk_sess: dict[tuple[str, int], list[Utterance]] = {}

@@ -108,7 +108,8 @@ def load_audio(path: str | os.PathLike) -> Waveform:
 
     Stereo channels are averaged; integer samples are scaled to [-1, 1];
     other sample rates are brought to 16 kHz by linear interpolation.  A
-    rate below ``MIN_SAMPLE_RATE`` raises ``AudioError``.
+    rate below ``MIN_SAMPLE_RATE``, or a NaN or infinite float sample,
+    raises ``AudioError``.
     """
     read = _read_pcm16(path)
     if read is None:
@@ -132,6 +133,8 @@ def load_audio(path: str | os.PathLike) -> Waveform:
     elif data.dtype == np.int32:
         x = data.astype(np.float64) / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
+        if not np.isfinite(data).all():
+            raise AudioError(f"non-finite sample in float WAV: {path}")
         x = data.astype(np.float64)
     elif data.dtype == np.uint8:
         x = (data.astype(np.float64) - 128.0) / 128.0
@@ -276,19 +279,16 @@ def read_features(path: str | os.PathLike) -> FeatureMatrix:
 
 
 class FeatureStore:
-    """Lazy dictionary of utterance key -> its file's float32 feature frames."""
+    """Utterance key -> its file's float32 feature frames, read at each lookup."""
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = str(directory)
-        self._cache: dict[str, np.ndarray] = {}
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.directory, key + ".artf")
 
     def __getitem__(self, key: str) -> np.ndarray:
-        if key not in self._cache:
-            path = self.path_for(key)
-            if not os.path.exists(path):
-                raise FeatureIOError(f"missing feature file for utterance {reprlib.repr(key)}")
-            self._cache[key] = read_features(path).frames
-        return self._cache[key]
+        path = self.path_for(key)
+        if not os.path.exists(path):
+            raise FeatureIOError(f"missing feature file for utterance {reprlib.repr(key)}")
+        return read_features(path).frames

@@ -329,7 +329,8 @@ def train(
     ``config.seed``; identical config and seed reproduce the history
     exactly.  The checkpoint with the best validation accuracy is retained
     alongside the final parameters.  Without ``init`` the model's input
-    width is the features'.
+    width is the features'.  Each training and validation utterance is
+    read from ``store`` once, by key.
     """
     train_pairs = list(train_pairs)
     val_pairs = list(val_pairs) if val_pairs else []
@@ -343,15 +344,12 @@ def train(
                 f"{name} set has only label-{int(ys[0])} pairs; "
                 "AUC needs at least one positive and one negative"
             )
-    # the pair set is read from the store once, and a batch gathers its rows
-    # by index.  Only the dedup (a key's slots share its RNN pass) relies on
-    # the store returning one object per key; the worker is forked with the
-    # distinct objects read here and its bound counts them, so both hold
-    # whatever the store returns
-    lefts = [store[p[0]] for p in train_pairs]
-    rights = [store[p[1]] for p in train_pairs]
-    distinct = {id(f): f for f in lefts + rights}.values()
-    widths = sorted({f.shape[1] for f in distinct})
+    # each utterance is read once, by key, and every pair slot that names the
+    # key holds that one matrix, so a batch runs it through the RNN once
+    feats = {k: store[k] for k in dict.fromkeys(k for p in train_pairs for k in p[:2])}
+    lefts = [feats[p[0]] for p in train_pairs]
+    rights = [feats[p[1]] for p in train_pairs]
+    widths = sorted({f.shape[1] for f in feats.values()})
     if len(widths) > 1:
         raise DataError(f"training features differ in width: {widths} columns")
     d_in = widths[0]
@@ -362,11 +360,11 @@ def train(
         )
     # validation reads its matrices here, so a missing or misshapen one
     # fails before the first epoch
-    val_store = {k: store[k] for p in val_pairs for k in p[:2]}
-    val_widths = sorted({f.shape[1] for f in val_store.values()} - {d_in})
+    val_feats = {k: store[k] for k in dict.fromkeys(k for p in val_pairs for k in p[:2])}
+    val_widths = sorted({f.shape[1] for f in val_feats.values()} - {d_in})
     if val_widths:
         raise DataError(f"validation features have {val_widths} columns, training ones {d_in}")
-    max_rows = min(2 * config.batch_size, len(distinct))
+    max_rows = min(2 * config.batch_size, len(feats))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))
     state = adam_init(params)
@@ -375,9 +373,9 @@ def train(
     best_params = params.copy()
     best_score = -np.inf
     sims = np.empty(len(labels))
-    with backward_worker(params.dims, distinct, max_rows) as worker:
+    with backward_worker(params.dims, feats.values(), max_rows) as worker:
         # the kernel's buffers for every batch of the run, freed on return
-        buffers = run_buffers(params.dims, distinct, max_rows)
+        buffers = run_buffers(params.dims, feats.values(), max_rows)
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = rng.permutation(len(labels))
@@ -404,7 +402,7 @@ def train(
                 "train_accuracy": metrics_from_scores(sims, labels)["accuracy"],
             }
             if val_pairs:
-                record["validation"] = evaluate(params, val_pairs, val_store)
+                record["validation"] = evaluate(params, val_pairs, val_feats)
                 score = record["validation"]["accuracy"]
             else:
                 score = record["train_accuracy"]

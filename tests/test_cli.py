@@ -282,6 +282,31 @@ def test_condition_pairs_require_sessions(pipeline, tmp_path, capsys):
     assert len(json.loads(Path(out).read_text())["pairs"]) > 0
 
 
+def test_pair_selection_of_nothing_exit_code(pipeline, tmp_path, capsys):
+    """A solo range without utterances, or a session list naming a session
+    the corpus lacks (even beside one it has), exits 2 and writes nothing;
+    analyze rejects the same session list."""
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    out = tmp_path / "pairs.json"
+    for flags, message in (
+        (["--condition", "solo", "--range", "50:60"], "no solo pairs in sentence range 50:60"),
+        (
+            ["--condition", "interactive", "--sessions", "1,5"],
+            "no utterances for condition 'interactive' in sessions [5]",
+        ),
+    ):
+        assert cli.main(["pairs", "--manifest", manifest, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+    assert cli.main([
+        "analyze", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+        "--manifest", manifest, "--features", pipeline["features"],
+        "--sessions", "1,5", "--out", str(tmp_path / "analysis"),
+    ]) == 2
+    assert "in sessions [5]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _modules_loaded_by(code: str, prefixes=("scipy", "multiprocessing")) -> str:
     """Run ``code`` in a fresh interpreter; the sorted list of the modules
     it loaded whose names start with one of ``prefixes``, as printed."""
@@ -521,6 +546,24 @@ def test_negative_seed_exit_code(tmp_path, capsys, command):
     assert cli.main([*argv, "--seed", "-1"]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_seed_flag_error_names_no_file(pipeline, tmp_path, capsys):
+    """A bad --seed beside a valid config file reads as it does without
+    the file; a bad seed in the file is the file's error, --seed or not."""
+    config = tmp_path / "tc.json"
+    config.write_text('{"epochs": 1}')
+    argv = [
+        "train", "--features", pipeline["features"], "--pairs", pipeline["pairs"],
+        "--out", str(tmp_path / "model"),
+    ]
+    for flags in ([], ["--config", str(config)]):
+        assert cli.main([*argv, *flags, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    config.write_text('{"epochs": 1, "seed": -3}')
+    assert cli.main([*argv, "--config", str(config), "--seed", "4"]) == 2
+    assert capsys.readouterr().err == f"error: bad training config {config}: seed must be >= 0\n"
+    assert not (tmp_path / "model").exists()
 
 
 def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
@@ -815,6 +858,32 @@ def test_zero_hz_wav_is_an_audio_error(pipeline, tmp_path, capsys):
     assert wav.stat().st_size == 2044
     _write_wav_at(wav, dsp.MIN_SAMPLE_RATE, 1000)
     assert len(dsp.load_audio(wav).samples) == 999 * 16 + 1
+    assert_no_child_left()
+
+
+def test_non_finite_float_wav_is_an_audio_error(pipeline, tmp_path, capsys):
+    """A float WAV with a NaN or infinite sample raises AudioError naming
+    the file, rather than being clipped or turned into NaN features, and
+    features exits 2 without writing that utterance's file."""
+    from scipy.io import wavfile
+
+    manifest, utterances = _copied_corpus(pipeline, tmp_path)
+    wav = manifest.parent / utterances[0]["audio_path"]
+    feature = Path(utterances[0]["audio_path"]).stem + ".artf"
+    for i, value in enumerate((np.nan, np.inf, -np.inf)):
+        samples = np.zeros(1600, dtype=np.float32)
+        samples[100] = value
+        wavfile.write(wav, dsp.PIPELINE_RATE, samples)
+        with pytest.raises(AudioError, match="non-finite sample") as raised:
+            dsp.load_audio(wav)
+        assert str(wav) in str(raised.value)
+        out = tmp_path / f"features{i}"
+        argv = ["features", "--manifest", str(manifest), "--out", str(out)]
+        with deadline(120):
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(wav) in err
+        assert not out.exists() or feature not in os.listdir(out)
     assert_no_child_left()
 
 

@@ -68,6 +68,26 @@ def test_solo_pairs_empty_range_errors():
         corpus.build_solo_pairs(m, 5, 2)
 
 
+def test_solo_pairs_range_without_utterances_errors():
+    m = metadata_manifest(n_speakers=2, n_sentences=20)
+    with pytest.raises(DataError, match="no solo pairs in sentence range 50:60"):
+        corpus.build_solo_pairs(m, 50, 60)
+
+
+def test_condition_pairs_name_every_missing_session():
+    """A chosen session without utterances is an error even beside one
+    that has them, and the message names each missing session."""
+    m = metadata_manifest(
+        n_speakers=2, n_sentences=3, conditions=("solo", "interactive"), sessions=(1, 2)
+    )
+    for sessions, missing in (([1, 5], "[5]"), ([7, 2, 5], "[5, 7]"), ([5], "[5]")):
+        with pytest.raises(DataError) as raised:
+            corpus.build_condition_pairs(m, "interactive", sessions)
+        assert str(raised.value) == (
+            f"no utterances for condition 'interactive' in sessions {missing}"
+        )
+
+
 def test_condition_pairs_match_bruteforce_oracle():
     m = metadata_manifest(
         n_speakers=4,

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
-function packs and runs a recurrence, no module imports ``multiprocessing``
-when it is imported, and no module draws from NumPy's global random state."""
+function packs and runs a recurrence, only ``net`` calls ``id()``, no module
+imports ``multiprocessing`` when it is imported, and no module draws from
+NumPy's global random state."""
 
 import ast
 from pathlib import Path
@@ -123,6 +124,13 @@ def test_one_function_packs_and_runs(kernel):
     worker, packs and runs each direction through ``net._direction``, so
     the kernel has one batch path."""
     assert _package_callers(kernel) == {"net._direction"}
+
+
+def test_only_the_kernel_calls_id():
+    """Which matrices are one utterance is decided by key; object identity
+    is the kernel's own business (its per-batch dedup and the backward
+    worker's map), so no other module calls ``id()``."""
+    assert sorted(c for c in _package_callers("id") if not c.startswith("net.")) == []
 
 
 @pytest.mark.parametrize("module", list(MODULES))

@@ -10,6 +10,7 @@ Oracles:
     classification metrics
 """
 
+import collections
 import hashlib
 import json
 import multiprocessing
@@ -22,11 +23,11 @@ import weakref
 import numpy as np
 import pytest
 
-from phonosim import dsp, net
+from phonosim import corpus, dsp, net
 from phonosim import train as tr
 from phonosim.errors import DataError, FeatureIOError, PhonosimError
 
-from conftest import assert_no_child_left, deadline, set_cpus
+from conftest import assert_no_child_left, deadline, metadata_manifest, set_cpus
 
 
 @pytest.fixture()
@@ -589,8 +590,6 @@ def test_evaluate_invariant_to_pair_order(tiny_features):
 
 def test_score_similarities_accepts_pair_objects(tiny_corpus, tiny_features):
     """A PairExample and a plain (left, right, label) tuple score alike."""
-    from phonosim import corpus
-
     pairs = corpus.build_solo_pairs(tiny_corpus, 1, 3)
     pairs = pairs[:3] + pairs[-3:]  # positives come first, negatives last
     triples = [(p.left, p.right, p.label) for p in pairs]
@@ -789,13 +788,42 @@ class _CopyingStore:
 
 @needs_fork
 def test_train_worker_sized_for_a_copying_store(monkeypatch):
-    """Each lookup of a copying store is a distinct matrix, so a batch of
-    6 pairs over 3 keys holds 12; the worker's buffers are sized for them."""
+    """Each lookup of a copying store is a distinct matrix; train looks up
+    each key once, so a batch of 6 pairs over 3 keys holds 3, and the
+    worker's buffers are sized for them."""
     rng = np.random.default_rng(3)
     store = _CopyingStore({k: rng.normal(size=(9, 39)) for k in "abc"})
     pairs = [(l, r, y) for l, r in ("ab", "bc", "ca") for y in (0, 1)]
     cfg = tr.TrainConfig(epochs=2, batch_size=6, seed=1)
     _forked_and_inline(monkeypatch, cfg, pairs, [], store)
+
+
+class _CountingStore(_CopyingStore):
+    """A copying store that counts the lookups of each key."""
+
+    def __init__(self, feats):
+        super().__init__(feats)
+        self.lookups = collections.Counter()
+
+    def __getitem__(self, key):
+        self.lookups[key] += 1
+        return super().__getitem__(key)
+
+
+def test_train_reads_each_key_once(monkeypatch):
+    """On the desk shape (4 speakers, solo 1-8 for training, 9-12 for
+    validation), train looks up each of the 48 distinct keys once, not
+    once per pair slot (592 lookups)."""
+    set_cpus(monkeypatch, 1)
+    m = metadata_manifest(n_speakers=4, n_sentences=12)
+    train_pairs = corpus.build_solo_pairs(m, 1, 8)
+    val_pairs = corpus.build_solo_pairs(m, 9, 12)
+    rng = np.random.default_rng(8)
+    store = _CountingStore({u.key: rng.normal(size=(4, 3)) for u in m.utterances})
+    tr.train(tr.TrainConfig(epochs=1, batch_size=64), train_pairs, val_pairs, store)
+    assert 2 * (len(train_pairs) + len(val_pairs)) == 592
+    assert store.lookups == collections.Counter({u.key: 1 for u in m.utterances})
+    assert sum(store.lookups.values()) == 48
 
 
 @needs_fork
