@@ -51,7 +51,7 @@ class PairTable:
 def score_pairs(params, pairs, store, manifest: Manifest) -> PairTable:
     """Infer-mode similarity, label and speaker indices of each pair."""
     pairs = list(pairs)
-    index = {s.id: i for i, s in enumerate(manifest.speakers)}
+    index = {s: i for i, s in enumerate(manifest.speakers)}
     speaker = {u.key: index[u.speaker_id] for u in manifest.utterances}
     return PairTable(
         similarity=score_similarities(params, pairs, store),
@@ -218,7 +218,7 @@ def build_report(
     n = len(manifest.speakers)
     ability = _speaker_means(solo, 1, n) - _speaker_means(imit_vs_solo, 1, n)
     degree = _speaker_means(inter, 0, n) - _speaker_means(solo, 0, n)
-    ids = [s.id for s in manifest.speakers]
+    ids = manifest.speakers
     finite = np.flatnonzero(np.isfinite(ability) & np.isfinite(degree))
     scored = sorted(finite, key=ids.__getitem__)
     ability, degree = ability[scored], degree[scored]

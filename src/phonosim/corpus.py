@@ -37,11 +37,6 @@ MAX_KEY_CHARS = 128
 
 
 @dataclass(frozen=True)
-class Speaker:
-    id: str
-
-
-@dataclass(frozen=True)
 class Utterance:
     speaker_id: str
     condition: str
@@ -67,7 +62,7 @@ class PairExample(NamedTuple):
 
 @dataclass
 class Manifest:
-    speakers: list[Speaker]
+    speakers: list[str]  # speaker ids
     dyads: list[tuple[str, str]]
     utterances: list[Utterance]
     root: str | None = None  # directory the relative paths hang off
@@ -76,12 +71,11 @@ class Manifest:
         self.validate()
 
     def validate(self) -> None:
-        ids = [s.id for s in self.speakers]
-        for s in ids:  # "__" separates the fields of a key
+        for s in self.speakers:  # "__" separates the fields of a key
             check_name(s, "speaker id", MAX_ID_CHARS, ManifestError, banned=("__",))
-        if len(set(ids)) != len(ids):
+        known = set(self.speakers)
+        if len(known) != len(self.speakers):
             raise ManifestError("duplicate speaker id")
-        known = set(ids)
         seen_in_dyad: set[str] = set()
         for a, b in self.dyads:
             if a == b:
@@ -147,7 +141,8 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
     try:
         doc = _typed(doc, dict, "manifest")
         speakers = [
-            _record(Speaker, s, "speaker") for s in _typed(doc["speakers"], list, "speakers")
+            _typed(_typed(s, dict, "speaker")["id"], str, "speaker id")
+            for s in _typed(doc["speakers"], list, "speakers")
         ]
         dyads = []
         for d in _typed(doc["dyads"], list, "dyads"):
@@ -172,7 +167,7 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
 
 def save_manifest(m: Manifest, path: str | os.PathLike) -> None:
     doc = {
-        "speakers": [{"id": s.id} for s in m.speakers],
+        "speakers": [{"id": s} for s in m.speakers],
         "dyads": [list(d) for d in m.dyads],
         "utterances": [
             {
@@ -442,10 +437,8 @@ def generate_synthetic_corpus(
     audio_dir = os.path.join(out_dir, "audio")
     os.makedirs(audio_dir, exist_ok=True)
 
-    speakers = [Speaker(id=f"S{i + 1:02d}") for i in range(config.n_speakers)]
-    dyads = [
-        (speakers[i].id, speakers[i + 1].id) for i in range(0, config.n_speakers, 2)
-    ]
+    speakers = [f"S{i + 1:02d}" for i in range(config.n_speakers)]
+    dyads = [(speakers[i], speakers[i + 1]) for i in range(0, config.n_speakers, 2)]
     traits = [speaker_traits(seed, i) for i in range(config.n_speakers)]
 
     schedule = [("solo", 1)]
@@ -461,7 +454,7 @@ def generate_synthetic_corpus(
             if condition != "solo" and si % 2 == 1:  # converges toward the first member
                 spk_traits = effective_traits(spk_traits, traits[si - 1], config.lam)
             for sentence in range(1, config.n_sentences + 1):
-                u = Utterance(spk.id, condition, session, sentence)
+                u = Utterance(spk, condition, session, sentence)
                 u = replace(u, audio_path=os.path.join("audio", u.key + ".wav"))
                 utterances.append(u)
                 entropy = [seed, si, cond_index[condition], session, sentence]

@@ -3,23 +3,24 @@
 ``_embed_forward``/``_embed_backward`` take a batch of variable-length
 utterances through tied-weight forward/backward tanh recurrences read at
 each utterance's true last frame, dropout and batch normalization, a tanh
-feedforward layer and a sigmoid embedding layer.  The recurrences run over
-a packed batch: the rows sorted longest first, time-major, with only the
-frames that exist stored, so step ``t`` computes only the rows that still
-have a frame there.  The input projection and, in BPTT, the weight
-gradients are one product over every frame of the batch, outside the time
-loop; each step is three NumPy calls forward and two backward.  Every
-state is kept.  A matrix object that fills several slots of a batch runs
-through the recurrences once.  Every batch, training or inference, packs
-and runs each direction through ``_direction``, in the packed inputs,
-states and BPTT scratch of ``run_buffers``: one allocation for all the
-batches of a run, or one for a batch run on its own.  The public
+feedforward layer and a sigmoid embedding layer.  A batch has one row
+order, set once in ``_embed_forward``: its distinct matrix objects, longest
+first, each slot reading the row of its matrix, so a matrix that fills
+several slots runs through the recurrences once.  The recurrences run over
+that batch packed time-major, with only the frames that exist stored, so
+step ``t`` computes only the rows that still have a frame there.  The input
+projection and, in BPTT, the weight gradients are one product over every
+frame of the batch, outside the time loop; each step is three NumPy calls
+forward and two backward.  Every state is kept.  Every batch, training or
+inference, packs and runs each direction through ``_direction``, in the
+packed inputs, states and BPTT scratch of ``run_buffers``: one allocation
+for all the batches of a run, or one for a batch run on its own.  The public
 per-utterance functions wrap that kernel with a batch of one.
 
 In training, a ``BackwardWorker`` process, forked with the training
 matrices, can pack and run the backward direction while the caller runs
-the forward one; it calls the same kernel functions on the same values,
-bit-identically.
+the forward one; it gets the rows' ids in the batch's order and calls the
+same kernel functions on the same values, bit-identically.
 """
 
 from __future__ import annotations
@@ -122,39 +123,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _pack(feats: list[np.ndarray], d_in: int, reverse: bool, buf):
-    """Packed batch, longest row first, in the layout of PyTorch's ``PackedSequence``.
+    """Packed batch in the layout of PyTorch's ``PackedSequence``: row ``j``
+    is ``feats[j]``, and ``feats`` come longest first.
 
     Returns ``x``, ``(N, d_in)`` float64 over the batch's ``N`` frames, a
-    view of the start of the flat ``buf``; ``order``, the caller's
-    index of each sorted row (a stable sort, so ties keep the caller's
-    order); ``active``, the number of rows with a frame at step ``t``,
-    which are rows ``:active[t]``, and ``off``, where step ``t`` starts in
-    ``x``, for ``t`` in ``0..lmax`` (``active[lmax]`` is 0 and ``off[lmax]``
-    is ``N``); and ``last``, the position in ``x`` of each sorted row's
-    last frame.  Sorted row ``j``'s frame ``t`` is ``x[off[t] + j]``, each
-    row time-reversed when ``reverse``.
+    view of the start of the flat ``buf``; ``active``, the number of rows
+    with a frame at step ``t``, which are rows ``:active[t]``, and ``off``,
+    where step ``t`` starts in ``x``, for ``t`` in ``0..lmax``
+    (``active[lmax]`` is 0 and ``off[lmax]`` is ``N``); and ``last``, the
+    position in ``x`` of each row's last frame.  Row ``j``'s frame ``t`` is
+    ``x[off[t] + j]``, each row time-reversed when ``reverse``.
     """
     for f in feats:
         if f.ndim != 2 or f.shape[1] != d_in:
             raise DataError(
                 f"feature matrix of shape {f.shape}, model expects (frames, {d_in})"
             )
-    caller_lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
-    if (caller_lengths < 1).any():
+    lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
+    if (lengths < 1).any():
         raise DataError("utterance with zero frames")
-    order = np.argsort(-caller_lengths, kind="stable")
-    lengths = caller_lengths[order]
     n = len(feats)
     lmax = int(lengths[0])
     active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
     off = np.zeros(lmax + 1, dtype=np.intp)
     np.cumsum(active[:lmax], out=off[1:])
     x = _rows(buf, int(off[lmax]), d_in)
-    for j, i in enumerate(order):
-        f = feats[i]
+    for j, f in enumerate(feats):
         x[off[: len(f)] + j] = f[::-1] if reverse else f
     last = off[lengths - 1] + np.arange(n)
-    return x, order, active.tolist(), off.tolist(), last
+    return x, active.tolist(), off.tolist(), last
 
 
 def _rows(buf, n: int, width: int) -> np.ndarray:
@@ -184,7 +181,7 @@ def run_buffers(dims: ModelDims, feats, max_rows: int):
 
 def _run_direction(x, w, u, b, active, off, last, h):
     """One tanh recurrence over a ``_pack`` batch, its states into ``h``
-    (``(N, dh)``, the layout of ``x``); returns each sorted row's final state.
+    (``(N, dh)``, the layout of ``x``); returns each row's final state.
 
     The input projection ``x @ w.T + b`` is one product over every frame;
     step ``t`` then adds ``h_{t-1} @ u.T`` to its live rows and takes the
@@ -206,19 +203,18 @@ def _run_direction(x, w, u, b, active, off, last, h):
 
 
 def _direction(batch, w, u, b, reverse: bool, buf):
-    """Pack ``batch`` into the ``(x, h, g)`` triple ``buf`` and run one
-    direction; returns each sorted row's final state, ``_pack``'s ``order``
-    and the run ``(x, h, active, off, g)`` that ``_direction_backward`` takes."""
-    x, order, active, off, last = _pack(batch, w.shape[1], reverse, buf[0])
+    """Pack ``batch``, longest first, into the ``(x, h, g)`` triple ``buf``
+    and run one direction; returns each row's final state and the run
+    ``(x, h, active, off, g)`` that ``_direction_backward`` takes."""
+    x, active, off, last = _pack(batch, w.shape[1], reverse, buf[0])
     h = _rows(buf[1], len(x), w.shape[0])
-    final = _run_direction(x, w, u, b, active, off, last, h)
-    return final, order, (x, h, active, off, buf[2])
+    return _run_direction(x, w, u, b, active, off, last, h), (x, h, active, off, buf[2])
 
 
 def _direction_backward(x, h, active, off, g, u, d_final):
     """BPTT of one direction over a ``_pack`` batch; overwrites ``h``.
 
-    ``d_final`` enters each sorted row at its last frame: the rows ending at
+    ``d_final`` enters each row at its last frame: the rows ending at
     step ``t`` are ``active[t + 1]:active[t]``.  ``h`` becomes ``1 - h**2``
     in bulk and then, step by step, the gradient ``d`` at each frame's
     pre-activation: one multiply and one chain product per step.  The
@@ -255,31 +251,28 @@ def _embed_forward(
 
     The recurrences run once per distinct matrix object in ``feats``: an
     object that fills several slots shares its recurrent states, since
-    dropout acts only after them.  Batch-norm uses the batch statistics
-    (cache ``mu``, ``var``) when ``training``, else the running ones.
-    ``dropout_masks``: one row per slot.  A training batch's backward
-    direction runs in ``worker`` (a ``BackwardWorker``) when one is given,
-    which ``_embed_backward`` then uses too.  The batch packs and runs in
-    ``buffers``, from ``run_buffers``; None makes them for this batch alone.
+    dropout acts only after them.  The distinct matrices, longest first
+    (ties in slot order), are the batch's rows in both directions and in
+    the worker; cache ``rows`` holds each slot's row.  Batch-norm uses the
+    batch statistics (cache ``mu``, ``var``) when ``training``, else the
+    running ones.  ``dropout_masks``: one row per slot.  A training
+    batch's backward direction runs in ``worker`` (a ``BackwardWorker``)
+    when one is given, which ``_embed_backward`` then uses too.  The batch
+    packs and runs in ``buffers``, from ``run_buffers``; None makes them for
+    this batch alone.
     Raises ``DataError`` for a feature matrix that is not ``(frames, d_in)``.
     """
-    first = {}  # id of each distinct matrix -> its index in `distinct`
-    distinct = []
-    for f in feats:
-        if id(f) not in first:
-            first[id(f)] = len(distinct)
-            distinct.append(f)
+    distinct = sorted({id(f): f for f in feats}.values(), key=len, reverse=True)
+    row = {id(f): j for j, f in enumerate(distinct)}
+    rows = np.array([row[id(f)] for f in feats])
     buf_f, buf_b = buffers or run_buffers(params.dims, distinct, len(distinct))
     if worker is not None:
         worker.start_forward(params, distinct)
-    final_f, order, run_f = _direction(distinct, params.wf, params.uf, params.bf, False, buf_f)
+    final_f, run_f = _direction(distinct, params.wf, params.uf, params.bf, False, buf_f)
     if worker is None:
-        final_b, _, run_b = _direction(distinct, params.wb, params.ub, params.bb, True, buf_b)
+        final_b, run_b = _direction(distinct, params.wb, params.ub, params.bb, True, buf_b)
     else:
         final_b, run_b = worker.finish_forward(), None
-    sorted_row = np.empty_like(order)
-    sorted_row[order] = np.arange(len(order))
-    rows = sorted_row[[first[id(f)] for f in feats]]  # each slot's sorted row
     hcat = np.concatenate([final_f[rows], final_b[rows]], axis=1)
 
     dropped = hcat if dropout_masks is None else hcat * dropout_masks
@@ -324,9 +317,9 @@ def _embed_backward(params: ModelParams, de, cache):
     )
     dhcat = ddrop if cache["dropout_masks"] is None else ddrop * cache["dropout_masks"]
     # BPTT is linear in the injected gradient, so the slots that share a
-    # matrix add into its sorted row and it is back-propagated once
+    # matrix add into its row and it is back-propagated once
     run_f, run_b = cache["runs"]
-    d_final = np.zeros((run_f[2][0], dhcat.shape[1]))  # active[0]: every sorted row
+    d_final = np.zeros((run_f[2][0], dhcat.shape[1]))  # active[0]: every row
     np.add.at(d_final, cache["rows"], dhcat)
 
     dh, worker = params.dims.d_hidden, cache["worker"]
@@ -368,9 +361,9 @@ class BackwardWorker(Forked):
 
     It keeps its copy-on-write view of the training matrices ``feats``.  Per
     batch, ``_embed_forward`` calls ``start_forward``, which sends the ids
-    of the batch's distinct matrices, runs the forward direction and calls
-    ``finish_forward``, while the worker packs and runs the time-reversed
-    batch (the stable sort gives it the caller's row order);
+    of the batch's rows in their order, runs the forward direction and calls
+    ``finish_forward``, while the worker packs those matrices in the order
+    it got them, time-reversed, and runs them;
     ``_embed_backward`` does the same with ``start_backward`` and
     ``finish_backward``.  Batches hold up to ``max_rows`` distinct matrices,
     and their packed inputs and states stay in ``run_buffers`` for the
@@ -409,7 +402,7 @@ class BackwardWorker(Forked):
             phase, n = self.head[:2].tolist()
             if phase == 0:
                 batch = [self._feats[i] for i in self.head[2 : n + 2].tolist()]
-                final, _, run = _direction(batch, self.w, self.u, self.b, True, buf)
+                final, run = _direction(batch, self.w, self.u, self.b, True, buf)
                 self.final[: final.size] = final.ravel()
             else:
                 d_final = self.d_final[: n * self.b.size].reshape(n, -1)
@@ -423,8 +416,8 @@ class BackwardWorker(Forked):
             raise PhonosimError("backward-direction worker ended before its batch")
 
     def start_forward(self, params: ModelParams, distinct) -> None:
-        """``distinct``: the batch's matrices, each one the worker has;
-        ``DataError``, with the worker still waiting, if one is not."""
+        """``distinct``: the batch's rows, longest first, each a matrix the
+        worker has; ``DataError``, with the worker still waiting, if one is not."""
         ids = [id(f) for f in distinct]
         if not all(i in self._feats for i in ids):
             raise DataError("batch holds a matrix the backward worker was not forked with")
@@ -435,7 +428,7 @@ class BackwardWorker(Forked):
         self._go.release()
 
     def finish_forward(self) -> np.ndarray:
-        """Each sorted row's final backward state, valid until the next batch."""
+        """Each row's final backward state, valid until the next batch."""
         self._wait()
         return self.final[: self._rows * self.b.size].reshape(self._rows, -1)
 
@@ -476,8 +469,8 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     """
     batch = [_true_frames(frames, true_length)]
     buf_f, buf_b = run_buffers(params.dims, batch, 1)
-    hf = _direction(batch, params.wf, params.uf, params.bf, False, buf_f)[2][1]
-    hb = _direction(batch, params.wb, params.ub, params.bb, True, buf_b)[2][1]
+    hf = _direction(batch, params.wf, params.uf, params.bf, False, buf_f)[1][1]
+    hb = _direction(batch, params.wb, params.ub, params.bb, True, buf_b)[1][1]
     # one row, so the states are in time order, the backward ones reversed
     return np.hstack([hf, hb[::-1]])
 

@@ -66,8 +66,8 @@ def assert_no_child_left():
 
 def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1,)):
     """Audio-free manifest: dyads are consecutive speaker pairs."""
-    speakers = [corpus.Speaker(id=f"P{i:03d}") for i in range(n_speakers)]
-    dyads = [(speakers[i].id, speakers[i + 1].id) for i in range(0, n_speakers, 2)]
+    speakers = [f"P{i:03d}" for i in range(n_speakers)]
+    dyads = [(speakers[i], speakers[i + 1]) for i in range(0, n_speakers, 2)]
     utterances = []
     for spk in speakers:
         for cond in conditions:
@@ -75,7 +75,7 @@ def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1
                 for sent in range(1, n_sentences + 1):
                     utterances.append(
                         corpus.Utterance(
-                            speaker_id=spk.id,
+                            speaker_id=spk,
                             condition=cond,
                             session=sess,
                             sentence_index=sent,

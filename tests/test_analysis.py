@@ -234,7 +234,7 @@ def test_cross_condition_pairs_structure():
         _utt("B", "imitation", 1, 1),
     ]
     m = corpus.Manifest(
-        speakers=[corpus.Speaker("A"), corpus.Speaker("B")],
+        speakers=["A", "B"],
         dyads=[("A", "B")],
         utterances=m_utts,
     )
@@ -323,9 +323,9 @@ def test_build_report_scores_every_speaker(monkeypatch, tmp_path):
         lambda labels: np.where(labels == 1, 0.6, 0.1) + 0.3 * rng.random(len(labels)),
     )
     solo, inter, _, _, imit_vs_solo = tables
-    ids = sorted(s.id for s in manifest.speakers)
+    ids = sorted(manifest.speakers)
     assert list(report["speaker_scores"]) == ids
-    index = {s.id: i for i, s in enumerate(manifest.speakers)}
+    index = {s: i for i, s in enumerate(manifest.speakers)}
     ability = [
         _loop_speaker_mean(solo, index[s], 1) - _loop_speaker_mean(imit_vs_solo, index[s], 1)
         for s in ids
@@ -471,7 +471,7 @@ def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     table = analysis.score_pairs(params, pairs, tiny_features, tiny_corpus)
     assert len(table) == len(pairs)
     assert table.label.tolist() == [p.label for p in pairs]
-    speakers = [s.id for s in tiny_corpus.speakers]
+    speakers = tiny_corpus.speakers
     speaker_of = {u.key: u.speaker_id for u in tiny_corpus.utterances}
     assert [speakers[i] for i in table.left] == [speaker_of[p.left] for p in pairs]
     assert [speakers[i] for i in table.right] == [speaker_of[p.right] for p in pairs]

@@ -152,7 +152,7 @@ def test_manifest_json_roundtrip(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     m = corpus.load_manifest(path)
-    assert [s.id for s in m.speakers] == ["A", "B"]
+    assert m.speakers == ["A", "B"]
     assert m.utterances[0].key == "A__solo__1__001"
     out = tmp_path / "again.json"
     corpus.save_manifest(m, out)

@@ -126,6 +126,16 @@ def test_one_function_packs_and_runs(kernel):
     assert _package_callers(kernel) == {"net._direction"}
 
 
+def test_three_functions_hand_the_kernel_a_batch():
+    """A batch's row order is set in ``net._embed_forward``; the backward
+    worker packs its rows in the order it is sent them, and
+    ``rnn_forward``'s batch has one row.  A new caller of ``_direction``
+    must set its batch's row order too, so it is reviewed here."""
+    assert _package_callers("_direction") == {
+        "net._embed_forward", "net.BackwardWorker._serve", "net.rnn_forward"
+    }
+
+
 def test_only_the_kernel_calls_id():
     """Which matrices are one utterance is decided by key; object identity
     is the kernel's own business (its per-batch dedup and the backward

@@ -87,21 +87,21 @@ def test_rnn_forward_rejects_bad_length(small_params):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_pack_layout(reverse):
-    """Step t's live rows are x[off[t]:off[t] + active[t]], sorted row j's
-    frame t is x[off[t] + j], and last[j] is where row j's last frame sits;
-    one-frame rows and ties included, caller order unsorted."""
+    """On a batch given longest first, step t's live rows are
+    x[off[t]:off[t] + active[t]], row j's frame t is x[off[t] + j], and
+    last[j] is where row j's last frame sits; one-frame rows and ties
+    included."""
     rng = np.random.default_rng(9)
-    lengths = [3, 1, 7, 3, 1, 5, 7]
+    lengths = [7, 7, 5, 3, 3, 1, 1]
     feats = [rng.normal(size=(t, 4)).astype(np.float32) for t in lengths]
     buf = np.full(200, np.nan)
-    x, order, active, off, last = net._pack(feats, 4, reverse, buf)
-    assert list(order) == [2, 6, 5, 0, 3, 1, 4]  # longest first, ties in caller order
+    x, active, off, last = net._pack(feats, 4, reverse, buf)
     assert active == [sum(t > s for t in lengths) for s in range(8)]
     assert off == [sum(active[:s]) for s in range(8)]
     assert x.shape == (sum(lengths), 4) and x.dtype == np.float64
     assert np.shares_memory(x, buf) and np.isnan(buf[x.size :]).all()
-    for j, i in enumerate(order):
-        f = feats[i][::-1] if reverse else feats[i]
+    for j, f in enumerate(feats):
+        f = f[::-1] if reverse else f
         for t in range(len(f)):
             assert x[off[t] + j].tobytes() == f[t].astype(np.float64).tobytes()
         assert last[j] == off[len(f) - 1] + j

@@ -959,6 +959,60 @@ def test_embed_all_batches_share_buffers_freed_on_return(monkeypatch):
     assert base[0]() is None
 
 
+def _longest_first_packs(monkeypatch):
+    """Make ``net._pack`` fail on a batch that is not longest first, in
+    this process and in any child forked later; returns the batches this
+    process packs."""
+    caller, pack, batches = os.getpid(), net._pack, []
+
+    def checked(feats, d_in, reverse, buf):
+        lengths = [len(f) for f in feats]
+        assert lengths == sorted(lengths, reverse=True), lengths
+        if os.getpid() == caller:
+            batches.append([id(f) for f in feats])
+        return pack(feats, d_in, reverse, buf)
+
+    monkeypatch.setattr(net, "_pack", checked)
+    return batches
+
+
+@needs_fork
+def test_kernel_packs_longest_first(tiny_corpus, monkeypatch):
+    """A batch's row order is set once, in ``_embed_forward``: its distinct
+    matrices, longest first, ties in slot order.  Every batch reaches
+    ``_pack`` in that order: in training beside the worker (whose failed
+    assert comes back as its error) and inline, in ``embed_all`` and in
+    ``rnn_forward``."""
+    batches = _longest_first_packs(monkeypatch)
+    train_pairs, _ = _quick_pairs(tiny_corpus)
+    store = _mixed_length_store({k for pair in train_pairs for k in pair[:2]}, 7)
+    cfg = tr.TrainConfig(epochs=1, batch_size=4, seed=3)
+    made = _recording_workers(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    with deadline(120):
+        tr.train(cfg, train_pairs, [], store)
+    set_cpus(monkeypatch, 1)
+    tr.train(cfg, train_pairs, [], store)
+    assert type(made[0]) is net.BackwardWorker and type(made[1]) is not net.BackwardWorker
+    assert_no_child_left()
+    params = net.init_params(net.ModelDims(), seed=0)
+    tr.embed_all(params, store, store)
+    frames = store[min(store)]
+    net.rnn_forward(params, frames, len(frames))
+    steps = -(-len(train_pairs) // cfg.batch_size)  # no validation: every call is a batch
+    embeds = -(-len(store) // tr.EMBED_ROWS)
+    assert len(batches) == 3 * steps + 2 * embeds + 2
+
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.normal(size=(t, 5)) for t in (6, 6, 2))
+    batches.clear()
+    _, cache = net._embed_forward(
+        net.init_params(net.ModelDims(5, 4, 3), seed=0), [c, b, a, b], training=False
+    )
+    assert batches == [[id(b), id(a), id(c)]] * 2
+    assert cache["rows"].tolist() == [2, 0, 1, 0]
+
+
 @needs_fork
 def test_acquire_outlasts_spinning_and_sees_death():
     """A wait longer than the spin-and-yield phase blocks until the release;
