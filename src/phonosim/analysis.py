@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,46 +22,27 @@ from .train import THRESHOLD, score_similarities
 # Scores are differences of means of cosines in [0, 1], so a mean's rounding
 # error (~1e-16) can make equal scores differ; a smaller spread is no spread.
 MIN_SPREAD = 1e-12
+# the fields of a scored pair set, one record per pair; ``left`` and ``right``
+# index the pair's two speakers in the speaker list (``manifest.speakers``)
+PAIR_FIELDS = "similarity,label,left,right"
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Scored pairs of one pair set, one row per pair.
-
-    ``left`` and ``right`` are the indices of the pair's two speakers in the
-    speaker list the pairs were scored against (``manifest.speakers``).
-    """
-
-    similarity: np.ndarray
-    label: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.similarity)
-
-    def take(self, rows) -> PairTable:
-        """The rows picked by an index array, boolean mask or slice."""
-        return PairTable(
-            self.similarity[rows], self.label[rows], self.left[rows], self.right[rows]
-        )
-
-
-def score_pairs(params, pairs, store, manifest: Manifest) -> PairTable:
-    """Infer-mode similarity, label and speaker indices of each pair."""
+def score_pairs(params, pairs, store, manifest: Manifest) -> np.recarray:
+    """Infer-mode similarity, label and speaker indices of each pair, as a
+    record array with the fields ``PAIR_FIELDS``."""
     pairs = list(pairs)
     index = {s: i for i, s in enumerate(manifest.speakers)}
     speaker = {u.key: index[u.speaker_id] for u in manifest.utterances}
-    return PairTable(
-        similarity=score_similarities(params, pairs, store),
-        label=np.array([p.label for p in pairs], dtype=np.intp),
-        left=np.array([speaker[p.left] for p in pairs], dtype=np.intp),
-        right=np.array([speaker[p.right] for p in pairs], dtype=np.intp),
-    )
+    similarity = score_similarities(params, pairs, store)
+    label, left, right = np.array(
+        [(p.label, speaker[p.left], speaker[p.right]) for p in pairs], dtype=np.intp
+    ).reshape(-1, 3).T
+    return np.rec.fromarrays([similarity, label, left, right], names=PAIR_FIELDS)
 
 
-def filter_scores(table: PairTable, threshold: float) -> PairTable:
-    """Drop misclassified pairs, then 1.5*IQR outliers per label.
+def filter_scores(table: np.recarray, threshold: float) -> np.recarray:
+    """The records of ``table`` left after dropping misclassified pairs, then
+    1.5*IQR outliers per label.
 
     A table holds one condition's pairs, so the label groups are the
     (condition, label) groups of the whole analysis.
@@ -76,7 +56,7 @@ def filter_scores(table: PairTable, threshold: float) -> PairTable:
         q1, q3 = np.percentile(values, [25, 75])
         fence = 1.5 * (q3 - q1)
         keep[group] = (q1 - fence <= values) & (values <= q3 + fence)
-    return table.take(keep)
+    return table[keep]
 
 
 def _summary(values: np.ndarray) -> dict | None:
@@ -86,13 +66,17 @@ def _summary(values: np.ndarray) -> dict | None:
     return {"mean": float(values.mean()), "std": float(values.std()), "n": len(values)}
 
 
-def _speaker_means(table: PairTable, label: int, n_speakers: int) -> np.ndarray:
+def _speaker_means(table: np.recarray, label: int, n_speakers: int) -> np.ndarray:
     """Each speaker's mean similarity over the label-``label`` pairs they are
-    in; NaN for a speaker in none."""
+    in; NaN for a speaker in none.  The label's rows are selected once, as
+    contiguous copies, so the speaker loop reads no strided record field."""
     means = np.full(n_speakers, np.nan)
     of_label = table.label == label
+    similarity, left, right = (
+        table.similarity[of_label], table.left[of_label], table.right[of_label]
+    )
     for i in range(n_speakers):
-        values = table.similarity[of_label & ((table.left == i) | (table.right == i))]
+        values = similarity[(left == i) | (right == i)]
         if len(values):
             means[i] = values.mean()
     return means
@@ -193,7 +177,7 @@ def build_report(
     table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)
     ends = np.cumsum([len(s) for s in pair_sets]).tolist()
     solo, inter, imit, inter_vs_solo, imit_vs_solo = (
-        filter_scores(table.take(slice(a, b)), THRESHOLD) for a, b in zip([0] + ends, ends)
+        filter_scores(table[a:b], THRESHOLD) for a, b in zip([0] + ends, ends)
     )
 
     condition_stats, speaker_scores, rows = {}, {}, []
@@ -206,7 +190,7 @@ def build_report(
             stats[relation] = _summary(values)
             rows += [(condition, relation, v) for v in values.tolist()]
     for condition, part in baseline.items():
-        if not part:
+        if not len(part):
             continue
         # every pair against the solo baseline is a same-speaker pair
         condition_stats[condition]["intra_speaker_vs_solo"] = _summary(part.similarity)

@@ -54,6 +54,8 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
         ]
     except (KeyError, TypeError) as exc:
         raise PhonosimError(f"malformed pairs file {path}: {exc!r}")
+    if not pairs:
+        raise PhonosimError(f"pairs file {path} holds no pairs")
     for i, (left, right, label, condition) in enumerate(pairs):
         if not (isinstance(left, str) and isinstance(right, str)):
             raise PhonosimError(f"pairs file {path}: pair {i} has a non-string key")

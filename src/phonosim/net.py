@@ -28,7 +28,9 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import numbers
 import os
+import reprlib
 import struct
 from dataclasses import dataclass
 
@@ -453,6 +455,10 @@ def backward_worker(dims: ModelDims, feats, max_rows: int):
 
 def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim == 0:
+        raise DataError("frames has no frame axis")
+    if isinstance(true_length, bool) or not isinstance(true_length, numbers.Integral):
+        raise DataError(f"true_length must be an integer, got {reprlib.repr(true_length)}")
     if not 1 <= true_length <= frames.shape[0]:
         raise DataError(
             f"true_length {true_length} outside [1, {frames.shape[0]}]"

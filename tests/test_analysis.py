@@ -3,9 +3,9 @@
 Oracles:
   - scipy.stats.pearsonr for r and the two-tailed p-value
   - scipy.stats.t survival function for the constructed (r=0.51, n=43) case
-  - hand-built PairTables with known means for the per-speaker scores
+  - hand-built pair record arrays with known means for the per-speaker scores
   - a per-pair Python loop for the filter, the summaries and the
-    per-speaker means over a random PairTable, and for the speaker scores
+    per-speaker means over a random record array, and for the speaker scores
     of a whole report built from scripted similarities
   - SHA-256 of the files emit_report writes for scripted similarities
 """
@@ -36,13 +36,16 @@ SPEAKERS = ["A", "B", "C", "D"]
 
 
 def _table(*rows):
-    """PairTable from (left speaker, right speaker, label, similarity) rows."""
+    """Pair records from (left speaker, right speaker, label, similarity) rows."""
     left, right, label, sim = zip(*rows)
-    return analysis.PairTable(
-        similarity=np.array(sim, dtype=np.float64),
-        label=np.array(label, dtype=np.intp),
-        left=np.array([SPEAKERS.index(s) for s in left], dtype=np.intp),
-        right=np.array([SPEAKERS.index(s) for s in right], dtype=np.intp),
+    return np.rec.fromarrays(
+        [
+            np.array(sim, dtype=np.float64),
+            np.array(label, dtype=np.intp),
+            np.array([SPEAKERS.index(s) for s in left], dtype=np.intp),
+            np.array([SPEAKERS.index(s) for s in right], dtype=np.intp),
+        ],
+        names=analysis.PAIR_FIELDS,
     )
 
 
@@ -171,9 +174,8 @@ def _random_table(seed, n=500, n_speakers=6):
     outliers = rng.random(n) < 0.05
     sim[outliers] = np.where(label[outliers] == 1, 0.99, 0.01)
     sim[rng.random(n) < 0.05] = 0.5  # on the threshold
-    return analysis.PairTable(
-        similarity=sim, label=label, left=left, right=right
-    ), n_speakers
+    table = np.rec.fromarrays([sim, label, left, right], names=analysis.PAIR_FIELDS)
+    return table, n_speakers
 
 
 def _loop_filter(table, threshold):
@@ -403,6 +405,25 @@ def test_rounding_noise_is_no_spread(monkeypatch):
     assert report["correlation"] is None
 
 
+def test_report_without_imitation_sessions(monkeypatch):
+    """A corpus with no imitation session has empty imitation pair sets:
+    null imitation summaries, no imitation-vs-solo entry, and without an
+    imitation ability no speaker is scored and no correlation taken."""
+    manifest = metadata_manifest(6, 6, conditions=("solo", "interactive"), sessions=(1,))
+    rng = np.random.default_rng(5)
+    _, report, dist, tables = _scripted_report(
+        monkeypatch,
+        lambda labels: np.where(labels == 1, 0.6, 0.1) + 0.3 * rng.random(len(labels)),
+        manifest,
+    )
+    assert len(tables) == 5 and len(tables[2]) == len(tables[4]) == 0
+    stats = report["condition_stats"]
+    assert stats["imitation"] == {"intra_dyad": None, "intra_speaker": None}
+    assert "intra_speaker_vs_solo" in stats["interactive"]
+    assert report["speaker_scores"] == {} and report["correlation"] is None
+    assert {row[0] for row in dist} == {"solo", "interactive"}
+
+
 # Recorded with the record-class report (ConvergenceReport.to_dict), before
 # build_report built the document itself: the refactor changes no byte.
 GOLDEN_REPORT_DIGESTS = {
@@ -469,7 +490,8 @@ def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     pairs = corpus.build_solo_pairs(tiny_corpus, 1, 2)
     params = net.init_params(net.ModelDims(), seed=0)
     table = analysis.score_pairs(params, pairs, tiny_features, tiny_corpus)
-    assert len(table) == len(pairs)
+    assert isinstance(table, np.recarray) and len(table) == len(pairs)
+    assert table.dtype.names == ("similarity", "label", "left", "right")
     assert table.label.tolist() == [p.label for p in pairs]
     speakers = tiny_corpus.speakers
     speaker_of = {u.key: u.speaker_id for u in tiny_corpus.utterances}
@@ -479,5 +501,6 @@ def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
         table.similarity, train.score_similarities(params, pairs, tiny_features)
     )
     kept = analysis.filter_scores(table, 0.5)
+    assert isinstance(kept, np.recarray)
     assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
     assert len(analysis.score_pairs(params, [], tiny_features, tiny_corpus)) == 0

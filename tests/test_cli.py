@@ -692,6 +692,51 @@ def test_one_label_val_pairs_exit_code(pipeline, tmp_path, capsys):
     assert not (tmp_path / "model").exists()
 
 
+@pytest.mark.parametrize("role", ["train-pairs", "train-val-pairs", "eval-pairs"])
+def test_empty_pairs_file_exit_code(pipeline, tmp_path, capsys, role):
+    """A pairs file with no pairs exits 2 naming it, before any training:
+    as validation pairs it would otherwise mean "no validation"."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"pairs": []}))
+    out = tmp_path / "out"
+    train = ["train", "--features", pipeline["features"], "--out", str(out)]
+    argv = {
+        "train-pairs": [*train, "--pairs", str(empty)],
+        "train-val-pairs": [*train, "--pairs", pipeline["pairs"], "--val-pairs", str(empty)],
+        "eval-pairs": [
+            "eval", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+            "--pairs", str(empty), "--features", pipeline["features"],
+            "--report", str(out),
+        ],
+    }[role]
+    assert cli.main(argv) == 2
+    assert f"error: pairs file {empty} holds no pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [("pairs", "--range", "1-8"), ("analyze", "--solo-range", "x"),
+     ("analyze", "--sessions", "1,a")],
+)
+def test_bad_range_or_session_text_exit_code(pipeline, tmp_path, capsys, command, flag, text):
+    """A sentence range or session list that does not parse exits 2 and
+    writes nothing."""
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    out = tmp_path / "out"
+    argv = {
+        "pairs": ["pairs", "--manifest", manifest, "--condition", "solo",
+                  "--out", str(out)],
+        "analyze": ["analyze", "--model", os.path.join(pipeline["model_dir"], "model.artm"),
+                    "--manifest", manifest, "--features", pipeline["features"],
+                    "--sessions", "1", "--out", str(out)],
+    }[command]
+    assert cli.main([*argv, flag, text]) == 2
+    expected = "session list" if flag == "--sessions" else "sentence range"
+    assert f"error: bad {expected} {text!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_batch_size_past_pair_count(pipeline, tmp_path):
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"epochs": 1, "batch_size": 1_000_000}))

@@ -49,6 +49,12 @@ def test_compute_mfcc_frame_count_and_dim():
     assert f.frames.shape == (98, 13)
 
 
+def test_compute_mfcc_rejects_other_rates():
+    w = dsp.Waveform(samples=np.zeros(8000), sample_rate=8000)
+    with pytest.raises(DataError, match="needs 16000 Hz audio, waveform is 8000 Hz"):
+        dsp.compute_mfcc(w)
+
+
 # ---------------------------------------------------------------------------
 # resampling and audio loading
 
@@ -147,6 +153,17 @@ def test_load_audio_other_sample_formats(tmp_path, kind):
 def test_load_audio_missing_file():
     with pytest.raises(FileNotFoundError):
         dsp.load_audio("/nonexistent/file.wav")
+
+
+def test_load_audio_empty_pcm16(tmp_path):
+    path = tmp_path / "empty.wav"
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+    assert dsp._read_pcm16(path)[1].size == 0
+    with pytest.raises(AudioError, match="zero-length audio"):
+        dsp.load_audio(path)
 
 
 def test_load_audio_corrupt_file(tmp_path):

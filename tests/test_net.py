@@ -85,6 +85,25 @@ def test_rnn_forward_rejects_bad_length(small_params):
         net.rnn_forward(small_params, x, 5)
 
 
+def test_one_utterance_calls_reject_malformed_input(small_params):
+    """A 0-d ``frames`` has no frame axis, and a ``true_length`` that is not
+    an integer (a float or a bool) cannot slice it; both are ``DataError``s
+    through every one-utterance entry point.  NumPy integers are integers."""
+    x = np.random.default_rng(3).normal(size=(6, 5))
+    calls = (
+        lambda f, n: net.rnn_forward(small_params, f, n),
+        lambda f, n: net.embed_utterance(small_params, f, n),
+        lambda f, n: net.siamese_forward(small_params, (f, n), (x, 6)),
+    )
+    for call in calls:
+        with pytest.raises(DataError, match="no frame axis"):
+            call(np.float64(1.0), 1)
+        for length in (5.0, True):
+            with pytest.raises(DataError, match="true_length must be an integer"):
+                call(x, length)
+        call(x, np.int64(5))
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_pack_layout(reverse):
     """On a batch given longest first, step t's live rows are

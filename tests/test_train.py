@@ -776,6 +776,26 @@ def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkey
     _forked_and_inline(monkeypatch, cfg, pairs, [], store)
 
 
+@needs_fork
+def test_train_without_dropout_worker_bit_identical_to_inline(
+    tiny_corpus, tiny_features, monkeypatch
+):
+    """At dropout rate 0 every batch runs without masks, with the worker
+    and in process alike."""
+    masks = []
+    dropout_masks = tr._dropout_masks
+
+    def recording(*args):
+        masks.append(dropout_masks(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(tr, "_dropout_masks", recording)
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4, dropout_rate=0.0)
+    _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, tiny_features)
+    assert masks and all(m is None for m in masks)
+
+
 class _CopyingStore:
     """A store that returns a fresh copy of a key's matrix on every lookup."""
 
