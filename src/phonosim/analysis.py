@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -82,8 +83,33 @@ def _speaker_means(table: np.recarray, label: int, n_speakers: int) -> np.ndarra
     return means
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with ``y = 1 - x`` given apart so
+    that neither loses digits near 0 or 1: the continued fraction of Press et
+    al., *Numerical Recipes* (3rd ed., section 6.4), by Lentz's method."""
+    swap = x > (a + 1.0) / (a + b + 2.0)  # there the fraction for 1 - x converges faster
+    if swap:
+        a, b, x, y = b, a, y, x
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(10_000):
+        m = i // 2
+        if i % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)) if i else 1.0
+        d = 1.0 / ((1.0 + term * d) or 1e-300)  # Lentz: never divide by zero
+        c = (1.0 + term / c) or 1e-300
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-15:
+            break
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)) * x**a * y**b
+    value = front * (f - 1.0) / a
+    return 1.0 - value if swap else value
+
+
 def pearson(x, y) -> tuple[float, float]:
-    """Sample Pearson r with a two-tailed p-value from the t distribution."""
+    """Sample Pearson r with a two-tailed p-value from the t distribution
+    with n - 2 degrees of freedom: I_{1 - r^2}((n - 2) / 2, 1 / 2)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
@@ -98,15 +124,7 @@ def pearson(x, y) -> tuple[float, float]:
     if sx == 0.0 or sy == 0.0:
         raise DataError("Pearson correlation of a constant input")
     r = float(np.clip((xc * yc).sum() / (sx * sy), -1.0, 1.0))
-    df = n - 2
-    if abs(r) == 1.0:
-        return r, 0.0
-    # imported here so that only the analysis stage loads SciPy
-    from scipy.special import betainc
-
-    t2 = r * r * df / (1.0 - r * r)
-    p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
-    return r, p
+    return r, _betainc((n - 2) / 2.0, 0.5, (1.0 - abs(r)) * (1.0 + abs(r)), r * r)
 
 
 def cross_condition_pairs(

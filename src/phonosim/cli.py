@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import reprlib
 import sys
@@ -202,9 +203,15 @@ def _cmd_gradcheck(args) -> None:
         d_in, d_hidden, d_rep = (int(v) for v in args.dims.split(","))
     except ValueError:
         raise PhonosimError(f"bad dims {args.dims!r}, expected e.g. 5,4,3")
-    errors = training.gradient_check(
-        net.ModelDims(d_in, d_hidden, d_rep), seed=args.seed
-    )
+    dims = net.ModelDims(d_in, d_hidden, d_rep)
+    shapes = net._tensor_shapes(dims)
+    values = sum(math.prod(shapes[name]) for name in net.TRAINABLE_TENSORS)
+    if values > training.GRADCHECK_MAX_VALUES:
+        raise PhonosimError(
+            f"dims {args.dims!r} have {values} trainable values, "
+            f"more than gradcheck's {training.GRADCHECK_MAX_VALUES}"
+        )
+    errors = training.gradient_check(dims, seed=args.seed)
     worst = max(errors.values())
     for name, err in errors.items():
         print(f"{name:10s} max relative error {err:.3e}")

@@ -1,9 +1,9 @@
 """Audio ingestion and the MFCC feature pipeline.
 
-Audio goes in as PCM WAV, comes out as per-utterance feature matrices:
-``n_ceps`` static MFCCs + as many deltas + as many delta-deltas (13 each,
-39 columns, by default), CMVN-normalized, persisted in a small binary
-format (magic ``ARTF``).
+Audio goes in as PCM or IEEE-float WAV, comes out as per-utterance feature
+matrices: ``n_ceps`` static MFCCs + as many deltas + as many delta-deltas
+(13 each, 39 columns, by default), CMVN-normalized, persisted in a small
+binary format (magic ``ARTF``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import os
 import reprlib
 import struct
-import wave
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -86,62 +85,75 @@ def resample_linear(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     return np.interp(pos, np.arange(n_in), x)
 
 
-def _read_pcm16(path: str | os.PathLike):
-    """``(rate, data)`` of a 16-bit PCM WAV, shaped as ``scipy.io.wavfile``
-    gives it, read with stdlib ``wave``; None for any other file.  Raises
-    ``OSError`` for a file that cannot be opened."""
-    try:
-        with wave.open(os.fspath(path), "rb") as fh:
-            if fh.getsampwidth() != 2:
-                return None
-            data = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
-            channels = fh.getnchannels()
-            if channels > 1:
-                data = data.reshape(-1, channels)
-            return fh.getframerate(), data
-    except (EOFError, ValueError, struct.error, wave.Error):
-        return None
+# (format tag, bytes per sample) -> (dtype, offset, scale): a sample reads as
+# (value - offset) / scale.  A 24-bit sample is widened to a left-justified
+# 32-bit one, so it reads as its 24-bit value / 2**23.
+_WAV_SAMPLES = {
+    (1, 1): ("u1", 128.0, 128.0),
+    (1, 2): ("i2", 0.0, 2.0**15),
+    (1, 3): ("i4", 0.0, 2.0**31),
+    (1, 4): ("i4", 0.0, 2.0**31),
+    (3, 4): ("f4", 0.0, 1.0),
+    (3, 8): ("f8", 0.0, 1.0),
+}
+
+
+def _read_wav(path: str | os.PathLike) -> tuple[int, int, np.ndarray]:
+    """``(rate, channels, samples)`` of a RIFF or RIFX WAV: the whole frames
+    of its data chunk, interleaved, as float64 scaled by ``_WAV_SAMPLES``.
+    Chunks are walked up to the data chunk, whatever the RIFF size says."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    bad = f"unsupported codec or corrupt WAV: {path}"
+    order = {b"RIFF": "<", b"RIFX": ">"}.get(blob[:4])
+    if order is None or blob[8:12] != b"WAVE":
+        raise AudioError(f"{bad}: {blob[:4]!r} container, not a RIFF or RIFX WAVE file")
+    chunks, pos = {}, 12
+    while pos + 8 <= len(blob) and b"data" not in chunks:
+        (size,) = struct.unpack_from(order + "I", blob, pos + 4)
+        chunks.setdefault(blob[pos : pos + 4], (pos + 8, size))
+        pos += 8 + size + size % 2
+    start, size = chunks.get(b"fmt ", (0, 0))
+    fmt = blob[start : start + size]
+    if len(fmt) < 16 or b"data" not in chunks:
+        raise AudioError(f"{bad}: no 16-byte fmt chunk before a data chunk")
+    tag, channels, rate, _, block_align, _ = struct.unpack_from(order + "HHIIHH", fmt)
+    if tag == 0xFFFE and len(fmt) >= 26:  # WAVE_FORMAT_EXTENSIBLE: the sub-format's tag
+        (tag,) = struct.unpack_from(order + "H", fmt, 24)
+    width = block_align // channels if channels else 0
+    if (tag, width) not in _WAV_SAMPLES or block_align != channels * width:
+        raise AudioError(f"{bad}: tag {tag}, {channels} channels, block_align {block_align}")
+    dtype, offset, scale = _WAV_SAMPLES[tag, width]
+    start, size = chunks[b"data"]
+    count = min(size, len(blob) - start) // block_align * channels
+    if width == 3:
+        wide = np.zeros((count, 4), np.uint8)
+        low = int(order == "<")
+        wide[:, low : low + 3] = np.frombuffer(blob, np.uint8, 3 * count, start).reshape(-1, 3)
+        blob, start = wide.tobytes(), 0
+    x = np.frombuffer(blob, order + dtype, count, start).astype(np.float64)
+    if dtype[0] == "f" and not np.isfinite(x).all():
+        raise AudioError(f"non-finite sample in float WAV: {path}")
+    return rate, channels, (x - offset) / scale
 
 
 def load_audio(path: str | os.PathLike) -> Waveform:
-    """Load a PCM WAV file as a mono waveform at the pipeline rate.
+    """Load a WAV file as a mono waveform at the pipeline rate.
 
-    Stereo channels are averaged; integer samples are scaled to [-1, 1];
-    other sample rates are brought to 16 kHz by linear interpolation.  A
-    rate below ``MIN_SAMPLE_RATE``, or a NaN or infinite float sample,
-    raises ``AudioError``.
+    Stereo channels are averaged; samples are scaled to [-1, 1]; other
+    sample rates are brought to 16 kHz by linear interpolation.  A file
+    ``_read_wav`` cannot read, a NaN or infinite float sample, or a rate
+    below ``MIN_SAMPLE_RATE`` raises ``AudioError``.
     """
-    read = _read_pcm16(path)
-    if read is None:
-        # stdlib wave cannot read float or 24-bit WAVs; SciPy is imported
-        # here so that reading 16-bit PCM does not load it
-        from scipy.io import wavfile
-
-        try:
-            read = wavfile.read(path)
-        except Exception as exc:
-            raise AudioError(f"unsupported codec or corrupt WAV: {path}: {exc}")
-    rate, data = read
+    rate, channels, x = _read_wav(path)
     if rate < MIN_SAMPLE_RATE:
         raise AudioError(
             f"sample rate {rate} Hz in WAV header, below {MIN_SAMPLE_RATE} Hz: {path}"
         )
-    if data.size == 0:
+    if x.size == 0:
         raise AudioError(f"zero-length audio: {path}")
-    if data.dtype == np.int16:
-        x = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        x = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        if not np.isfinite(data).all():
-            raise AudioError(f"non-finite sample in float WAV: {path}")
-        x = data.astype(np.float64)
-    elif data.dtype == np.uint8:
-        x = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        raise AudioError(f"unsupported sample format {data.dtype}: {path}")
-    if x.ndim == 2:
-        x = x.mean(axis=1)
+    if channels > 1:
+        x = x.reshape(-1, channels).mean(axis=1)
     x = resample_linear(x, rate, PIPELINE_RATE)
     np.clip(x, -1.0, 1.0, out=x)
     return Waveform(samples=x, sample_rate=PIPELINE_RATE)

@@ -35,6 +35,8 @@ THRESHOLD = 0.5
 
 # phonosim gradcheck fails at or above this worst relative error
 GRADCHECK_TOLERANCE = 1e-4
+# most trainable values phonosim gradcheck checks, above the default model's 16,800
+GRADCHECK_MAX_VALUES = 20_000
 
 # utterances per inference batch; larger batches raise peak memory for
 # little speed

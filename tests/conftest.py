@@ -1,11 +1,13 @@
 """Shared fixtures: a tiny synthetic corpus with in-memory features, the
 usable-CPU patch, the deadline and no-child-left checks for tests that
-fork, and the hypothesis strategies that fuzz the JSON input files."""
+fork, a WAV writer for files built by hand, and the hypothesis strategies
+that fuzz the JSON input files."""
 
 import contextlib
 import json
 import os
 import signal
+import struct
 
 import numpy as np
 import pytest
@@ -62,6 +64,28 @@ def assert_no_child_left():
     """Every child of this process has ended and been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# the GUID of KSDATAFORMAT_SUBTYPE_PCM or _IEEE_FLOAT after its first two bytes
+KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def wav_bytes(
+    data, tag=1, width=2, channels=1, rate=16000, order="<", container=b"RIFF",
+    extensible=None, before_data=b"", data_size=None,
+):
+    """A WAV file built by hand, so that a test can write what ``wave`` and
+    SciPy refuse to: a ``fmt `` chunk (of WAVE_FORMAT_EXTENSIBLE with
+    sub-format tag ``extensible``, if given), the chunks ``before_data``,
+    then ``data`` under a size field of ``data_size`` (default: its length)."""
+    block = channels * width
+    fmt = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, 8 * width)
+    if extensible is not None:
+        fmt += struct.pack(order + "HHIH", 22, 8 * width, 4, extensible) + KSDATAFORMAT_TAIL
+    size = struct.Struct(order + "I").pack
+    chunks = b"fmt " + size(len(fmt)) + fmt + before_data
+    chunks += b"data" + size(len(data) if data_size is None else data_size) + data
+    return container + size(4 + len(chunks)) + b"WAVE" + chunks
 
 
 def metadata_manifest(n_speakers, n_sentences, conditions=("solo",), sessions=(1,)):

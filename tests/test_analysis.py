@@ -3,6 +3,7 @@
 Oracles:
   - scipy.stats.pearsonr for r and the two-tailed p-value
   - scipy.stats.t survival function for the constructed (r=0.51, n=43) case
+    and for a sweep over n and r (the Cauchy one at 1 degree of freedom)
   - hand-built pair record arrays with known means for the per-speaker scores
   - a per-pair Python loop for the filter, the summaries and the
     per-speaker means over a random record array, and for the speaker scores
@@ -91,6 +92,27 @@ def test_pearson_paper_case_r051_n43():
     oracle_p = 2.0 * scipy.stats.t.sf(t, df=n - 2)
     assert got_p == pytest.approx(oracle_p, abs=1e-6)
     assert got_p == pytest.approx(0.0005, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 43, 58, 200, 1000])
+def test_pearson_p_matches_t_distribution(n):
+    """pearson's p is 2 * t.sf(|t|, n - 2) to 1e-12 absolute and 1e-9
+    relative, from p = 1 to the far tail.  At 1 degree of freedom the oracle
+    is the Cauchy distribution's: there SciPy's t.sf rounds 1 / (1 + t^2) to
+    1 for |t| < 1e-8, so 2 * t.sf(1e-9, 1) is 1.0, not 1 - 6.4e-10."""
+    rng = np.random.default_rng(n)
+    x, e = rng.normal(size=(2, n))
+    x = (x - x.mean()) / np.linalg.norm(x - x.mean())
+    e -= e.mean() + x * (e @ x)  # centred, orthogonal to x
+    e /= np.linalg.norm(e)
+    df = n - 2
+    for target in (0.0, 1e-9, 0.1, 0.51, 0.9, 0.999999):
+        for r in (target, -target):
+            got_r, got_p = analysis.pearson(x, r * x + np.sqrt(1.0 - r * r) * e)
+            assert got_r == pytest.approx(r, abs=1e-14)
+            t = abs(got_r) * np.sqrt(df / ((1.0 - abs(got_r)) * (1.0 + abs(got_r))))
+            want = 2.0 * (scipy.stats.cauchy.sf(t) if df == 1 else scipy.stats.t.sf(t, df))
+            assert abs(got_p - want) <= 1e-12 and abs(got_p - want) <= 1e-9 * want, (r, want)
 
 
 def test_pearson_input_validation():
@@ -426,8 +448,11 @@ def test_report_without_imitation_sessions(monkeypatch):
 
 # Recorded with the record-class report (ConvergenceReport.to_dict), before
 # build_report built the document itself: the refactor changes no byte.
+# report.json was recorded again when pearson's p-value moved from SciPy's
+# betainc to analysis._betainc: its correlation.p went from 0.671969649819299
+# to 0.6719696498192987 (exact: 0.67196964981929888, by 50-digit mpmath).
 GOLDEN_REPORT_DIGESTS = {
-    "report.json": "95580efe21100eee3d6e00de3fb9dc3e4df05e06368ffcca8baba53641d3137e",
+    "report.json": "a50423995fab55b73b5e6b65a5ef6637cb2f41a3be790cc44ed7033e7c16d771",
     "fig3_distributions.csv": "995e0aaecfeae3ee2615fd13460d0533464debe9c5352c996cd08de7f6407929",
     "fig4_scatter.csv": "ef27076d63150e3dc26b41232725a18cc520634334b30c79ad4624dc9c9df6b3",
 }

@@ -11,7 +11,6 @@ import json
 import multiprocessing
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import time
@@ -24,7 +23,7 @@ import phonosim
 from phonosim import cli, corpus, dsp, net, train as training
 from phonosim.errors import AudioError, DataError, PhonosimError, run_split
 
-from conftest import assert_no_child_left, deadline, set_cpus
+from conftest import assert_no_child_left, deadline, set_cpus, wav_bytes
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +179,11 @@ def test_gradcheck_command(capsys):
 
 
 def test_gradcheck_bad_dims():
-    assert cli.main(["gradcheck", "--dims", "nope"]) == 2
+    """Dims that do not parse, or that give more trainable values than
+    gradcheck checks, exit 2 before any tensor is allocated."""
+    for dims in ("nope", "3000000000,3000000000,1", "100000,10,1"):
+        with deadline(10):
+            assert cli.main(["gradcheck", "--dims", dims]) == 2
 
 
 def test_usage_error_exit_code():
@@ -325,43 +328,62 @@ def _modules_loaded_by(code: str, prefixes=("scipy", "multiprocessing")) -> str:
 
 def test_import_loads_no_scipy():
     """A bare ``import phonosim`` loads neither NumPy nor any phonosim
-    submodule.  The CLI imports without SciPy or multiprocessing; only
-    analyze loads SciPy, and only train multiprocessing."""
+    submodule.  The CLI imports without SciPy or multiprocessing; no stage
+    loads SciPy, and only train loads multiprocessing."""
     assert _modules_loaded_by("import phonosim", ("numpy", "phonosim.")) == "[]"
     assert _modules_loaded_by("import phonosim.cli") == "[]"
 
 
-def test_pairs_train_eval_load_no_scipy(pipeline, tmp_path):
-    """pairs, a one-epoch train and eval, each in a fresh interpreter, load
-    no SciPy module; ``cli.eval_s`` and ``cli.pairs_s`` rest on this."""
-    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+def test_pairs_train_eval_load_no_scipy(tmp_path):
+    """pairs, train, eval and analyze, each in a fresh interpreter, load no
+    SciPy module; ``cli.eval_s``, ``cli.pairs_s`` and ``cli.analyze_s`` rest
+    on this.  Four speakers trained for ten epochs give analyze a
+    correlation, so its p-value is computed too."""
+    corpus_dir, features = str(tmp_path / "corpus"), str(tmp_path / "features")
+    assert cli.main([
+        "synth", "--speakers", "4", "--sentences", "6", "--interactive-sessions", "1",
+        "--seed", "5", "--out", corpus_dir,
+    ]) == 0
+    manifest = os.path.join(corpus_dir, "manifest.json")
+    assert cli.main(["features", "--manifest", manifest, "--out", features]) == 0
     pairs, model = str(tmp_path / "pairs.json"), str(tmp_path / "model")
+    analyzed = str(tmp_path / "analysis")
     config = tmp_path / "train.json"
-    config.write_text(json.dumps({"epochs": 1}))
+    config.write_text(json.dumps({"epochs": 10}))
     stages = [
-        ["pairs", "--manifest", manifest, "--condition", "solo", "--range", "1:4",
+        ["pairs", "--manifest", manifest, "--condition", "solo", "--range", "1:6",
          "--out", pairs],
-        ["train", "--features", pipeline["features"], "--pairs", pairs,
-         "--val-pairs", pipeline["pairs"], "--config", str(config), "--out", model],
+        ["train", "--features", features, "--pairs", pairs, "--val-pairs", pairs,
+         "--config", str(config), "--out", model],
         ["eval", "--model", os.path.join(model, "model.artm"), "--pairs", pairs,
-         "--features", pipeline["features"], "--report", str(tmp_path / "eval.json")],
+         "--features", features, "--report", str(tmp_path / "eval.json")],
+        ["analyze", "--model", os.path.join(model, "model.artm"), "--manifest", manifest,
+         "--features", features, "--sessions", "1", "--out", analyzed],
     ]
     for argv in stages:
         loaded = _modules_loaded_by(
             f"from phonosim import cli; assert cli.main({argv!r}) == 0", ("scipy",)
         )
         assert loaded == "[]", argv[0]
+    assert json.loads(Path(analyzed, "report.json").read_text())["correlation"]["n"] == 4
 
 
 def test_features_loads_no_scipy(pipeline, tmp_path):
-    """synth writes 16-bit PCM, which features reads without SciPy; a
-    missing WAV fails with exit 2 before SciPy is tried."""
+    """features reads synth's 16-bit PCM, and the same corpus rewritten as
+    float32 WAVs, without SciPy; a missing WAV fails with exit 2."""
+    from scipy.io import wavfile
+
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
     away = tmp_path / "away"
     away.mkdir()
     missing_wavs = shutil.copy(manifest, away)  # its audio paths are relative
-    for path, code in ((manifest, 0), (missing_wavs, 2)):
-        out = str(tmp_path / f"features{code}")
+    float_manifest, utterances = _copied_corpus(pipeline, tmp_path)
+    for u in utterances:
+        wav = float_manifest.parent / u["audio_path"]
+        rate, data = wavfile.read(wav)
+        wavfile.write(wav, rate, (data / 32768.0).astype(np.float32))
+    for i, (path, code) in enumerate(((manifest, 0), (str(float_manifest), 0), (missing_wavs, 2))):
+        out = str(tmp_path / f"features{i}")
         loaded = _modules_loaded_by(
             "from phonosim import cli; "
             f"assert cli.main(['features', '--manifest', {path!r}, '--out', {out!r}]) == {code}"
@@ -875,11 +897,7 @@ def _copied_corpus(pipeline, tmp_path):
 def _write_wav_at(path, rate, n_samples):
     """A silent 16-bit mono WAV whose header gives sample rate ``rate``,
     built by hand because ``wave`` refuses to write rate 0."""
-    data = np.zeros(n_samples, dtype="<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)  # PCM, mono
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(data)) + data
-    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    path.write_bytes(wav_bytes(np.zeros(n_samples, dtype="<i2").tobytes(), rate=rate))
 
 
 def test_zero_hz_wav_is_an_audio_error(pipeline, tmp_path, capsys):

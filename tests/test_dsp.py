@@ -9,12 +9,14 @@ Frozen values:
 """
 
 import dataclasses
+import struct
 import wave
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from conftest import wav_bytes
 from phonosim import dsp
 from phonosim.errors import AudioError, DataError, FeatureIOError
 
@@ -100,17 +102,29 @@ def test_load_audio_resamples_8k(tmp_path):
     assert len(w.samples) == 2 * 800 - 1
 
 
+def _load_with_scipy(path):
+    """``load_audio``'s samples for ``path``, read with ``scipy.io.wavfile``
+    and scaled by its dtype: the oracle of the chunk reader."""
+    rate, data = wavfile.read(path)
+    x = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        x = (x - 128.0) / 128.0
+    elif data.dtype.kind == "i":  # SciPy left-justifies 24-bit samples in int32
+        x /= 2.0 ** (8 * data.dtype.itemsize - 1)
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    return np.clip(dsp.resample_linear(x, rate, dsp.PIPELINE_RATE), -1.0, 1.0)
+
+
 @pytest.mark.parametrize("rate, channels", [(16000, 1), (16000, 2), (8000, 1)])
-def test_load_audio_pcm16_matches_scipy_reader(tmp_path, monkeypatch, rate, channels):
-    """16-bit PCM read through stdlib wave gives SciPy's samples, bit for bit."""
+def test_load_audio_pcm16_matches_scipy_reader(tmp_path, rate, channels):
+    """16-bit PCM read by the chunk reader gives SciPy's samples, bit for bit."""
     rng = np.random.default_rng(rate + channels)
     x = rng.integers(-32768, 32768, size=(701, channels)).astype(np.int16)
     path = tmp_path / "pcm16.wav"
     wavfile.write(path, rate, x[:, 0] if channels == 1 else x)
     got = dsp.load_audio(path)
-    monkeypatch.setattr(dsp, "_read_pcm16", lambda path: None)
-    want = dsp.load_audio(path)
-    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.samples.tobytes() == _load_with_scipy(path).tobytes()
 
 
 def _encode(x, kind):
@@ -129,8 +143,9 @@ def _encode(x, kind):
 
 @pytest.mark.parametrize("kind", ["float32", "int32", "int24", "uint8"])
 def test_load_audio_other_sample_formats(tmp_path, kind):
-    """Formats the stdlib reader leaves to SciPy load as the 16-bit file
-    does, within one quantisation step of the coarser format."""
+    """Other sample formats load as SciPy reads them, bit for bit, and as
+    the 16-bit file does, within one quantisation step of the coarser
+    format."""
     x = 0.9 * np.sin(np.linspace(0, 20, 800))
     wavfile.write(tmp_path / "16.wav", 16000, np.round(x * 32768).astype(np.int16))
     want = dsp.load_audio(tmp_path / "16.wav").samples
@@ -144,8 +159,8 @@ def test_load_audio_other_sample_formats(tmp_path, kind):
             fh.setsampwidth(width)
             fh.setframerate(16000)
             fh.writeframes(data)
-    assert dsp._read_pcm16(path) is None
     got = dsp.load_audio(path)
+    assert got.samples.tobytes() == _load_with_scipy(path).tobytes()
     assert got.sample_rate == 16000 and len(got.samples) == len(want)
     assert np.abs(got.samples - want).max() <= max(step, 2.0**-15)
 
@@ -161,7 +176,7 @@ def test_load_audio_empty_pcm16(tmp_path):
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(16000)
-    assert dsp._read_pcm16(path)[1].size == 0
+    assert wavfile.read(path)[1].size == 0
     with pytest.raises(AudioError, match="zero-length audio"):
         dsp.load_audio(path)
 
@@ -171,6 +186,51 @@ def test_load_audio_corrupt_file(tmp_path):
     path.write_bytes(b"this is not audio")
     with pytest.raises(AudioError):
         dsp.load_audio(path)
+
+
+# eight 16-bit samples, each exact in float32; every readable file below holds them
+WAV_SAMPLES = np.array([0, 1, -1, 32767, -32768, 1234, -4321, 77], dtype=np.int16)
+PCM16 = wav_bytes(WAV_SAMPLES.tobytes())
+FLOAT32 = wav_bytes((WAV_SAMPLES / 32768.0).astype("<f4").tobytes(), tag=3, width=4)
+
+
+@pytest.mark.parametrize(
+    "blob, frames",
+    [
+        (wav_bytes(WAV_SAMPLES.tobytes(), tag=0xFFFE, extensible=1), 8),
+        (wav_bytes((WAV_SAMPLES / 32768.0).astype("<f4").tobytes(), tag=0xFFFE, width=4,
+                   extensible=3), 8),
+        (wav_bytes((WAV_SAMPLES / 32768.0).astype("<f8").tobytes(), tag=3, width=8), 8),
+        (wav_bytes(WAV_SAMPLES.astype(">i2").tobytes(), order=">", container=b"RIFX"), 8),
+        (wav_bytes(WAV_SAMPLES.tobytes(), before_data=b"LIST" + struct.pack("<I", 3) + b"abc\0"),
+         8),
+        (PCM16[:-4], 6),
+        (PCM16[:-3], 6),
+        (wav_bytes(WAV_SAMPLES.tobytes(), data_size=1000), 8),
+        (PCM16[:4] + struct.pack("<I", 4) + PCM16[8:], 8),
+        (wav_bytes(WAV_SAMPLES.tobytes(), tag=2), "tag 2"),
+        (wav_bytes(WAV_SAMPLES.tobytes(), channels=0), "0 channels"),
+        (b"RF64" + PCM16[4:], "RF64"),
+    ],
+    ids=[
+        "extensible-pcm16", "extensible-float32", "float64", "rifx-pcm16",
+        "odd-list-chunk", "data-cut-even", "data-cut-odd", "data-size-past-eof",
+        "riff-size-too-small", "adpcm", "no-channels", "rf64",
+    ],
+)
+def test_load_audio_hand_built_files(tmp_path, blob, frames):
+    """Each readable file gives the whole frames it holds of WAV_SAMPLES,
+    bit for bit; the chunk walk ignores the RIFF size field, skips unknown
+    chunks and their pad byte, and stops at the end of the file.  Each
+    unreadable one raises AudioError naming the file and the reason."""
+    path = tmp_path / "hand.wav"
+    path.write_bytes(blob)
+    if isinstance(frames, str):
+        with pytest.raises(AudioError, match=f"unsupported codec or corrupt WAV: {path}: .*{frames}"):
+            dsp.load_audio(path)
+        return
+    got = dsp.load_audio(path)
+    assert got.samples.tobytes() == (WAV_SAMPLES[:frames] / 32768.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +470,41 @@ try:
         except FeatureIOError:
             return
         assert np.isfinite(frames).all()
+
+    # (offset, width) of the RIFF size, format tag, channels, rate,
+    # block_align, bits and data-size fields of PCM16 (60 bytes) and
+    # FLOAT32 (76 bytes)
+    WAV_FIELDS = [(4, 4), (20, 2), (22, 2), (24, 4), (32, 2), (34, 2), (40, 4)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blob=st.sampled_from([PCM16, FLOAT32]),
+        cut=st.integers(0, 80),
+        flips=st.lists(st.tuples(st.integers(0, 59), st.integers(1, 255)), max_size=3),
+        fields=st.lists(
+            st.tuples(
+                st.sampled_from(WAV_FIELDS),
+                st.integers(0, 40) | st.integers(0, 2**32 - 1),
+            ),
+            max_size=2,
+        ),
+    )
+    def test_load_audio_fuzz(tmp_path_factory, blob, cut, flips, fields):
+        """A truncated, bit-flipped or re-headed WAV loads as finite samples
+        in [-1, 1] at the pipeline rate, or raises AudioError."""
+        blob = bytearray(blob)
+        for (offset, width), value in fields:
+            blob[offset : offset + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+        for offset, mask in flips:
+            blob[offset] ^= mask
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            got = dsp.load_audio(path)
+        except AudioError:
+            return
+        assert got.sample_rate == 16000
+        assert np.isfinite(got.samples).all() and np.abs(got.samples).max() <= 1.0
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test extra
 

@@ -2,10 +2,12 @@
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
 function packs and runs a recurrence, only ``net`` calls ``id()``, no module
-imports ``multiprocessing`` when it is imported, and no module draws from
-NumPy's global random state."""
+imports ``multiprocessing`` when it is imported, no module draws from
+NumPy's global random state, and no module imports SciPy, which
+``pyproject.toml`` lists only as a test dependency."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,17 @@ def _package_callers(name) -> set[str]:
     }
 
 
+def _imported_modules(nodes) -> list[str]:
+    """Every module that an ``import`` statement among ``nodes`` names."""
+    modules = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    return modules
+
+
 def _run_at_import(node):
     """Every node under ``node`` that runs when its module is imported: all
     but function bodies."""
@@ -147,12 +160,7 @@ def test_only_the_kernel_calls_id():
 def test_no_multiprocessing_import_at_import_time(module):
     """``multiprocessing`` is slow to import, so ``import phonosim`` and the
     CLI load it only in the function that needs it."""
-    modules = []
-    for node in _run_at_import(MODULES[module]):
-        if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules.append(node.module)
+    modules = _imported_modules(_run_at_import(MODULES[module]))
     assert [m for m in modules if m.split(".")[0] == "multiprocessing"] == []
 
 
@@ -204,3 +212,25 @@ def test_global_random_calls_found():
         "line 2: numpy.random.normal",
         "line 3: from numpy.random import rand",
     ]
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_no_scipy_import(module):
+    """The package runs on NumPy alone: SciPy is the tests' oracle, not a
+    runtime dependency, so no module imports it, even inside a function."""
+    modules = _imported_modules(ast.walk(MODULES[module]))
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    """``[project].dependencies`` names NumPy alone; SciPy is in the test
+    extra, as the oracle of the cross-checks."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
