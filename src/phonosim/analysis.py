@@ -109,7 +109,10 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
 
 def pearson(x, y) -> tuple[float, float]:
     """Sample Pearson r with a two-tailed p-value from the t distribution
-    with n - 2 degrees of freedom: I_{1 - r^2}((n - 2) / 2, 1 / 2)."""
+    with n - 2 degrees of freedom: I_{1 - r^2}((n - 2) / 2, 1 / 2).
+
+    Raises ``DataError`` for a NaN or infinite input.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
@@ -117,6 +120,8 @@ def pearson(x, y) -> tuple[float, float]:
         raise DataError("input lengths differ")
     if n < 3:
         raise DataError("Pearson correlation needs n >= 3")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("Pearson correlation needs finite inputs")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt((xc * xc).sum())

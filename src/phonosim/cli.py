@@ -116,9 +116,7 @@ def _cmd_features(args) -> None:
 
     def extract(task):
         wav_path, feature_path = task
-        wav = dsp.load_audio(wav_path)
-        feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
-        dsp.write_features(dsp.cmvn(feats), feature_path)
+        dsp.write_features(dsp.extract_features(wav_path, cfg), feature_path)
 
     os.makedirs(args.out, exist_ok=True)
     run_split(extract, tasks)

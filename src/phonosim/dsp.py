@@ -14,7 +14,6 @@ import os
 import reprlib
 import struct
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +27,8 @@ FEATURE_MAGIC = b"ARTF"
 
 
 # the front end is fixed: 25 ms Hann frames every 10 ms at PIPELINE_RATE,
-# a 512-point FFT, 40 mel filters over 0-8 kHz and a floored log
+# a 512-point FFT, 40 mel filters over 0-8 kHz, a floored log, and
+# regression deltas over +-DELTA_WINDOW frames
 WINDOW_SAMPLES = 400
 HOP_SAMPLES = 160
 N_FFT = 512
@@ -37,12 +37,12 @@ PREEMPHASIS = 0.97
 FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-10
+DELTA_WINDOW = 4
 
 
 @dataclass(frozen=True)
 class MfccConfig:
     n_ceps: int = 13
-    delta_window: ClassVar[int] = 4
 
     def __post_init__(self):
         check_numeric_fields(self)
@@ -223,8 +223,9 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
     return FeatureMatrix(frames=ceps)
 
 
-def _delta(c: np.ndarray, n: int) -> np.ndarray:
+def _delta(c: np.ndarray) -> np.ndarray:
     # standard regression estimate over a +-n frame window, edges replicated
+    n = DELTA_WINDOW
     t = c.shape[0]
     denom = 2.0 * sum(i * i for i in range(1, n + 1))
     padded = np.pad(c, ((n, n), (0, 0)), mode="edge")
@@ -234,11 +235,12 @@ def _delta(c: np.ndarray, n: int) -> np.ndarray:
     return d / denom
 
 
-def append_deltas(f: FeatureMatrix, delta_window: int = 4) -> FeatureMatrix:
-    """Append delta and delta-delta columns: [static | d | dd]."""
+def append_deltas(f: FeatureMatrix) -> FeatureMatrix:
+    """Append delta and delta-delta columns, each over +-``DELTA_WINDOW``
+    frames: [static | d | dd]."""
     c = f.frames
-    d = _delta(c, delta_window)
-    dd = _delta(d, delta_window)
+    d = _delta(c)
+    dd = _delta(d)
     return FeatureMatrix(frames=np.hstack([c, d, dd]))
 
 
@@ -256,15 +258,20 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(frames=out)
 
 
-def write_features(f: FeatureMatrix | np.ndarray, path: str | os.PathLike) -> None:
+def extract_features(path: str | os.PathLike, cfg: MfccConfig) -> np.ndarray:
+    """The ``(T, 3 * cfg.n_ceps)`` features of a WAV file: :func:`load_audio`,
+    then :func:`compute_mfcc`, :func:`append_deltas` and :func:`cmvn`."""
+    return cmvn(append_deltas(compute_mfcc(load_audio(path), cfg))).frames
+
+
+def write_features(frames: np.ndarray, path: str | os.PathLike) -> None:
     """Write a feature matrix: ``ARTF``, u32 rows, u32 cols, f32 row-major LE."""
-    frames = f.frames if isinstance(f, FeatureMatrix) else np.asarray(f)
-    rows, cols = frames.shape
-    payload = np.ascontiguousarray(frames, dtype="<f4").tobytes()
+    payload = np.ascontiguousarray(frames, dtype="<f4")
+    rows, cols = payload.shape
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def read_features(path: str | os.PathLike) -> FeatureMatrix:

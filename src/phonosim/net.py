@@ -463,7 +463,10 @@ def _true_frames(frames: np.ndarray, true_length: int) -> np.ndarray:
         raise DataError(
             f"true_length {true_length} outside [1, {frames.shape[0]}]"
         )
-    return frames[:true_length]
+    frames = frames[:true_length]  # the padding beyond is never read
+    if not np.isfinite(frames).all():
+        raise DataError("non-finite value in the frames")
+    return frames
 
 
 def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np.ndarray:
@@ -495,6 +498,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"embedding shapes differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("cosine similarity of a non-finite vector")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:

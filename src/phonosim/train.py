@@ -70,9 +70,11 @@ class TrainConfig:
             raise DataError("l1_coeff must be >= 0")
 
 
-def bce_loss(similarity: float, label: int) -> float:
-    """Binary cross-entropy with the similarity used as the probability."""
-    p = min(max(float(similarity), PROB_CLIP), 1.0 - PROB_CLIP)
+def bce_loss(similarity: np.ndarray | float, label: np.ndarray | float) -> np.ndarray | float:
+    """Binary cross-entropy with the similarity, clipped to
+    [``PROB_CLIP``, 1 - ``PROB_CLIP``], used as the probability; elementwise
+    over arrays."""
+    p = np.clip(similarity, PROB_CLIP, 1.0 - PROB_CLIP)
     return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
 
 
@@ -123,14 +125,13 @@ def pair_forward_backward(
     nl = np.linalg.norm(el, axis=1)
     nr = np.linalg.norm(er, axis=1)
     g = (el * er).sum(axis=1) / (nl * nr)
-    p = np.clip(g, PROB_CLIP, 1.0 - PROB_CLIP)
-    losses = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    data_loss = losses.mean()
+    data_loss = bce_loss(g, labels).mean()
     penalty = l1_coeff * sum(
         np.abs(getattr(params, name)).sum() for name in WEIGHT_TENSORS
     )
     loss = float(data_loss + penalty)
 
+    p = np.clip(g, PROB_CLIP, 1.0 - PROB_CLIP)
     dp = (p - labels) / (p * (1.0 - p)) / n_pairs
     dg = np.where((g > PROB_CLIP) & (g < 1.0 - PROB_CLIP), dp, 0.0)
     de_l = dg[:, None] * (er / (nl * nr)[:, None] - (g / nl**2)[:, None] * el)

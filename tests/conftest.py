@@ -1,7 +1,7 @@
 """Shared fixtures: a tiny synthetic corpus with in-memory features, the
-usable-CPU patch, the deadline and no-child-left checks for tests that
-fork, a WAV writer for files built by hand, and the hypothesis strategies
-that fuzz the JSON input files."""
+usable-CPU patch, the deadline check for tests that fork, the no-child-left
+check after every test, a WAV writer for files built by hand, and the
+hypothesis strategies that fuzz the JSON input files."""
 
 import contextlib
 import json
@@ -30,12 +30,10 @@ def tiny_corpus(tmp_path_factory):
 def tiny_features(tiny_corpus):
     """CMVN-normalized 39-dim features for every tiny-corpus utterance."""
     cfg = dsp.MfccConfig()
-    store = {}
-    for u in tiny_corpus.utterances:
-        wav = dsp.load_audio(tiny_corpus.resolve(u.audio_path))
-        feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
-        store[u.key] = dsp.cmvn(feats).frames
-    return store
+    return {
+        u.key: dsp.extract_features(tiny_corpus.resolve(u.audio_path), cfg)
+        for u in tiny_corpus.utterances
+    }
 
 
 def set_cpus(monkeypatch, n):
@@ -64,6 +62,13 @@ def assert_no_child_left():
     """Every child of this process has ended and been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a forked child running or unreaped."""
+    yield
+    assert_no_child_left()
 
 
 # the GUID of KSDATAFORMAT_SUBTYPE_PCM or _IEEE_FLOAT after its first two bytes

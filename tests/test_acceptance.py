@@ -38,12 +38,10 @@ SEED = 7
 
 def _features(manifest):
     cfg = dsp.MfccConfig()
-    store = {}
-    for u in manifest.utterances:
-        wav = dsp.load_audio(manifest.resolve(u.audio_path))
-        feats = dsp.append_deltas(dsp.compute_mfcc(wav, cfg), cfg.delta_window)
-        store[u.key] = dsp.cmvn(feats).frames
-    return store
+    return {
+        u.key: dsp.extract_features(manifest.resolve(u.audio_path), cfg)
+        for u in manifest.utterances
+    }
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,14 @@ def test_pearson_input_validation():
         analysis.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_rejects_non_finite_input(bad):
+    with pytest.raises(DataError, match="finite"):
+        analysis.pearson([1.0, bad, 3.0, 4.0], [1.0, 2.0, 4.0, 3.0])
+    with pytest.raises(DataError, match="finite"):
+        analysis.pearson([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # normalization and filtering
 

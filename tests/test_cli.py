@@ -921,7 +921,6 @@ def test_zero_hz_wav_is_an_audio_error(pipeline, tmp_path, capsys):
     assert wav.stat().st_size == 2044
     _write_wav_at(wav, dsp.MIN_SAMPLE_RATE, 1000)
     assert len(dsp.load_audio(wav).samples) == 999 * 16 + 1
-    assert_no_child_left()
 
 
 def test_non_finite_float_wav_is_an_audio_error(pipeline, tmp_path, capsys):
@@ -947,7 +946,6 @@ def test_non_finite_float_wav_is_an_audio_error(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and str(wav) in err
         assert not out.exists() or feature not in os.listdir(out)
-    assert_no_child_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
@@ -990,7 +988,6 @@ def test_features_corrupt_wav_in_either_share(pipeline, tmp_path, capsys, monkey
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(AudioError, match=f"corrupt WAV: {wav}"):
             args.func(args)
-    assert_no_child_left()
 
 
 def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatch):
@@ -1008,7 +1005,6 @@ def test_features_child_death_is_an_error(pipeline, tmp_path, capsys, monkeypatc
             "features", "--manifest", str(manifest), "--out", str(tmp_path / "features"),
         ]) == 2
     assert "error: forked worker exited with code 3" in capsys.readouterr().err
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -1027,7 +1023,6 @@ def test_split_raises_child_error_again(monkeypatch, exc):
     with deadline(60), pytest.raises(type(exc)) as raised:
         run_split(task, range(6))
     assert str(raised.value) == str(exc)
-    assert_no_child_left()
 
 
 def test_split_interrupt_kills_child(monkeypatch):
@@ -1044,7 +1039,6 @@ def test_split_interrupt_kills_child(monkeypatch):
     with deadline(60), pytest.raises(KeyboardInterrupt):
         run_split(task, range(4))
     assert time.monotonic() - start < 30
-    assert_no_child_left()
 
 
 def test_split_child_error_stops_the_caller_early(tmp_path, monkeypatch):
@@ -1068,7 +1062,6 @@ def test_split_child_error_stops_the_caller_early(tmp_path, monkeypatch):
     with deadline(60), pytest.raises(DataError, match="failed at task 1"):
         run_split(task, range(6))
     assert ran in ([], [0])  # the child may fail before task 0 starts
-    assert_no_child_left()
 
 
 def test_split_in_daemon_process_runs_inline(monkeypatch):
@@ -1079,7 +1072,6 @@ def test_split_in_daemon_process_runs_inline(monkeypatch):
     ran = []
     run_split(ran.append, range(5))
     assert ran == [0, 1, 2, 3, 4]
-    assert_no_child_left()
 
 
 def test_features_checks_every_audio_path_first(pipeline, tmp_path, capsys):

@@ -282,7 +282,8 @@ def test_mfcc_config_holds_only_n_ceps():
     """The front end is fixed; n_ceps is the one MFCC setting."""
     assert [f.name for f in dataclasses.fields(dsp.MfccConfig)] == ["n_ceps"]
     assert dsp.MfccConfig(np.int64(40)).n_ceps == 40
-    assert dsp.MfccConfig().delta_window == 4
+    assert not hasattr(dsp.MfccConfig(), "delta_window")
+    assert dsp.DELTA_WINDOW == 4
 
 
 def _delta_oracle(c, n):
@@ -301,17 +302,18 @@ def test_delta_matches_bruteforce_oracle():
     rng = np.random.default_rng(3)
     c = rng.normal(size=(30, 13))
     f = dsp.FeatureMatrix(frames=c)
-    full = dsp.append_deltas(f, 4).frames
-    np.testing.assert_allclose(full[:, 13:26], _delta_oracle(c, 4), atol=1e-12)
+    full = dsp.append_deltas(f).frames
+    n = dsp.DELTA_WINDOW
+    np.testing.assert_allclose(full[:, 13:26], _delta_oracle(c, n), atol=1e-12)
     np.testing.assert_allclose(
-        full[:, 26:], _delta_oracle(_delta_oracle(c, 4), 4), atol=1e-12
+        full[:, 26:], _delta_oracle(_delta_oracle(c, n), n), atol=1e-12
     )
 
 
 def test_append_deltas_keeps_statics_and_width():
     rng = np.random.default_rng(4)
     c = rng.normal(size=(10, 13))
-    out = dsp.append_deltas(dsp.FeatureMatrix(frames=c), 4)
+    out = dsp.append_deltas(dsp.FeatureMatrix(frames=c))
     assert out.frames.shape == (10, 39)
     np.testing.assert_array_equal(out.frames[:, :13], c)
 
@@ -320,10 +322,10 @@ def test_append_deltas_any_width():
     """n_ceps sets the width: 12 static columns give 36."""
     rng = np.random.default_rng(6)
     c = rng.normal(size=(10, 12))
-    out = dsp.append_deltas(dsp.FeatureMatrix(frames=c), 4).frames
+    out = dsp.append_deltas(dsp.FeatureMatrix(frames=c)).frames
     assert out.shape == (10, 36)
     np.testing.assert_array_equal(out[:, :12], c)
-    np.testing.assert_allclose(out[:, 12:24], _delta_oracle(c, 4), atol=1e-12)
+    np.testing.assert_allclose(out[:, 12:24], _delta_oracle(c, dsp.DELTA_WINDOW), atol=1e-12)
 
 
 def test_mfcc_matches_naive_per_frame_oracle():
@@ -388,6 +390,18 @@ def test_cmvn_constant_column_mean_subtracted_only():
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("n_ceps", [13, 12])
+def test_extract_features_is_the_front_end_chain(tiny_corpus, n_ceps):
+    """load -> MFCC -> deltas -> CMVN, byte for byte, on every tiny-corpus WAV."""
+    cfg = dsp.MfccConfig(n_ceps)
+    for u in tiny_corpus.utterances:
+        path = tiny_corpus.resolve(u.audio_path)
+        want = dsp.cmvn(dsp.append_deltas(dsp.compute_mfcc(dsp.load_audio(path), cfg))).frames
+        got = dsp.extract_features(path, cfg)
+        assert got.shape == (want.shape[0], 3 * n_ceps)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # feature file format
 
@@ -396,7 +410,7 @@ def test_feature_file_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     frames = rng.normal(size=(17, 39)).astype(np.float32).astype(np.float64)
     path = tmp_path / "x.artf"
-    dsp.write_features(dsp.FeatureMatrix(frames=frames), path)
+    dsp.write_features(frames, path)
     back = dsp.read_features(path)
     assert back.frames.shape == (17, 39)
     np.testing.assert_array_equal(back.frames, frames)

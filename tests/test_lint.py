@@ -1,10 +1,11 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
-function packs and runs a recurrence, only ``net`` calls ``id()``, no module
-imports ``multiprocessing`` when it is imported, no module draws from
-NumPy's global random state, and no module imports SciPy, which
-``pyproject.toml`` lists only as a test dependency."""
+function packs and runs a recurrence, one function chains the feature front
+end, ``train`` takes a logarithm only in ``bce_loss``, only ``net`` calls
+``id()``, no module imports ``multiprocessing`` when it is imported, no
+module draws from NumPy's global random state, and no module imports SciPy,
+which ``pyproject.toml`` lists only as a test dependency."""
 
 import ast
 import re
@@ -147,6 +148,19 @@ def test_three_functions_hand_the_kernel_a_batch():
     assert _package_callers("_direction") == {
         "net._embed_forward", "net.BackwardWorker._serve", "net.rnn_forward"
     }
+
+
+@pytest.mark.parametrize("step", ["compute_mfcc", "append_deltas", "cmvn"])
+def test_one_function_chains_the_front_end(step):
+    """Features are made in one place, ``dsp.extract_features``, so every
+    stage and test gets the same front end."""
+    assert _package_callers(step) == {"dsp.extract_features"}
+
+
+def test_cross_entropy_is_written_once():
+    """The pair loss takes its per-pair cross-entropy from ``bce_loss``, the
+    one place in ``train`` that takes a logarithm."""
+    assert {c for c in _package_callers("log") if c.startswith("train.")} == {"train.bce_loss"}
 
 
 def test_only_the_kernel_calls_id():

@@ -104,6 +104,27 @@ def test_one_utterance_calls_reject_malformed_input(small_params):
         call(x, np.int64(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_one_utterance_calls_reject_non_finite_frames(small_params, bad):
+    """A NaN or infinite value among the first ``true_length`` frames is a
+    ``DataError`` through every one-utterance entry point; one in the
+    padding beyond is never read."""
+    x = np.random.default_rng(4).normal(size=(6, 5))
+    calls = (
+        lambda f, n: net.rnn_forward(small_params, f, n),
+        lambda f, n: net.embed_utterance(small_params, f, n),
+        lambda f, n: net.siamese_forward(small_params, (f, n), (x, 6)),
+    )
+    for call in calls:
+        y = x.copy()
+        y[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            call(y, 6)
+        y = x.copy()
+        y[5, 0] = bad
+        assert np.isfinite(call(y, 5)).all()
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_pack_layout(reverse):
     """On a batch given longest first, step t's live rows are
@@ -187,6 +208,14 @@ def test_cosine_similarity_errors():
         net.cosine_similarity([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DataError):
         net.cosine_similarity([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cosine_similarity_rejects_non_finite(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        net.cosine_similarity([1.0, bad], [1.0, 2.0])
+    with pytest.raises(DataError, match="non-finite"):
+        net.cosine_similarity([1.0, 2.0], [bad, 2.0])
 
 
 def test_siamese_symmetry_bit_exact(small_params):

@@ -56,6 +56,27 @@ def test_bce_clamps_extremes():
     assert tr.bce_loss(1.0, 0) == pytest.approx(-np.log(1e-7))
 
 
+def test_bce_on_an_array_equals_its_scalar_calls():
+    sims = np.array([-0.2, 0.0, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-8, 1.0])
+    ints = np.array([1, 0, 1, 0, 1, 0, 1, 0])
+    for labels in (ints, ints.astype(np.float64)):
+        want = np.array([tr.bce_loss(float(s), int(y)) for s, y in zip(sims, labels)])
+        assert tr.bce_loss(sims, labels).tobytes() == want.tobytes()
+
+
+def test_pair_loss_is_mean_bce_plus_l1_bit_for_bit(small_params):
+    """``pair_forward_backward`` takes its per-pair losses from ``bce_loss``."""
+    rng = np.random.default_rng(9)
+    lefts = [rng.normal(size=(t, 5)) for t in (6, 3, 8, 5)]
+    rights = [rng.normal(size=(t, 5)) for t in (4, 7, 2, 9)]
+    labels = np.array([1.0, 0.0, 1.0, 0.0])
+    masks = tr._dropout_masks(rng, 8, small_params, 0.2)
+    l1 = 1e-4
+    loss, _, _, g = tr.pair_forward_backward(small_params, lefts, rights, labels, l1, masks)
+    penalty = l1 * sum(np.abs(getattr(small_params, n)).sum() for n in net.WEIGHT_TENSORS)
+    assert loss == float(tr.bce_loss(g, labels).mean() + penalty)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -755,7 +776,6 @@ def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
     for name in net.ALL_TENSORS:
         for a, b in ((forked.params, inline.params), (forked.best_params, inline.best_params)):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert_no_child_left()
 
 
 @needs_fork
@@ -859,7 +879,6 @@ def test_train_zero_frame_matrix_leaves_no_worker(monkeypatch):
     with deadline(30), pytest.raises(DataError, match="utterance with zero frames"):
         tr.train(tr.TrainConfig(epochs=1), pairs, [], store)
     assert [type(m) for m in made] == [net.BackwardWorker]
-    assert_no_child_left()
 
 
 @needs_fork
@@ -873,7 +892,6 @@ def test_worker_shared_memory_independent_of_frame_count():
         with net.BackwardWorker(dims, feats, max_rows=4) as worker:
             mapped.append(len(worker._map))
     assert mapped[0] == mapped[1]
-    assert_no_child_left()
 
 
 @needs_fork
@@ -891,7 +909,6 @@ def test_worker_rejects_matrix_it_was_not_forked_with(small_params):
                 )
             assert worker.poll() is False
             tr.pair_forward_backward(small_params, [left], [right], np.ones(1), worker=worker)
-    assert_no_child_left()
 
 
 def test_train_in_daemon_process_runs_inline(tiny_corpus, tiny_features, monkeypatch):
@@ -965,7 +982,6 @@ def test_train_batches_share_buffers_freed_on_return(tiny_corpus, monkeypatch, c
     batches = cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
     assert same == [True] * batches * (2 if cpus == 1 else 1)
     assert base[0]() is None
-    assert_no_child_left()
 
 
 def test_embed_all_batches_share_buffers_freed_on_return(monkeypatch):
@@ -1074,7 +1090,6 @@ def test_train_error_leaves_no_worker(tiny_corpus, tiny_features, monkeypatch):
     with pytest.raises(DataError, match="injected"):
         tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert [type(m) for m in made] == [net.BackwardWorker]
-    assert_no_child_left()
 
 
 @needs_fork
@@ -1100,7 +1115,6 @@ def test_train_worker_error_reaches_caller(tiny_corpus, tiny_features, monkeypat
         tr.train(tr.TrainConfig(epochs=1, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert str(raised.value) == message
     assert [type(m) for m in made] == [net.BackwardWorker]
-    assert_no_child_left()
 
 
 @needs_fork
@@ -1117,4 +1131,3 @@ def test_train_dead_worker_raises(tiny_corpus, tiny_features, monkeypatch):
     with deadline(30), pytest.raises(PhonosimError, match="killed by signal 9"):
         tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert time.monotonic() - start < 10.0
-    assert_no_child_left()
