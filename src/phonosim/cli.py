@@ -33,10 +33,14 @@ def _echo_config(args: argparse.Namespace, out: str) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = (int(v) for v in text.split(":"))
     except ValueError:
         raise PhonosimError(f"bad sentence range {text!r}, expected LO:HI")
+    if not (1 <= lo <= corpus.SCRIPT_SENTENCES and 1 <= hi <= corpus.SCRIPT_SENTENCES):
+        raise PhonosimError(
+            f"bad sentence range {text!r}, bounds lie in 1-{corpus.SCRIPT_SENTENCES}"
+        )
+    return lo, hi
 
 
 def _parse_sessions(text: str) -> list[int]:

@@ -9,13 +9,17 @@ first, each slot reading the row of its matrix, so a matrix that fills
 several slots runs through the recurrences once.  The recurrences run over
 that batch packed time-major, with only the frames that exist stored, so
 step ``t`` computes only the rows that still have a frame there.  The input
-projection and, in BPTT, the weight gradients are one product over every
-frame of the batch, outside the time loop; each step is three NumPy calls
-forward and two backward.  Every state is kept.  Every batch, training or
-inference, packs and runs each direction through ``_direction``, in the
-packed inputs, states and BPTT scratch of ``run_buffers``: one allocation
-for all the batches of a run, or one for a batch run on its own.  The public
-per-utterance functions wrap that kernel with a batch of one.
+projection and, in BPTT, the weight gradients are one product over the
+batch's frames, outside the time loop; each step is three NumPy calls
+forward and two backward.  BPTT stops carrying a row once its chained
+gradient is at most ``BPTT_FLOOR`` = 2**-64 of the largest the batch
+injected, 11 bits below what float64 resolves of it; since rows are
+longest first, the rows still carried at a step are one slice.  Every
+state is kept.  Every batch, training or inference, packs and runs each
+direction through ``_direction``, in the packed inputs, states and BPTT
+scratch of ``run_buffers``: one allocation for all the batches of a run,
+or one for a batch run on its own.  The public per-utterance functions
+wrap that kernel with a batch of one.
 
 In training, a ``BackwardWorker`` process, forked with the training
 matrices, can pack and run the backward direction while the caller runs
@@ -41,6 +45,11 @@ from .errors import CheckpointError, DataError, Forked, PhonosimError, can_fork
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
 INIT_STD = 0.05
+
+# BPTT drops a row whose chained gradient is at most BPTT_FLOOR times the
+# batch's largest injected one, checked every BPTT_CHECK steps
+BPTT_FLOOR = 2.0**-64
+BPTT_CHECK = 8
 
 CHECKPOINT_MAGIC = b"ARTM"
 CHECKPOINT_VERSION = 1
@@ -220,9 +229,23 @@ def _direction_backward(x, h, active, off, g, u, d_final):
     step ``t`` are ``active[t + 1]:active[t]``.  ``h`` becomes ``1 - h**2``
     in bulk and then, step by step, the gradient ``d`` at each frame's
     pre-activation: one multiply and one chain product per step.  The
-    weight gradients are products over every frame after the loop; for
-    ``du`` the state before each frame of steps ``t >= 1`` is gathered into
-    the start of the flat ``g``.
+    weight gradients are products over the frames the loop reached, after
+    it; for ``du`` the state before each frame of steps ``t >= 1`` is
+    gathered into the start of the flat ``g``.
+
+    A row stops being carried once every entry of its chained gradient is
+    at most ``floor = BPTT_FLOOR * max|d_final|``.  ``BPTT_FLOOR`` is
+    2**-64: float64 keeps 53 bits of the largest gradient the batch
+    injected, and the 11 bits more leave room for the frames a dropped row
+    would still have added and for a gradient that grows for a few steps
+    before it fades.  The floor is measured, not proven: the chained
+    gradient shrinks through ``tanh'`` and cancellation, not through a
+    bound on ``u``.  A row whose gradient is all zero is dropped, exactly.
+    Rows are longest first and each enters at its last frame, so the rows
+    carried longest are the first ones: every ``BPTT_CHECK`` steps the
+    start row ``lo`` moves past each leading row under the floor, and the
+    live rows of a step stay one slice ``lo:active[t]``.  While no row is
+    dropped, the gradients are those of full BPTT, byte for byte.
     """
     n_frames = len(h)
     lmax = len(off) - 1
@@ -234,16 +257,32 @@ def _direction_backward(x, h, active, off, g, u, d_final):
     np.multiply(d, d, out=d)
     np.subtract(1.0, d, out=d)
     dh_t = np.empty((active[0], h.shape[1]))
+    floor = BPTT_FLOOR * np.abs(d_final).max()
+    lo, start = 0, [0] * lmax  # start[t]: the first row carried at step t
     for t in range(lmax - 1, -1, -1):
         k = active[t]
         ended = active[t + 1]
         if k > ended:  # rows not live at t + 1 have no chained gradient
             dh_t[ended:k] = d_final[ended:k]
-        dt = d[off[t] : off[t] + k]
-        dt *= dh_t[:k]
+        if t % BPTT_CHECK == 0:
+            while lo < k and np.abs(dh_t[lo]).max() <= floor:
+                lo += 1
+        start[t] = lo
+        if lo == k:
+            continue
+        dt = d[off[t] + lo : off[t] + k]
+        dt *= dh_t[lo:k]
         if t > 0:  # h_{-1} = 0
-            np.dot(dt, u, out=dh_t[:k])
-    return d.T @ x, d[off[1] :].T @ g, d.sum(axis=0)
+            np.dot(dt, u, out=dh_t[lo:k])
+    if lo == 0:
+        return d.T @ x, d[off[1] :].T @ g, d.sum(axis=0)
+    # the frames carried, step by step: frame off[t] + j for j >= start[t]
+    live = np.subtract(active[:lmax], start)
+    first = np.add(off[:lmax], start)
+    at = np.repeat(first - np.cumsum(live) + live, live) + np.arange(live.sum())
+    dl = np.take(d, at, axis=0)  # faster than d[at]
+    du = dl[live[0] :].T @ np.take(g, at[live[0] :] - off[1], axis=0)  # steps t >= 1
+    return dl.T @ np.take(x, at, axis=0), du, dl.sum(axis=0)
 
 
 def _embed_forward(

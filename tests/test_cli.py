@@ -739,11 +739,14 @@ def test_empty_pairs_file_exit_code(pipeline, tmp_path, capsys, role):
 @pytest.mark.parametrize(
     "command, flag, text",
     [("pairs", "--range", "1-8"), ("analyze", "--solo-range", "x"),
-     ("analyze", "--sessions", "1,a")],
+     ("analyze", "--sessions", "1,a"), ("pairs", "--range", "0:3"),
+     ("pairs", "--range", "1:500"), ("pairs", "--range", "81:90"),
+     ("analyze", "--solo-range", "0:3"), ("analyze", "--solo-range", "13:81")],
 )
 def test_bad_range_or_session_text_exit_code(pipeline, tmp_path, capsys, command, flag, text):
-    """A sentence range or session list that does not parse exits 2 and
-    writes nothing."""
+    """A sentence range or session list that does not parse, or a range
+    with a bound outside the script's sentences 1-80, exits 2 and writes
+    nothing."""
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
     out = tmp_path / "out"
     argv = {
@@ -755,7 +758,10 @@ def test_bad_range_or_session_text_exit_code(pipeline, tmp_path, capsys, command
     }[command]
     assert cli.main([*argv, flag, text]) == 2
     expected = "session list" if flag == "--sessions" else "sentence range"
-    assert f"error: bad {expected} {text!r}" in capsys.readouterr().err
+    expected = f"error: bad {expected} {text!r}"
+    if ":" in text:
+        expected += f", bounds lie in 1-{corpus.SCRIPT_SENTENCES}"
+    assert expected in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -150,6 +150,15 @@ def test_three_functions_hand_the_kernel_a_batch():
     }
 
 
+def test_two_functions_run_bptt():
+    """BPTT, with its cut of rows whose gradient has decayed, has one path:
+    ``net._embed_backward`` runs it in process and the backward worker
+    runs the same function, so the two stay bit-identical."""
+    assert _package_callers("_direction_backward") == {
+        "net._embed_backward", "net.BackwardWorker._serve"
+    }
+
+
 @pytest.mark.parametrize("step", ["compute_mfcc", "append_deltas", "cmvn"])
 def test_one_function_chains_the_front_end(step):
     """Features are made in one place, ``dsp.extract_features``, so every

@@ -4,6 +4,7 @@ Frozen values:
   - cosine((1,2,3), (4,5,6)) = 32 / (sqrt(14) * sqrt(77)) = 0.9746318461970762
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,35 @@ def test_kernel_rejects_wrong_feature_width(small_params):
             net._embed_forward(small_params, [good, bad], training=False)
     with pytest.raises(DataError):
         net.embed_utterance(small_params, rng.normal(size=(6, 7)), 6)
+
+
+# SHA-256 of (dW, dU, db) of both directions of the batch below, taken
+# from full BPTT, which carried every row back to its first frame
+SHORT_ROWS_BPTT_DIGEST = "04a33de2d7ad29b08b2252b72834fd5ca49811b88998627efc55011dc6550be6"
+
+
+def test_bptt_with_no_row_to_drop_is_pinned():
+    """On rows of 2 to 24 frames no chained gradient falls to the floor,
+    so BPTT carries every frame and its gradients are byte for byte those
+    of full BPTT."""
+    dims = net.ModelDims()
+    p = net.init_params(dims, seed=11)
+    rng = np.random.default_rng(12)
+    lengths = sorted(rng.integers(1, 25, size=16).tolist(), reverse=True)
+    feats = [rng.normal(size=(t, dims.d_in)) for t in lengths]
+    d_final = rng.normal(size=(len(feats), dims.d_hidden))
+    sha = hashlib.sha256()
+    for w, u, b, reverse, buf in zip(
+        (p.wf, p.wb), (p.uf, p.ub), (p.bf, p.bb), (False, True),
+        net.run_buffers(dims, feats, len(feats)),
+    ):
+        _, (x, h, active, off, g) = net._direction(feats, w, u, b, reverse, buf)
+        untouched = 1.0 - h * h
+        for grad in net._direction_backward(x, h, active, off, g, u, d_final):
+            sha.update(grad.tobytes())
+        assert (h != untouched).any(axis=1).all()
+    assert lengths[0] == 24 and lengths[-1] == 2
+    assert sha.hexdigest() == SHORT_ROWS_BPTT_DIGEST
 
 
 # ---------------------------------------------------------------------------

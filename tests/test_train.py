@@ -185,14 +185,33 @@ def test_pair_loss_matches_per_utterance_oracle():
     np.testing.assert_allclose(bn_var, var, rtol=0, atol=1e-12)
 
 
-def test_recurrent_gradients_match_per_utterance_bptt_oracle():
+def _carried_frames(monkeypatch):
+    """Spy on ``net._direction_backward`` in this process: per call, the
+    frames its loop carried and the frames in the batch.  A frame the loop
+    did not reach still holds ``1 - h**2`` in ``h``."""
+    counts = []
+    bptt = net._direction_backward
+
+    def spy(x, h, active, off, g, u, d_final):
+        untouched = 1.0 - h * h
+        grads = bptt(x, h, active, off, g, u, d_final)
+        counts.append((int((h != untouched).any(axis=1).sum()), len(h)))
+        return grads
+
+    monkeypatch.setattr(net, "_direction_backward", spy)
+    return counts
+
+
+def test_recurrent_gradients_match_per_utterance_bptt_oracle(monkeypatch):
     """Independent oracle for the gradients of wf, uf, bf, wb, ub and bb.
 
     Every slot's utterance runs its own loops and its own BPTT, so a matrix
     that fills several slots is back-propagated once per slot.  The
     gradient at the final states comes from a head backward that takes
     batch norm through its explicit Jacobian.  Mixed lengths, one-frame
-    rows, sort ties and repeated slots, one pair being (b, b).
+    rows, sort ties and repeated slots, one pair being (b, b), and a row
+    of 320 frames, long enough that BPTT stops carrying it part of the way
+    back, in both directions.
     """
     dims = net.ModelDims(6, 5, 4)
     dh = dims.d_hidden
@@ -201,7 +220,7 @@ def test_recurrent_gradients_match_per_utterance_bptt_oracle():
     for name in net.WEIGHT_TENSORS:
         getattr(p, name)[...] *= 6.0  # keep the cosine away from 1
     p.bf[...], p.bb[...] = rng.normal(scale=0.3, size=(2, dh))
-    a, b, c, d, e1, f = (rng.normal(size=(t, dims.d_in)) for t in (1, 23, 7, 7, 1, 40))
+    a, b, c, d, e1, f = (rng.normal(size=(t, dims.d_in)) for t in (1, 23, 7, 7, 1, 320))
     lefts, rights = [a, b, c, b, f, d], [d, b, e1, c, b, a]
     labels = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     slots = [m for pair in zip(lefts, rights) for m in pair]
@@ -263,10 +282,12 @@ def test_recurrent_gradients_match_per_utterance_bptt_oracle():
     for name in ("wf", "uf", "wb", "ub"):
         want[name] += l1 * np.sign(getattr(p, name))
 
+    carried = _carried_frames(monkeypatch)
     _, grads, _, _ = tr.pair_forward_backward(p, lefts, rights, labels, l1, masks)
     for name, w in want.items():
         err = np.abs(grads[name] - w).max() / np.abs(w).max()
         assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+    assert len(carried) == 2 and all(n < total for n, total in carried), carried
 
 
 def _repeated_batch():
@@ -782,7 +803,8 @@ def _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, store):
 def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkeypatch):
     """Also on strongly mixed lengths, which the worker packs in the
     caller's row order: 3 to 120 frames, two equal-length copies (sort
-    ties) and keys repeated within a batch."""
+    ties) and keys repeated within a batch; and on long ones, 1 to 340
+    frames, where BPTT stops carrying rows before their first frame."""
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4)
     _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, tiny_features)
@@ -794,6 +816,12 @@ def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkey
     pairs = [(l, r, (i + j) % 2) for i, l in enumerate(keys) for j, r in enumerate(keys) if i < j]
     cfg = tr.TrainConfig(epochs=2, batch_size=7, seed=2)
     _forked_and_inline(monkeypatch, cfg, pairs, [], store)
+    lengths = dict(a=340, b=1, c=262, d=45, e=301, f=120, g=340, h=9, i=188)
+    store = {k: rng.normal(size=(n, 39)) for k, n in lengths.items()}
+    pairs = [(l, r, (i * j) % 2) for i, l in enumerate(store) for j, r in enumerate(store) if i < j]
+    carried = _carried_frames(monkeypatch)
+    _forked_and_inline(monkeypatch, tr.TrainConfig(epochs=2, batch_size=6, seed=3), pairs, [], store)
+    assert any(n < total for n, total in carried)
 
 
 @needs_fork
