@@ -532,6 +532,13 @@ def embed_utterance(params: ModelParams, frames: np.ndarray, true_length: int) -
     return e[0]
 
 
+def cosine_rows(a: np.ndarray, b: np.ndarray):
+    """``(cos, norm_a, norm_b)`` of each row of ``a`` with the same row of
+    ``b``, both ``(n, d)``: the package's one norm and one cosine."""
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    return (a * b).sum(axis=1) / (na * nb), na, nb
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -539,11 +546,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
         raise DataError(f"embedding shapes differ: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("cosine similarity of a non-finite vector")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm raises below
+        cos, na, nb = cosine_rows(a.reshape(1, -1), b.reshape(1, -1))
+    if na[0] == 0.0 or nb[0] == 0.0:
         raise DataError("cosine similarity of a zero-norm vector")
-    return float(a @ b / (na * nb))
+    return float(cos[0])
 
 
 def siamese_forward(

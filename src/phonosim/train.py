@@ -24,6 +24,7 @@ from .net import (
     _embed_backward,
     _embed_forward,
     backward_worker,
+    cosine_rows,
     init_params,
     run_buffers,
 )
@@ -41,6 +42,7 @@ GRADCHECK_MAX_VALUES = 20_000
 # utterances per inference batch; larger batches raise peak memory for
 # little speed
 EMBED_ROWS = 16
+SCORE_ROWS = 4096  # pairs per scoring block; 400,000 pairs in one took ~500 MB
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,7 @@ def pair_forward_backward(
     )
 
     el, er = e[0::2], e[1::2]
-    nl = np.linalg.norm(el, axis=1)
-    nr = np.linalg.norm(er, axis=1)
-    g = (el * er).sum(axis=1) / (nl * nr)
+    g, nl, nr = cosine_rows(el, er)
     data_loss = bce_loss(g, labels).mean()
     penalty = l1_coeff * sum(
         np.abs(getattr(params, name)).sum() for name in WEIGHT_TENSORS
@@ -290,14 +290,17 @@ def embed_all(params: ModelParams, keys, store) -> dict[str, np.ndarray]:
 def score_similarities(params: ModelParams, pairs, store) -> np.ndarray:
     """Infer-mode cosine similarity for every pair; deterministic.
 
-    A pair's first three items are its left key, right key and label.
+    A pair's first two items are its left and right keys.  ``cosine_rows``
+    scores blocks of ``SCORE_ROWS`` pairs gathered from the stacked embeddings.
     """
-    triples = [p[:3] for p in pairs]
-    emb = embed_all(params, {k for l, r, _ in triples for k in (l, r)}, store)
-    norms = {k: np.linalg.norm(e) for k, e in emb.items()}
-    sims = np.empty(len(triples))
-    for i, (l, r, _) in enumerate(triples):
-        sims[i] = emb[l] @ emb[r] / (norms[l] * norms[r])
+    keys = [p[:2] for p in pairs]
+    emb = embed_all(params, {k for pair in keys for k in pair}, store)
+    index = {k: i for i, k in enumerate(emb)}
+    rows = np.array([[index[k] for k in pair] for pair in keys], dtype=np.intp)
+    stacked, sims = np.array(list(emb.values())), np.empty(len(keys))
+    for start in range(0, len(keys), SCORE_ROWS):
+        block = slice(start, start + SCORE_ROWS)
+        sims[block] = cosine_rows(*stacked[rows[block].T])[0]
     return sims
 
 

@@ -2,7 +2,8 @@
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
 function packs and runs a recurrence, one function chains the feature front
-end, ``train`` takes a logarithm only in ``bce_loss``, only ``net`` calls
+end, ``train`` takes a logarithm only in ``bce_loss``, ``net`` and
+``train`` take a norm only in ``net.cosine_rows``, only ``net`` calls
 ``id()``, no module imports ``multiprocessing`` when it is imported, no
 module draws from NumPy's global random state, and no module imports SciPy,
 which ``pyproject.toml`` lists only as a test dependency."""
@@ -170,6 +171,17 @@ def test_cross_entropy_is_written_once():
     """The pair loss takes its per-pair cross-entropy from ``bce_loss``, the
     one place in ``train`` that takes a logarithm."""
     assert {c for c in _package_callers("log") if c.startswith("train.")} == {"train.bce_loss"}
+
+
+def test_cosine_is_written_once():
+    """The pair loss, inference scoring and ``cosine_similarity`` take their
+    cosine from ``net.cosine_rows``, the one place in ``net`` and ``train``
+    that takes a norm."""
+    norms = {c for c in _package_callers("norm") if c.startswith(("net.", "train."))}
+    assert norms == {"net.cosine_rows"}
+    assert _package_callers("cosine_rows") == {
+        "net.cosine_similarity", "train.pair_forward_backward", "train.score_similarities"
+    }
 
 
 def test_only_the_kernel_calls_id():

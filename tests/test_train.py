@@ -77,6 +77,40 @@ def test_pair_loss_is_mean_bce_plus_l1_bit_for_bit(small_params):
     assert loss == float(tr.bce_loss(g, labels).mean() + penalty)
 
 
+# SHA-256 of the loss, every gradient, the batch-norm batch statistics and
+# the similarities of the batches below, taken from the code that wrote the
+# cosine out inside pair_forward_backward
+PAIR_STEP_DIGEST = "67d67e63db9c5fc3524c03833f2385ff47408b32d68a5086d92e84595c236489"
+
+
+def test_pair_step_bytes_are_pinned():
+    """A training step on seeded batches of 1 to 150-frame rows, one matrix
+    in two slots, dropout 0.2 and L1 on, is byte for byte the pinned one."""
+    dims = net.ModelDims()
+    p = net.init_params(dims, seed=21)
+    for name in net.WEIGHT_TENSORS:
+        getattr(p, name)[...] *= 6.0  # keep the cosine away from 1
+    rng = np.random.default_rng(22)
+    sha = hashlib.sha256()
+    sims = []
+    for n_pairs in (1, 6, 16):
+        feats = [rng.normal(size=(t, dims.d_in)) for t in rng.integers(1, 151, 2 * n_pairs)]
+        feats[-1] = feats[0]
+        labels = (rng.random(n_pairs) < 0.5).astype(np.float64)
+        masks = tr._dropout_masks(rng, 2 * n_pairs, p, 0.2)
+        loss, grads, (mu, var), g = tr.pair_forward_backward(
+            p, feats[0::2], feats[1::2], labels, 1e-5, masks
+        )
+        sha.update(np.float64(loss).tobytes())
+        for name in net.TRAINABLE_TENSORS:
+            sha.update(grads[name].tobytes())
+        for a in (mu, var, g):
+            sha.update(a.tobytes())
+        sims += g.tolist()
+    assert tr.PROB_CLIP < min(sims) and max(sims) < 1.0 - tr.PROB_CLIP
+    assert sha.hexdigest() == PAIR_STEP_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -645,6 +679,23 @@ def test_score_similarities_accepts_pair_objects(tiny_corpus, tiny_features):
     )
 
 
+def test_score_similarities_match_cosine_similarity(tiny_corpus, tiny_features, monkeypatch):
+    """Stacked, block-wise scoring gives each pair the cosine that
+    ``net.cosine_similarity`` gives its two ``embed_all`` vectors, and the
+    block size does not change a similarity."""
+    pairs = corpus.build_solo_pairs(tiny_corpus, 1, 6)
+    params = net.init_params(net.ModelDims(), seed=0)
+    for name in net.WEIGHT_TENSORS:
+        getattr(params, name)[...] *= 6.0  # keep the cosine away from 1
+    emb = tr.embed_all(params, {k for p in pairs for k in (p.left, p.right)}, tiny_features)
+    want = [net.cosine_similarity(emb[p.left], emb[p.right]) for p in pairs]
+    got = tr.score_similarities(params, pairs, tiny_features)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(pairs) > 7 and min(want) < 0.9
+    monkeypatch.setattr(tr, "SCORE_ROWS", 7)
+    assert tr.score_similarities(params, pairs, tiny_features).tobytes() == got.tobytes()
+
+
 def test_full_batch_descent_loss_nonincreasing(tiny_features):
     """Smoke property: small-lr gradient descent does not increase the loss."""
     keys = sorted(tiny_features)
@@ -1143,6 +1194,59 @@ def test_train_worker_error_reaches_caller(tiny_corpus, tiny_features, monkeypat
         tr.train(tr.TrainConfig(epochs=1, batch_size=4), train_pairs, val_pairs, tiny_features)
     assert str(raised.value) == message
     assert [type(m) for m in made] == [net.BackwardWorker]
+
+
+def _running(pid) -> bool:
+    """Whether process ``pid`` exists and has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc")
+def test_worker_of_a_killed_train_exits_by_itself(tiny_corpus, tiny_features, monkeypatch):
+    """When the process running ``train`` is killed mid-epoch, no ``with``
+    block kills its backward worker; the worker sees its parent change in
+    ``_acquire`` and exits by itself."""
+    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
+    made = _recording_workers(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    read, write = os.pipe()
+
+    def hang():
+        os.write(write, str(made[0].pid).encode())
+        time.sleep(60)
+
+    _failing_adam(monkeypatch, 3, hang)
+    trainer = os.fork()
+    if trainer == 0:
+        try:
+            tr.train(tr.TrainConfig(epochs=2, batch_size=4), train_pairs, val_pairs, tiny_features)
+        finally:
+            os._exit(1)
+    os.close(write)
+    worker = trainer_status = None
+    try:
+        with deadline(30):
+            worker = int(os.read(read, 32))
+            assert _running(worker)
+            os.kill(trainer, signal.SIGKILL)
+            trainer_status = os.waitpid(trainer, 0)[1]
+            killed = time.monotonic()
+            while _running(worker) and time.monotonic() - killed < 10.0:
+                time.sleep(0.01)
+        assert not _running(worker), "the orphaned worker still runs 10 s after train was killed"
+    finally:
+        os.close(read)
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
+        if trainer_status is None:
+            os.kill(trainer, signal.SIGKILL)
+            os.waitpid(trainer, 0)
+    assert os.waitstatus_to_exitcode(trainer_status) == -signal.SIGKILL
 
 
 @needs_fork
