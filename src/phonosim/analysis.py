@@ -41,14 +41,14 @@ def score_pairs(params, pairs, store, manifest: Manifest) -> np.recarray:
     return np.rec.fromarrays([similarity, label, left, right], names=PAIR_FIELDS)
 
 
-def filter_scores(table: np.recarray, threshold: float) -> np.recarray:
-    """The records of ``table`` left after dropping misclassified pairs, then
-    1.5*IQR outliers per label.
+def filter_scores(table: np.recarray) -> np.recarray:
+    """The records of ``table`` left after dropping the pairs misclassified at
+    ``THRESHOLD``, then 1.5*IQR outliers per label.
 
     A table holds one condition's pairs, so the label groups are the
     (condition, label) groups of the whole analysis.
     """
-    keep = (table.similarity >= threshold) == (table.label == 1)
+    keep = (table.similarity >= THRESHOLD) == (table.label == 1)
     for label in (0, 1):
         group = keep & (table.label == label)
         if not group.any():
@@ -200,7 +200,7 @@ def build_report(
     table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)
     ends = np.cumsum([len(s) for s in pair_sets]).tolist()
     solo, inter, imit, inter_vs_solo, imit_vs_solo = (
-        filter_scores(table[a:b], THRESHOLD) for a, b in zip([0] + ends, ends)
+        filter_scores(table[a:b]) for a, b in zip([0] + ends, ends)
     )
 
     condition_stats, speaker_scores, rows = {}, {}, []

@@ -267,7 +267,6 @@ class SynthConfig:
     n_sentences: int = 20
     lam: float = 0.0  # convergence strength of the second dyad member
     interactive_sessions: int = 2
-    imitation_sessions: int = 1
 
     def __post_init__(self):
         check_numeric_fields(self)
@@ -275,8 +274,8 @@ class SynthConfig:
             raise DataError(
                 f"sentence count must lie in 1-{SCRIPT_SENTENCES}, got {self.n_sentences}"
             )
-        if self.interactive_sessions < 0 or self.imitation_sessions < 0:
-            raise DataError("session counts must be >= 0")
+        if self.interactive_sessions < 0:
+            raise DataError("interactive session count must be >= 0")
         if self.n_speakers % 2 != 0 or self.n_speakers < 2:
             raise DataError(f"speaker count must be even and >= 2, got {self.n_speakers}")
         if not 0.0 <= self.lam <= 1.0:
@@ -441,9 +440,8 @@ def generate_synthetic_corpus(
     dyads = [(speakers[i], speakers[i + 1]) for i in range(0, config.n_speakers, 2)]
     traits = [speaker_traits(seed, i) for i in range(config.n_speakers)]
 
-    schedule = [("solo", 1)]
-    schedule += [("interactive", k + 1) for k in range(config.interactive_sessions)]
-    schedule += [("imitation", k + 1) for k in range(config.imitation_sessions)]
+    sessions = range(1, config.interactive_sessions + 1)
+    schedule = [("solo", 1), *(("interactive", k) for k in sessions), ("imitation", 1)]
 
     utterances = []
     readings = [[] for _ in range(config.n_sentences)]  # (traits, seed entropy, WAV path)

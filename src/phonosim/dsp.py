@@ -75,13 +75,13 @@ def frame_count(n_samples: int, window_samples: int, hop_samples: int) -> int:
     return 1 + (n_samples - window_samples) // hop_samples
 
 
-def resample_linear(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
-    """Resample by linear interpolation over the original sample grid."""
-    if rate_in == rate_out:
+def resample_linear(x: np.ndarray, rate_in: int) -> np.ndarray:
+    """Resample to ``PIPELINE_RATE`` by linear interpolation over the input's grid."""
+    if rate_in == PIPELINE_RATE:
         return x
     n_in = len(x)
-    n_out = (n_in - 1) * rate_out // rate_in + 1
-    pos = np.arange(n_out) * (rate_in / rate_out)
+    n_out = (n_in - 1) * PIPELINE_RATE // rate_in + 1
+    pos = np.arange(n_out) * (rate_in / PIPELINE_RATE)
     return np.interp(pos, np.arange(n_in), x)
 
 
@@ -154,7 +154,7 @@ def load_audio(path: str | os.PathLike) -> Waveform:
         raise AudioError(f"zero-length audio: {path}")
     if channels > 1:
         x = x.reshape(-1, channels).mean(axis=1)
-    x = resample_linear(x, rate, PIPELINE_RATE)
+    x = resample_linear(x, rate)
     np.clip(x, -1.0, 1.0, out=x)
     return Waveform(samples=x, sample_rate=PIPELINE_RATE)
 
@@ -197,15 +197,14 @@ def _dct_basis(k: int) -> np.ndarray:
     return basis
 
 
-def compute_mfcc(w: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
-    """Static MFCCs: ``cfg.n_ceps`` coefficients (13 by default) per
-    ``WINDOW_SAMPLES`` frame (25 ms), one frame per ``HOP_SAMPLES`` (10 ms).
+def compute_mfcc(w: Waveform, cfg: MfccConfig) -> FeatureMatrix:
+    """Static MFCCs: ``cfg.n_ceps`` coefficients per ``WINDOW_SAMPLES``
+    frame (25 ms), one frame per ``HOP_SAMPLES`` (10 ms).
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
     log (floored), DCT-II (ortho), keep coefficients 0 to n_ceps - 1.  Raises
     ``DataError`` for a waveform that is not at ``PIPELINE_RATE``.
     """
-    cfg = cfg or MfccConfig()
     if w.sample_rate != PIPELINE_RATE:
         raise DataError(
             f"MFCC needs {PIPELINE_RATE} Hz audio, waveform is {w.sample_rate} Hz"

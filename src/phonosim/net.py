@@ -274,8 +274,6 @@ def _direction_backward(x, h, active, off, g, u, d_final):
         dt *= dh_t[lo:k]
         if t > 0:  # h_{-1} = 0
             np.dot(dt, u, out=dh_t[lo:k])
-    if lo == 0:
-        return d.T @ x, d[off[1] :].T @ g, d.sum(axis=0)
     # the frames carried, step by step: frame off[t] + j for j >= start[t]
     live = np.subtract(active[:lmax], start)
     first = np.add(off[:lmax], start)

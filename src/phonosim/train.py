@@ -10,6 +10,7 @@ usable CPUs, ``train`` runs the backward RNN direction in a forked
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .net import (
     WEIGHT_TENSORS,
     _embed_backward,
     _embed_forward,
+    _tensor_shapes,
     backward_worker,
     cosine_rows,
     init_params,
@@ -33,6 +35,9 @@ PROB_CLIP = 1e-7
 
 # a pair whose similarity reaches THRESHOLD is called a same-speaker pair
 THRESHOLD = 0.5
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba, 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # phonosim gradcheck fails at or above this worst relative error
 GRADCHECK_TOLERANCE = 1e-4
@@ -169,36 +174,28 @@ def adam_init(params: ModelParams) -> AdamState:
     return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(
-    state: AdamState,
-    params: ModelParams,
-    grads: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """Standard bias-corrected Adam update, in place, with the defaults of
-    Kingma & Ba (2015).
+def adam_step(state: AdamState, params: ModelParams, grads: dict, lr: float) -> None:
+    """Standard bias-corrected Adam update of ``params`` and ``state``, in
+    place, with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     One pass over the concatenated gradient; every element takes the same
     operations in the same order as a per-tensor update, so the result is
     bit-identical to one.
     """
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     g = np.concatenate([grads[name].ravel() for name in TRAINABLE_TENSORS])
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    g2 = (1.0 - beta2) * g
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    g2 = (1.0 - ADAM_BETA2) * g
     g2 *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += g2
     denom = v / bc2
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step = m / bc1
     step *= lr
     step /= denom
@@ -207,7 +204,6 @@ def adam_step(
         p = getattr(params, name)
         p -= step[start : start + p.size].reshape(p.shape)
         start += p.size
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +231,14 @@ def roc_auc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def metrics_from_scores(scores, labels, threshold: float = THRESHOLD) -> dict:
+def metrics_from_scores(scores, labels) -> dict:
     """Accuracy, AUC, per-class precision/recall/F1 and the confusion
-    counts, as the document ``eval.json`` holds."""
+    counts at ``THRESHOLD``, as the document ``eval.json`` holds."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) == 0:
         raise DataError("empty score set")
-    pred = scores >= threshold
+    pred = scores >= THRESHOLD
     truth = labels == 1
     tp = int(np.sum(pred & truth))
     fp = int(np.sum(pred & ~truth))
@@ -436,9 +432,14 @@ def gradient_check(
     drowns small finite differences.  The differences step by ``eps``
     (1e-5), under dropout 0.2 and an L1 weight of 1e-4.  Weights within
     ``10 * eps`` of 0 are moved to ``+-10 * eps``, so no difference
-    straddles the kink of the L1 term at 0.
+    straddles the kink of the L1 term at 0.  Over ``GRADCHECK_MAX_VALUES``
+    trainable values, ``DataError`` before any tensor is allocated.
     """
     check_seed(seed)
+    shapes = _tensor_shapes(dims)
+    values = sum(math.prod(shapes[name]) for name in TRAINABLE_TENSORS)
+    if values > GRADCHECK_MAX_VALUES:
+        raise DataError(f"{values} trainable values, more than gradcheck's {GRADCHECK_MAX_VALUES}")
     eps, dropout_rate, l1_coeff = 1e-5, 0.2, 1e-4
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed)

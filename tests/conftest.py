@@ -20,7 +20,7 @@ def tiny_corpus(tmp_path_factory):
     """2 speakers, 6 sentences, 1 interactive + 1 imitation session."""
     root = tmp_path_factory.mktemp("tiny_corpus")
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=6, interactive_sessions=1, imitation_sessions=1
+        n_speakers=2, n_sentences=6, interactive_sessions=1
     )
     manifest = corpus.generate_synthetic_corpus(cfg, seed=11, out_dir=root)
     return manifest

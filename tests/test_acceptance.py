@@ -169,7 +169,7 @@ def test_criterion_6_metric_oracles():
             r_ = tp_ / (tp_ + fn_) if tp_ + fn_ else 0.0
             return p_, r_, (2 * p_ * r_ / (p_ + r_) if p_ + r_ else 0.0)
 
-        rep = tr.metrics_from_scores(scores, labels, 0.5)
+        rep = tr.metrics_from_scores(scores, labels)
         ok &= abs(tr.roc_auc(scores, labels) - auc_oracle) < 1e-12
         ok &= rep["counts"] == {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
         ok &= rep["accuracy"] == (tp + tn) / n
@@ -258,7 +258,7 @@ def test_criterion_8_invariant_suite(tmp_path):
     checks["feature_roundtrip"] = np.array_equal(dsp.read_features(path).frames, frames)
 
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=2, interactive_sessions=1, imitation_sessions=0
+        n_speakers=2, n_sentences=2, interactive_sessions=1
     )
     m1 = corpus.generate_synthetic_corpus(cfg, 13, tmp_path / "d1")
     m2 = corpus.generate_synthetic_corpus(cfg, 13, tmp_path / "d2")

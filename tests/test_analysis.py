@@ -139,7 +139,7 @@ def test_pearson_rejects_non_finite_input(bad):
 def test_filter_drops_misclassified():
     # at threshold 0.5 the last pair, label 1 with similarity 0.1, is wrong
     table = _table(("A", "A", 1, 0.9), ("A", "B", 0, 0.2), ("A", "A", 1, 0.1))
-    kept = analysis.filter_scores(table, 0.5)
+    kept = analysis.filter_scores(table)
     assert len(kept) == 2
     assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
 
@@ -149,7 +149,7 @@ def test_filter_drops_iqr_outliers():
     table = _table(*[("A", "A", 1, s) for s in sims])
     q1, q3 = np.percentile(sims, [25, 75])
     assert 0.99 > q3 + 1.5 * (q3 - q1)  # the constructed outlier is outside
-    kept = analysis.filter_scores(table, 0.5)
+    kept = analysis.filter_scores(table)
     assert sorted(kept.similarity.tolist()) == sims[:-1]
 
 
@@ -158,7 +158,7 @@ def test_filter_groups_by_label():
     # label-1 pair at 0.1 is misclassified and dropped first)
     tight = [("A", "B", 0, 0.2 + 0.001 * i) for i in range(5)]
     spread = [("A", "A", 1, s) for s in (0.1, 0.5, 0.6, 0.7, 0.9)]
-    kept = analysis.filter_scores(_table(*tight, *spread), 0.5)
+    kept = analysis.filter_scores(_table(*tight, *spread))
     assert int((kept.label == 0).sum()) == 5
 
 
@@ -240,7 +240,7 @@ def test_columnar_analysis_matches_per_pair_loop(seed):
     table, n_speakers = _random_table(seed)
     rows = _loop_filter(table, 0.5)
     assert 0 < len(rows) < len(table)
-    kept = analysis.filter_scores(table, 0.5)
+    kept = analysis.filter_scores(table)
     for column in ("similarity", "label", "left", "right"):
         assert getattr(kept, column).tolist() == getattr(table, column)[rows].tolist()
 
@@ -333,8 +333,8 @@ def _scripted_report(monkeypatch, similarities, manifest=None):
     tables = []
     filter_scores = analysis.filter_scores
 
-    def recording(table, threshold):
-        tables.append(filter_scores(table, threshold))
+    def recording(table):
+        tables.append(filter_scores(table))
         return tables[-1]
 
     monkeypatch.setattr(analysis, "filter_scores", recording)
@@ -533,7 +533,7 @@ def test_score_pairs_marks_correctness(tiny_corpus, tiny_features):
     np.testing.assert_array_equal(
         table.similarity, train.score_similarities(params, pairs, tiny_features)
     )
-    kept = analysis.filter_scores(table, 0.5)
+    kept = analysis.filter_scores(table)
     assert isinstance(kept, np.recarray)
     assert ((kept.similarity >= 0.5) == (kept.label == 1)).all()
     assert len(analysis.score_pairs(params, [], tiny_features, tiny_corpus)) == 0

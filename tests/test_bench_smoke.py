@@ -85,12 +85,12 @@ def test_trace_probes_count_what_they_name(tiny_corpus, tiny_features, tmp_path)
     )
     assert counts == {"pairs": len(solo)}
     table, _ = _random_table(0)
-    _, counts = probed("analysis.filter_scores", analysis.filter_scores, table, 0.5)
+    _, counts = probed("analysis.filter_scores", analysis.filter_scores, table)
     assert counts == {"pairs": len(_loop_filter(table, 0.5))}
 
     samples = np.random.default_rng(0).normal(size=12_345)
     w = dsp.Waveform(samples=samples, sample_rate=dsp.PIPELINE_RATE)
-    _, counts = probed("dsp.compute_mfcc", dsp.compute_mfcc, w)
+    _, counts = probed("dsp.compute_mfcc", dsp.compute_mfcc, w, dsp.MfccConfig())
     n_frames = dsp.frame_count(len(samples), dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES)
     assert counts == {"frames": n_frames}
     path = tmp_path / "a.wav"

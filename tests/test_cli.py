@@ -186,6 +186,12 @@ def test_gradcheck_bad_dims():
             assert cli.main(["gradcheck", "--dims", dims]) == 2
 
 
+def test_gradcheck_large_dims_names_the_count(capsys):
+    assert cli.main(["gradcheck", "--dims", "200,200,200"]) == 2
+    err = capsys.readouterr().err
+    assert "281600 trainable values" in err and str(training.GRADCHECK_MAX_VALUES) in err
+
+
 def test_usage_error_exit_code():
     assert cli.main(["unknown-subcommand"]) == 1
 
@@ -332,6 +338,42 @@ def test_import_loads_no_scipy():
     loads SciPy, and only train loads multiprocessing."""
     assert _modules_loaded_by("import phonosim", ("numpy", "phonosim.")) == "[]"
     assert _modules_loaded_by("import phonosim.cli") == "[]"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _after_cli_import(**env) -> list:
+    """``[the BLAS_VARS values, the thread count]`` after ``import
+    phonosim.cli`` in a fresh interpreter started with ``env`` and none of
+    BLAS_VARS otherwise; the count is None without ``/proc``."""
+    src = os.path.dirname(os.path.dirname(phonosim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    code = (
+        "import json, os, phonosim.cli\n"
+        "status = '/proc/self/status'\n"
+        "threads = [int(line.split()[1]) for line in open(status) "
+        "if line.startswith('Threads:')][0] if os.path.exists(status) else None\n"
+        f"print(json.dumps([[os.environ.get(v) for v in {BLAS_VARS!r}], threads]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_cli_import_runs_blas_on_one_thread():
+    """Started with no BLAS thread variable, the CLI sets each to 1 before
+    NumPy loads, so BLAS starts no thread beside the main one."""
+    assert _after_cli_import() == [["1", "1", "1"], 1]
+
+
+def test_cli_import_keeps_user_blas_threads():
+    values, _ = _after_cli_import(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+    assert values == ["2", "1", "3"]
 
 
 def test_pairs_train_eval_load_no_scipy(tmp_path):

@@ -365,7 +365,7 @@ def test_generate_layout_and_manifest(tiny_corpus):
 
 def test_generate_same_seed_byte_identical(tmp_path):
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=2, interactive_sessions=1, imitation_sessions=1
+        n_speakers=2, n_sentences=2, interactive_sessions=1
     )
     m1 = corpus.generate_synthetic_corpus(cfg, 9, tmp_path / "one")
     m2 = corpus.generate_synthetic_corpus(cfg, 9, tmp_path / "two")
@@ -414,7 +414,7 @@ def test_generate_bytes_pinned(tmp_path):
     """Every WAV and the manifest of a small corpus, byte for byte: solo,
     the converging member (lam 0.5) and imitation."""
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=3, lam=0.5, interactive_sessions=1, imitation_sessions=1
+        n_speakers=2, n_sentences=3, lam=0.5, interactive_sessions=1
     )
     corpus.generate_synthetic_corpus(cfg, 4, tmp_path)
     assert _digests(tmp_path) == GOLDEN_DIGESTS
@@ -446,7 +446,7 @@ def test_generate_bytes_independent_of_batching(tmp_path, monkeypatch, rows, cpu
 
 def test_generate_different_seed_differs(tmp_path):
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=1, interactive_sessions=1, imitation_sessions=0
+        n_speakers=2, n_sentences=1, interactive_sessions=1
     )
     m1 = corpus.generate_synthetic_corpus(cfg, 1, tmp_path / "s1")
     m2 = corpus.generate_synthetic_corpus(cfg, 2, tmp_path / "s2")
@@ -460,7 +460,7 @@ def test_generate_different_seed_differs(tmp_path):
 def test_generate_lam_one_makes_converger_match_partner(tmp_path):
     """At lam=1 the second member's interactive audio uses the partner's traits."""
     cfg = corpus.SynthConfig(
-        n_speakers=2, n_sentences=1, interactive_sessions=1, imitation_sessions=0, lam=1.0
+        n_speakers=2, n_sentences=1, interactive_sessions=1, lam=1.0
     )
     m = corpus.generate_synthetic_corpus(cfg, 4, tmp_path / "conv")
     a = corpus.speaker_traits(4, 0)

@@ -125,6 +125,18 @@ def test_gradient_check_all_tensors_under_tolerance():
         assert worst < 1e-4, f"{lengths}: worst relative error {worst:.3e}"
 
 
+def test_gradient_check_refuses_large_dims_before_allocating(monkeypatch):
+    """200,200,200 gives 281,600 trainable values, over GRADCHECK_MAX_VALUES:
+    ``DataError`` before ``init_params`` allocates a tensor."""
+
+    def init_params(*args):
+        pytest.fail("gradient_check allocated the model")
+
+    monkeypatch.setattr(tr, "init_params", init_params)
+    with pytest.raises(DataError, match="281600 trainable values"):
+        tr.gradient_check(net.ModelDims(200, 200, 200))
+
+
 def test_l1_penalty_additivity(small_params):
     rng = np.random.default_rng(0)
     pair = _random_pair(rng)
@@ -440,14 +452,14 @@ def test_adam_matches_per_tensor_reference(small_params):
     m = {n: np.zeros_like(getattr(ref, n)) for n in net.TRAINABLE_TENSORS}
     v = {n: np.zeros_like(getattr(ref, n)) for n in net.TRAINABLE_TENSORS}
     state = tr.adam_init(small_params)
-    beta1, beta2, eps = 0.8, 0.99, 1e-7
+    beta1, beta2, eps = tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS
     for t in range(1, 6):
         lr = 1e-2 * 0.9**t
         grads = {
             n: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=getattr(ref, n).shape)
             for n in net.TRAINABLE_TENSORS
         }
-        tr.adam_step(state, small_params, grads, lr, beta1, beta2, eps)
+        tr.adam_step(state, small_params, grads, lr)
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
         for name in net.TRAINABLE_TENSORS:
@@ -509,7 +521,7 @@ def test_auc_and_metrics_match_bruteforce_random_trials():
         assert tr.roc_auc(scores, labels) == pytest.approx(
             _auc_oracle(scores, labels), abs=1e-12
         )
-        rep = tr.metrics_from_scores(scores, labels, 0.5)
+        rep = tr.metrics_from_scores(scores, labels)
         tp, fp, tn, fn = (rep["counts"][k] for k in ("tp", "fp", "tn", "fn"))
         assert (tp, fp, tn, fn) == _metrics_oracle(scores, labels, 0.5)
         assert rep["accuracy"] == pytest.approx((tp + tn) / n, abs=1e-12)
@@ -587,14 +599,13 @@ try:
     @settings(max_examples=100, deadline=None)
     @given(
         scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
-        threshold=st.floats(0.0, 1.0),
         labels=st.data(),
     )
-    def test_metrics_counts_partition_sample(scores, threshold, labels):
+    def test_metrics_counts_partition_sample(scores, labels):
         y = [labels.draw(st.integers(0, 1)) for _ in scores]
         if min(y, default=0) == max(y, default=0):
             return  # AUC undefined for one class
-        rep = tr.metrics_from_scores(scores, y, threshold)
+        rep = tr.metrics_from_scores(scores, y)
         assert sum(rep["counts"].values()) == len(scores)
         assert 0.0 <= rep["accuracy"] <= 1.0 and 0.0 <= rep["auc"] <= 1.0
         for cls in (rep["positive"], rep["negative"]):
@@ -611,7 +622,7 @@ def test_metrics_per_class_definitions():
     # 2 TP, 1 FP, 3 TN, 1 FN by construction
     scores = [0.9, 0.8, 0.7, 0.2, 0.1, 0.3, 0.4]
     labels = [1, 1, 0, 0, 0, 0, 1]
-    rep = tr.metrics_from_scores(scores, labels, 0.5)
+    rep = tr.metrics_from_scores(scores, labels)
     assert rep["counts"] == {"tp": 2, "fp": 1, "tn": 3, "fn": 1}
     assert rep["positive"]["precision"] == pytest.approx(2 / 3)
     assert rep["positive"]["recall"] == pytest.approx(2 / 3)
