@@ -174,7 +174,7 @@ def run_buffers(dims: ModelDims, feats, max_rows: int):
     """Flat buffers for every batch of one run over ``feats``, in one allocation.
 
     For each recurrence: the packed input ``x``, the states ``h`` and the
-    BPTT gather ``g`` of any batch of up to ``max_rows`` of ``feats``, sized
+    BPTT scratch ``g`` of any batch of up to ``max_rows`` of ``feats``, sized
     by their ``max_rows`` longest.  A batch uses the start of each, so the
     pages it touches stay mapped for the next batch, and a direction that
     runs elsewhere never maps its pages.  Returns a ``(forward, backward)``
@@ -223,15 +223,15 @@ def _direction(batch, w, u, b, reverse: bool, buf):
 
 
 def _direction_backward(x, h, active, off, g, u, d_final):
-    """BPTT of one direction over a ``_pack`` batch; overwrites ``h``.
+    """BPTT of one direction over a ``_pack`` batch, in the scratch ``g``.
 
     ``d_final`` enters each row at its last frame: the rows ending at
-    step ``t`` are ``active[t + 1]:active[t]``.  ``h`` becomes ``1 - h**2``
-    in bulk and then, step by step, the gradient ``d`` at each frame's
-    pre-activation: one multiply and one chain product per step.  The
-    weight gradients are products over the frames the loop reached, after
-    it; for ``du`` the state before each frame of steps ``t >= 1`` is
-    gathered into the start of the flat ``g``.
+    step ``t`` are ``active[t + 1]:active[t]``.  The start of the flat
+    ``g`` becomes ``1 - h**2`` in bulk and then, step by step, the gradient
+    ``d`` at each frame's pre-activation: one multiply and one chain
+    product per step.  ``h`` is only read.  The weight gradients are
+    products over the frames the loop reached, after it; for ``du`` the
+    state before each such frame of steps ``t >= 1`` is gathered from ``h``.
 
     A row stops being carried once every entry of its chained gradient is
     at most ``floor = BPTT_FLOOR * max|d_final|``.  ``BPTT_FLOOR`` is
@@ -247,14 +247,9 @@ def _direction_backward(x, h, active, off, g, u, d_final):
     live rows of a step stay one slice ``lo:active[t]``.  While no row is
     dropped, the gradients are those of full BPTT, byte for byte.
     """
-    n_frames = len(h)
     lmax = len(off) - 1
-    # frame off[t] + j follows frame off[t - 1] + j, active[t - 1] earlier
-    prev = np.arange(off[1], n_frames) - np.repeat(active[: lmax - 1], active[1:lmax])
-    g = _rows(g, len(prev), h.shape[1])
-    np.take(h, prev, axis=0, out=g, mode="clip")  # "raise" would buffer
-    d = h
-    np.multiply(d, d, out=d)
+    d = _rows(g, len(h), h.shape[1])
+    np.multiply(h, h, out=d)
     np.subtract(1.0, d, out=d)
     dh_t = np.empty((active[0], h.shape[1]))
     floor = BPTT_FLOOR * np.abs(d_final).max()
@@ -279,7 +274,9 @@ def _direction_backward(x, h, active, off, g, u, d_final):
     first = np.add(off[:lmax], start)
     at = np.repeat(first - np.cumsum(live) + live, live) + np.arange(live.sum())
     dl = np.take(d, at, axis=0)  # faster than d[at]
-    du = dl[live[0] :].T @ np.take(g, at[live[0] :] - off[1], axis=0)  # steps t >= 1
+    # frame off[t] + j follows frame off[t - 1] + j
+    prev = at[live[0] :] - np.repeat(np.diff(off[:lmax]), live[1:])
+    du = dl[live[0] :].T @ np.take(h, prev, axis=0)  # steps t >= 1
     return dl.T @ np.take(x, at, axis=0), du, dl.sum(axis=0)
 
 
@@ -333,7 +330,7 @@ def _embed_forward(
 
 def _embed_backward(params: ModelParams, de, cache):
     """Gradients of all trainable tensors given d(loss)/d(embeddings), training
-    mode.  BPTT overwrites the cache's states, so a cache serves one call."""
+    mode."""
     e, y, z, xhat = cache["e"], cache["y"], cache["z"], cache["xhat"]
     s = de * e * (1.0 - e)
     grads = {
@@ -567,6 +564,12 @@ def siamese_forward(
 # the fixed ALL_TENSORS order.
 
 
+def _record_head(name: str, shape) -> bytes:
+    """A tensor record's header: u32 name length, name, u32 rank, u32 dims."""
+    nb = name.encode("ascii")
+    return struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
+
+
 def save_checkpoint(params: ModelParams, path: str) -> None:
     d = params.dims
     with open(path, "wb") as fh:
@@ -574,11 +577,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         fh.write(struct.pack("<IIII", CHECKPOINT_VERSION, d.d_in, d.d_hidden, d.d_rep))
         for name in ALL_TENSORS:
             t = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            nb = name.encode("ascii")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", t.ndim))
-            fh.write(struct.pack(f"<{t.ndim}I", *t.shape))
+            fh.write(_record_head(name, t.shape))
             fh.write(t.tobytes())
 
 
@@ -591,40 +590,29 @@ def load_checkpoint(path: str) -> ModelParams:
         raise CheckpointError(f"truncated header in {path}")
     version, d_in, d_hidden, d_rep = struct.unpack("<IIII", blob[4:20])
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
     try:
         dims = ModelDims(d_in=d_in, d_hidden=d_hidden, d_rep=d_rep)
     except DataError as exc:
         raise CheckpointError(f"bad model dimensions in {path}: {exc}")
-    shapes = _tensor_shapes(dims)
     off = 20
     tensors: dict[str, np.ndarray] = {}
-    for expected in ALL_TENSORS:
-        try:
-            (nlen,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off : off + nlen]
-            off += nlen
-            (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            shape = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
-        except struct.error:
-            raise CheckpointError(f"truncated tensor record in {path}")
-        if name != expected.encode("ascii"):
-            raise CheckpointError(f"unexpected tensor {name!r}, wanted {expected!r}")
-        if shape != shapes[expected]:
+    for name, shape in _tensor_shapes(dims).items():
+        head = _record_head(name, shape)
+        if blob[off : off + len(head)] != head:
             raise CheckpointError(
-                f"tensor {expected!r} has shape {shape}, dims give {shapes[expected]}"
+                f"record of tensor {name!r} in {path} is truncated or not the "
+                f"name and shape {shape} that the dims give"
             )
+        off += len(head)
         count = math.prod(shape)
         if off + 8 * count > len(blob):
-            raise CheckpointError(f"truncated payload for tensor {expected!r} in {path}")
+            raise CheckpointError(f"truncated payload for tensor {name!r} in {path}")
         t = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         off += 8 * count
         if not np.isfinite(t).all():
-            raise CheckpointError(f"non-finite value in tensor {expected!r} in {path}")
-        tensors[expected] = t.reshape(shape).astype(np.float64)
+            raise CheckpointError(f"non-finite value in tensor {name!r} in {path}")
+        tensors[name] = t.reshape(shape).astype(np.float64)
     if off != len(blob):
         raise CheckpointError(f"{len(blob) - off} trailing bytes in {path}")
     if (tensors["bn_var"] < 0).any():

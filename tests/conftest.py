@@ -1,7 +1,8 @@
 """Shared fixtures: a tiny synthetic corpus with in-memory features, the
-usable-CPU patch, the deadline check for tests that fork, the no-child-left
-check after every test, a WAV writer for files built by hand, and the
-hypothesis strategies that fuzz the JSON input files."""
+usable-CPU patch, a spy on the frames BPTT carried, the deadline check for
+tests that fork, the no-child-left check after every test, a WAV writer for
+files built by hand, and the hypothesis strategies that fuzz the JSON input
+files."""
 
 import contextlib
 import json
@@ -12,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from phonosim import corpus, dsp
+from phonosim import corpus, dsp, net
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,23 @@ def set_cpus(monkeypatch, n):
     """Make the package see ``n`` usable CPUs: with two or more, ``train``
     starts its backward worker and ``synth``/``features`` fork a child."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def carried_frames(monkeypatch):
+    """Spy on ``net._direction_backward`` in this process: per call, the
+    frames its loop carried and the frames in the batch.  A frame the loop
+    did not reach still holds ``1 - h**2`` in the scratch ``g``."""
+    counts = []
+    bptt = net._direction_backward
+
+    def spy(x, h, active, off, g, u, d_final):
+        grads = bptt(x, h, active, off, g, u, d_final)
+        d = g[: h.size].reshape(h.shape)
+        counts.append((int((d != 1.0 - h * h).any(axis=1).sum()), len(h)))
+        return grads
+
+    monkeypatch.setattr(net, "_direction_backward", spy)
+    return counts
 
 
 @contextlib.contextmanager

@@ -3,10 +3,11 @@ every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
 function packs and runs a recurrence, one function chains the feature front
 end, ``train`` takes a logarithm only in ``bce_loss``, ``net`` and
-``train`` take a norm only in ``net.cosine_rows``, only ``net`` calls
-``id()``, no module imports ``multiprocessing`` when it is imported, no
-module draws from NumPy's global random state, and no module imports SciPy,
-which ``pyproject.toml`` lists only as a test dependency."""
+``train`` take a norm only in ``net.cosine_rows``, one function packs a
+checkpoint record's header, only ``net`` calls ``id()``, no module imports
+``multiprocessing`` when it is imported, no module draws from NumPy's global
+random state, and no module imports SciPy, which ``pyproject.toml`` lists
+only as a test dependency."""
 
 import ast
 import re
@@ -182,6 +183,13 @@ def test_cosine_is_written_once():
     assert _package_callers("cosine_rows") == {
         "net.cosine_similarity", "train.pair_forward_backward", "train.score_similarities"
     }
+
+
+def test_checkpoint_record_header_is_written_once():
+    """A tensor record's header is packed in one place, ``net._record_head``:
+    ``save_checkpoint`` writes it and ``load_checkpoint`` checks the file
+    holds exactly its bytes, so the record layout is stated once."""
+    assert _package_callers("_record_head") == {"net.save_checkpoint", "net.load_checkpoint"}
 
 
 def test_only_the_kernel_calls_id():

@@ -187,6 +187,20 @@ def test_bptt_with_no_row_to_drop_is_pinned():
     assert sha.hexdigest() == SHORT_ROWS_BPTT_DIGEST
 
 
+def test_bptt_leaves_the_forward_states_intact():
+    """BPTT works in its scratch ``g``: after ``_embed_backward`` both
+    directions' states in the cache are those the forward pass left."""
+    dims = net.ModelDims()
+    p = net.init_params(dims, seed=3)
+    rng = np.random.default_rng(4)
+    feats = [rng.normal(size=(t, dims.d_in)) for t in (300, 40, 40, 7, 1)]
+    e, cache = net._embed_forward(p, feats, training=True)
+    states = [run[1].copy() for run in cache["runs"]]
+    net._embed_backward(p, rng.normal(size=e.shape), cache)
+    for run, h in zip(cache["runs"], states, strict=True):
+        np.testing.assert_array_equal(run[1], h)
+
+
 # ---------------------------------------------------------------------------
 # embedding and similarity
 
@@ -322,8 +336,10 @@ def test_checkpoint_zero_dimension_names_path(small_params, tmp_path):
 
 
 def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
-    """Shapes that the header dims do not give, NaN/inf, negative running
-    variance, and trailing bytes are all rejected at load time."""
+    """An unsupported version, a truncated record or payload, a renamed
+    tensor, shapes or ranks that the header dims do not give, NaN/inf,
+    negative running variance, and trailing bytes are all rejected at load
+    time, each with a message that names the file."""
     good = str(tmp_path / "good.artm")
     net.save_checkpoint(small_params, good)
     blob = Path(good).read_bytes()
@@ -331,15 +347,24 @@ def test_checkpoint_rejects_inconsistent_contents(small_params, tmp_path):
     def rejects(data, match):
         path = tmp_path / "bad.artm"
         path.write_bytes(data)
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=match) as raised:
             net.load_checkpoint(str(path))
+        assert str(path) in str(raised.value)
 
+    rejects(blob[:4] + (2).to_bytes(4, "little") + blob[8:], "version")
+    rejects(blob[:28], "truncated")
+    rejects(blob[:100], "truncated payload")
+    # wf (4, 5) renamed wx, at the same length
+    rejects(blob[:24] + b"wx" + blob[26:], "name")
     # wf (4, 5) rewritten as a self-consistent (2, 2) record
     wf_end = 20 + 4 + 2 + 4 + 8 + 8 * 20
     wf_2x2 = (
         blob[20:30] + (2).to_bytes(4, "little") * 2 + np.zeros(4).tobytes()
     )
     rejects(blob[:20] + wf_2x2 + blob[wf_end:], "shape")
+    # and as a self-consistent (20,) record of rank 1
+    wf_flat = blob[20:26] + (1).to_bytes(4, "little") + (20).to_bytes(4, "little")
+    rejects(blob[:20] + wf_flat + blob[38:], "shape")
 
     for name, value, match in (
         ("wf", np.nan, "non-finite"),

@@ -27,7 +27,9 @@ from phonosim import corpus, dsp, net
 from phonosim import train as tr
 from phonosim.errors import DataError, FeatureIOError, PhonosimError
 
-from conftest import assert_no_child_left, deadline, metadata_manifest, set_cpus
+from conftest import (
+    assert_no_child_left, carried_frames, deadline, metadata_manifest, set_cpus
+)
 
 
 @pytest.fixture()
@@ -231,23 +233,6 @@ def test_pair_loss_matches_per_utterance_oracle():
     np.testing.assert_allclose(bn_var, var, rtol=0, atol=1e-12)
 
 
-def _carried_frames(monkeypatch):
-    """Spy on ``net._direction_backward`` in this process: per call, the
-    frames its loop carried and the frames in the batch.  A frame the loop
-    did not reach still holds ``1 - h**2`` in ``h``."""
-    counts = []
-    bptt = net._direction_backward
-
-    def spy(x, h, active, off, g, u, d_final):
-        untouched = 1.0 - h * h
-        grads = bptt(x, h, active, off, g, u, d_final)
-        counts.append((int((h != untouched).any(axis=1).sum()), len(h)))
-        return grads
-
-    monkeypatch.setattr(net, "_direction_backward", spy)
-    return counts
-
-
 def test_recurrent_gradients_match_per_utterance_bptt_oracle(monkeypatch):
     """Independent oracle for the gradients of wf, uf, bf, wb, ub and bb.
 
@@ -328,7 +313,7 @@ def test_recurrent_gradients_match_per_utterance_bptt_oracle(monkeypatch):
     for name in ("wf", "uf", "wb", "ub"):
         want[name] += l1 * np.sign(getattr(p, name))
 
-    carried = _carried_frames(monkeypatch)
+    carried = carried_frames(monkeypatch)
     _, grads, _, _ = tr.pair_forward_backward(p, lefts, rights, labels, l1, masks)
     for name, w in want.items():
         err = np.abs(grads[name] - w).max() / np.abs(w).max()
@@ -881,7 +866,7 @@ def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkey
     lengths = dict(a=340, b=1, c=262, d=45, e=301, f=120, g=340, h=9, i=188)
     store = {k: rng.normal(size=(n, 39)) for k, n in lengths.items()}
     pairs = [(l, r, (i * j) % 2) for i, l in enumerate(store) for j, r in enumerate(store) if i < j]
-    carried = _carried_frames(monkeypatch)
+    carried = carried_frames(monkeypatch)
     _forked_and_inline(monkeypatch, tr.TrainConfig(epochs=2, batch_size=6, seed=3), pairs, [], store)
     assert any(n < total for n, total in carried)
 
