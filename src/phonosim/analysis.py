@@ -15,8 +15,8 @@ import os
 
 import numpy as np
 
-from .corpus import SCRIPT_SENTENCES, Manifest, PairExample
-from .corpus import build_condition_pairs, build_solo_pairs
+from .corpus import SCRIPT_SENTENCES, Manifest
+from .corpus import build_condition_pairs, build_solo_pairs, cross_condition_pairs
 from .errors import DataError
 from .train import THRESHOLD, score_similarities
 
@@ -132,32 +132,6 @@ def pearson(x, y) -> tuple[float, float]:
     return r, _betainc((n - 2) / 2.0, 0.5, (1.0 - abs(r)) * (1.0 + abs(r)), r * r)
 
 
-def cross_condition_pairs(
-    m: Manifest, condition: str, sessions: list[int]
-) -> list[PairExample]:
-    """Same speaker, same sentence: solo baseline vs a later condition.
-
-    These same-speaker pairs measure how far a speaker drifts from their own
-    solo baseline; the pair carries the later condition's tag.
-    """
-    if condition not in ("interactive", "imitation"):
-        raise DataError(f"condition must be interactive or imitation, got {condition!r}")
-    solo = {
-        (u.speaker_id, u.sentence_index): u
-        for u in m.utterances
-        if u.condition == "solo"
-    }
-    chosen = set(sessions)
-    pairs = []
-    for u in m.utterances:
-        if u.condition != condition or u.session not in chosen:
-            continue
-        base = solo.get((u.speaker_id, u.sentence_index))
-        if base is not None:
-            pairs.append(PairExample(base.key, u.key, 1, condition))
-    return pairs
-
-
 def build_report(
     params,
     manifest: Manifest,
@@ -172,10 +146,11 @@ def build_report(
     reported both within each condition (adjacent same-speaker sentences)
     and against the solo baseline (same sentence across conditions); the
     baseline variant feeds the per-speaker scores.  ``solo_range`` picks
-    the solo sentences, all of them by default.  Raises ``DataError`` when
-    it gives no solo pairs, or when a session in ``sessions`` has no
-    interactive utterances.  Returns the document and the
-    (condition, relation, similarity) rows of the distribution plot.
+    the solo sentences of the solo pairs and of the baseline, all of them
+    by default.  Raises ``DataError`` when it gives no solo pairs, or when
+    a session in ``sessions`` has no interactive utterances.  Returns the
+    document and the (condition, relation, similarity) rows of the
+    distribution plot.
 
     Both members of a dyad get the same convergence degree, since every
     intra-dyad pair holds both of them.  The Pearson r is taken over
@@ -193,8 +168,8 @@ def build_report(
         build_condition_pairs(manifest, "imitation", imit_sessions)
         if imit_sessions
         else [],
-        cross_condition_pairs(manifest, "interactive", sessions),
-        cross_condition_pairs(manifest, "imitation", imit_sessions),
+        cross_condition_pairs(manifest, "interactive", sessions, lo, hi),
+        cross_condition_pairs(manifest, "imitation", imit_sessions, lo, hi),
     ]
     # one scoring call, so an utterance shared by several sets is embedded once
     table = score_pairs(params, [p for s in pair_sets for p in s], store, manifest)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import reprlib
 import wave
@@ -166,22 +167,37 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
 
 
 def save_manifest(m: Manifest, path: str | os.PathLike) -> None:
+    """Write ``m`` as JSON, each utterance as those of its ``fields`` that are set."""
     doc = {
         "speakers": [{"id": s} for s in m.speakers],
         "dyads": [list(d) for d in m.dyads],
         "utterances": [
-            {
-                "speaker_id": u.speaker_id,
-                "condition": u.condition,
-                "session": u.session,
-                "sentence_index": u.sentence_index,
-                **({"audio_path": u.audio_path} if u.audio_path else {}),
-            }
+            {f.name: v for f in fields(Utterance) if (v := getattr(u, f.name)) is not None}
             for u in m.utterances
         ],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
+
+
+# every pair builder reads its utterances in this order
+_ORDER = operator.attrgetter("speaker_id", "session", "sentence_index")
+
+
+def _select(m: Manifest, condition: str, sessions: list[int]) -> list[Utterance]:
+    """The utterances of the interactive or imitation ``condition`` in
+    ``sessions``, ordered by speaker, session and sentence."""
+    if condition not in ("interactive", "imitation"):
+        raise DataError(f"condition must be interactive or imitation, got {condition!r}")
+    chosen = set(sessions)
+    utts = [u for u in m.utterances if u.condition == condition and u.session in chosen]
+    return sorted(utts, key=_ORDER)
+
+
+def _solo(m: Manifest, lo: int, hi: int) -> list[Utterance]:
+    """The solo utterances of sentences ``lo`` to ``hi``, in ``_select``'s order."""
+    utts = [u for u in m.utterances if u.condition == "solo" and lo <= u.sentence_index <= hi]
+    return sorted(utts, key=_ORDER)
 
 
 def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[PairExample]:
@@ -194,21 +210,16 @@ def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[Pa
     """
     if sentence_lo > sentence_hi:
         raise DataError(f"empty sentence range {sentence_lo}:{sentence_hi}")
-    by_speaker: dict[str, list[Utterance]] = {}
-    for u in m.utterances:
-        if u.condition == "solo" and sentence_lo <= u.sentence_index <= sentence_hi:
-            by_speaker.setdefault(u.speaker_id, []).append(u)
-    for utts in by_speaker.values():
-        utts.sort(key=lambda u: u.sentence_index)
-
-    pairs: list[PairExample] = []
-    for spk in sorted(by_speaker):
-        for a, b in itertools.combinations(by_speaker[spk], 2):
-            pairs.append(PairExample(a.key, b.key, 1, "solo"))
+    solo = _solo(m, sentence_lo, sentence_hi)
+    by_speaker = {spk: list(g) for spk, g in itertools.groupby(solo, key=lambda u: u.speaker_id)}
+    pairs = [
+        PairExample(a.key, b.key, 1, "solo")
+        for utts in by_speaker.values()
+        for a, b in itertools.combinations(utts, 2)
+    ]
     for a, b in m.dyads:
-        for ua in by_speaker.get(a, []):
-            for ub in by_speaker.get(b, []):
-                pairs.append(PairExample(ua.key, ub.key, 0, "solo"))
+        left, right = by_speaker.get(a, []), by_speaker.get(b, [])
+        pairs += [PairExample(ua.key, ub.key, 0, "solo") for ua in left for ub in right]
     if not pairs:
         raise DataError(f"no solo pairs in sentence range {sentence_lo}:{sentence_hi}")
     return pairs
@@ -225,36 +236,41 @@ def build_condition_pairs(
     ``DataError`` naming every chosen session without utterances of
     ``condition``.
     """
-    if condition not in ("interactive", "imitation"):
-        raise DataError(f"condition must be interactive or imitation, got {condition!r}")
-    chosen = set(sessions)
-    utts = [u for u in m.utterances if u.condition == condition and u.session in chosen]
-    missing = sorted(chosen - {u.session for u in utts})
+    utts = _select(m, condition, sessions)
+    missing = sorted(set(sessions) - {u.session for u in utts})
     if not utts or missing:
         raise DataError(f"no utterances for condition {condition!r} in sessions {missing}")
 
-    pairs: list[PairExample] = []
-    by_spk_sess: dict[tuple[str, int], list[Utterance]] = {}
-    for u in utts:
-        by_spk_sess.setdefault((u.speaker_id, u.session), []).append(u)
-    for key in sorted(by_spk_sess):
-        seq = sorted(by_spk_sess[key], key=lambda u: u.sentence_index)
-        for a, b in zip(seq, seq[1:]):
-            pairs.append(PairExample(a.key, b.key, 1, condition))
-
+    pairs = [
+        PairExample(a.key, b.key, 1, condition)
+        for a, b in zip(utts, utts[1:])
+        if (a.speaker_id, a.session) == (b.speaker_id, b.session)
+    ]
     by_spk_sent: dict[tuple[str, int], list[Utterance]] = {}
     for u in utts:
         by_spk_sent.setdefault((u.speaker_id, u.sentence_index), []).append(u)
     for a, b in m.dyads:
-        sents = sorted(
-            {s for (spk, s) in by_spk_sent if spk == a}
-            & {s for (spk, s) in by_spk_sent if spk == b}
-        )
-        for s in sents:
-            for ua in by_spk_sent[(a, s)]:
-                for ub in by_spk_sent[(b, s)]:
-                    pairs.append(PairExample(ua.key, ub.key, 0, condition))
+        for s in range(1, SCRIPT_SENTENCES + 1):
+            left, right = by_spk_sent.get((a, s), []), by_spk_sent.get((b, s), [])
+            pairs += [PairExample(ua.key, ub.key, 0, condition) for ua in left for ub in right]
     return pairs
+
+
+def cross_condition_pairs(
+    m: Manifest, condition: str, sessions: list[int], sentence_lo: int, sentence_hi: int
+) -> list[PairExample]:
+    """Same speaker, same sentence: the solo baseline of sentences
+    ``sentence_lo`` to ``sentence_hi`` against a later condition.
+
+    These same-speaker pairs measure how far a speaker drifts from their own
+    solo baseline; the pair carries the later condition's tag.
+    """
+    solo = {(u.speaker_id, u.sentence_index): u for u in _solo(m, sentence_lo, sentence_hi)}
+    return [
+        PairExample(base.key, u.key, 1, condition)
+        for u in _select(m, condition, sessions)
+        if (base := solo.get((u.speaker_id, u.sentence_index))) is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,9 @@ def test_criterion_5_convergence_direction(corpora, trained):
         dyad = [p for p in inter if p.label == 0]
         sims = tr.score_similarities(params, dyad, store)
         dyad_means[lam] = float(np.mean(sims))
-        vs_solo = analysis.cross_condition_pairs(manifest, "interactive", [1, 2])
+        vs_solo = corpus.cross_condition_pairs(
+            manifest, "interactive", [1, 2], 1, corpus.SCRIPT_SENTENCES
+        )
         sims = tr.score_similarities(params, vs_solo, store)
         intra_means[lam] = float(np.mean(sims))
     lams = (0.0, 0.5, 1.0)

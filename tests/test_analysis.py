@@ -24,15 +24,6 @@ from phonosim import analysis, corpus, net, train
 from phonosim.errors import DataError
 
 
-def _utt(spk, cond="solo", sess=1, sent=1):
-    return corpus.Utterance(
-        speaker_id=spk,
-        condition=cond,
-        session=sess,
-        sentence_index=sent,
-    )
-
-
 SPEAKERS = ["A", "B", "C", "D"]
 
 
@@ -256,34 +247,6 @@ def test_columnar_analysis_matches_per_pair_loop(seed):
             assert means[spk] == _loop_speaker_mean(kept, spk, y)
 
 
-def test_cross_condition_pairs_structure():
-    m_utts = [
-        _utt("A", "solo", 1, 1),
-        _utt("A", "solo", 1, 2),
-        _utt("B", "solo", 1, 1),
-        _utt("A", "interactive", 1, 1),
-        _utt("A", "interactive", 2, 2),
-        _utt("B", "imitation", 1, 1),
-    ]
-    m = corpus.Manifest(
-        speakers=["A", "B"],
-        dyads=[("A", "B")],
-        utterances=m_utts,
-    )
-    got = analysis.cross_condition_pairs(m, "interactive", [1, 2])
-    assert len(got) == 2
-    by_key = {u.key: u for u in m_utts}
-    for p in got:
-        assert p.label == 1 and p.condition == "interactive"
-        left, right = by_key[p.left], by_key[p.right]
-        assert left.condition == "solo" and right.condition == "interactive"
-        assert left.speaker_id == right.speaker_id
-        assert left.sentence_index == right.sentence_index
-    assert len(analysis.cross_condition_pairs(m, "imitation", [1])) == 1
-    with pytest.raises(DataError):
-        analysis.cross_condition_pairs(m, "solo", [1])
-
-
 # ---------------------------------------------------------------------------
 # end-to-end report on the tiny corpus
 
@@ -495,6 +458,28 @@ def test_build_report_needs_solo_pairs(tiny_corpus, tiny_features):
         )
 
 
+def test_solo_range_narrows_both_baselines(tiny_corpus, tiny_features, monkeypatch):
+    """``solo_range`` picks the solo sentences of every pair that ``build_report``
+    scores: the solo pairs and the pairs against the solo baseline, which
+    feed imitation ability."""
+    scored = []
+    score = analysis.score_pairs
+
+    def recording(params, pairs, *args):
+        scored.extend(pairs)
+        return score(params, pairs, *args)
+
+    monkeypatch.setattr(analysis, "score_pairs", recording)
+    params = net.init_params(net.ModelDims(), seed=0)
+    analysis.build_report(params, tiny_corpus, tiny_features, sessions=[1], solo_range=(4, 6))
+    utt = {u.key: u for u in tiny_corpus.utterances}
+    vs_solo = [p for p in scored if p.condition != "solo" and utt[p.left].condition == "solo"]
+    assert {p.condition for p in vs_solo} == {"interactive", "imitation"}
+    assert {utt[p.left].sentence_index for p in vs_solo} == {4, 5, 6}
+    solo = {utt[k].sentence_index for p in scored for k in p[:2] if utt[k].condition == "solo"}
+    assert solo == {4, 5, 6}
+
+
 def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, monkeypatch):
     rows = []
     kernel = train._embed_forward
@@ -511,8 +496,8 @@ def test_build_report_embeds_each_utterance_once(tiny_corpus, tiny_features, mon
         corpus.build_solo_pairs(tiny_corpus, 1, corpus.SCRIPT_SENTENCES),
         corpus.build_condition_pairs(tiny_corpus, "interactive", [1]),
         corpus.build_condition_pairs(tiny_corpus, "imitation", [1]),
-        analysis.cross_condition_pairs(tiny_corpus, "interactive", [1]),
-        analysis.cross_condition_pairs(tiny_corpus, "imitation", [1]),
+        corpus.cross_condition_pairs(tiny_corpus, "interactive", [1], 1, corpus.SCRIPT_SENTENCES),
+        corpus.cross_condition_pairs(tiny_corpus, "imitation", [1], 1, corpus.SCRIPT_SENTENCES),
     ]
     keys = {k for pairs in pair_sets for p in pairs for k in (p.left, p.right)}
     assert all(pair_sets) and len(rows) > 1

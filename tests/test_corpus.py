@@ -126,6 +126,34 @@ def test_condition_pairs_require_known_condition_and_data():
         corpus.build_condition_pairs(m, "interactive", [1])
 
 
+def test_cross_condition_pairs_structure():
+    """Each pair joins a speaker's solo reading of a sentence in the range
+    to their reading of it in the chosen sessions of the condition."""
+    m_utts = [
+        corpus.Utterance("A", "solo", 1, 1),
+        corpus.Utterance("A", "solo", 1, 2),
+        corpus.Utterance("B", "solo", 1, 1),
+        corpus.Utterance("A", "interactive", 1, 1),
+        corpus.Utterance("A", "interactive", 2, 2),
+        corpus.Utterance("B", "imitation", 1, 1),
+    ]
+    m = corpus.Manifest(speakers=["A", "B"], dyads=[("A", "B")], utterances=m_utts)
+    got = corpus.cross_condition_pairs(m, "interactive", [1, 2], 1, 80)
+    assert len(got) == 2
+    by_key = {u.key: u for u in m_utts}
+    for p in got:
+        assert p.label == 1 and p.condition == "interactive"
+        left, right = by_key[p.left], by_key[p.right]
+        assert left.condition == "solo" and right.condition == "interactive"
+        assert left.speaker_id == right.speaker_id
+        assert left.sentence_index == right.sentence_index
+    assert corpus.cross_condition_pairs(m, "interactive", [1, 2], 2, 80) == got[1:]
+    assert corpus.cross_condition_pairs(m, "interactive", [2], 1, 1) == []
+    assert len(corpus.cross_condition_pairs(m, "imitation", [1], 1, 80)) == 1
+    with pytest.raises(DataError):
+        corpus.cross_condition_pairs(m, "solo", [1], 1, 80)
+
+
 # ---------------------------------------------------------------------------
 # manifest validation and round trip
 

@@ -4,7 +4,8 @@ function or constant is used by some module, one function forks, one
 function packs and runs a recurrence, one function chains the feature front
 end, ``train`` takes a logarithm only in ``bce_loss``, ``net`` and
 ``train`` take a norm only in ``net.cosine_rows``, one function packs a
-checkpoint record's header, only ``net`` calls ``id()``, no module imports
+checkpoint record's header, only ``corpus`` and the pairs-file reader
+construct a ``PairExample``, only ``net`` calls ``id()``, no module imports
 ``multiprocessing`` when it is imported, no module draws from NumPy's global
 random state, and no module imports SciPy, which ``pyproject.toml`` lists
 only as a test dependency."""
@@ -190,6 +191,15 @@ def test_checkpoint_record_header_is_written_once():
     ``save_checkpoint`` writes it and ``load_checkpoint`` checks the file
     holds exactly its bytes, so the record layout is stated once."""
     assert _package_callers("_record_head") == {"net.save_checkpoint", "net.load_checkpoint"}
+
+
+def test_pairs_are_built_in_corpus():
+    """Every pair set is built in ``corpus``, from its ordered selection of
+    each condition's utterances; the only other ``PairExample`` is the one
+    ``cli._load_pairs_file`` reads back from a pairs file."""
+    callers = _package_callers("PairExample")
+    assert {c for c in callers if not c.startswith("corpus.")} == {"cli._load_pairs_file"}
+    assert {"corpus.build_solo_pairs", "corpus.cross_condition_pairs"} <= callers
 
 
 def test_only_the_kernel_calls_id():

@@ -1,4 +1,6 @@
-"""Metamorphic relations of the whole pipeline, on the tiny corpus.
+"""Metamorphic relations of the whole pipeline, on the tiny corpus and, for
+the relations that run the CLI, on a 4-speaker corpus with one model
+trained on it once.
 
 - Gain: scaling a waveform by g adds log g to every log mel energy; the
   orthonormal DCT puts that constant in c0 alone and CMVN removes it, so
@@ -9,6 +11,14 @@
   at g = 0.05.
 - Pair sides: the cosine is symmetric, so swapping left and right in a
   pairs file leaves ``eval``'s report byte-identical.
+- Manifest order: every pair builder reads its utterances ordered by
+  speaker, session and sentence, so shuffling the manifest's utterances
+  leaves the pairs files, ``eval.json`` and the ``analyze`` outputs
+  byte-identical.
+- Relabelling: renaming the speakers (and the feature files with them)
+  reorders the pairs but keeps each one, so ``speaker_scores`` is permuted
+  with its raw scores kept to 1e-12.  A normalized score divides by the
+  spread of its raw scores, so it is held to 4e-12 over that spread.
 - Time reversal: reversing every input and swapping the two directions'
   weights, with the halves of every tensor that spans both directions,
   gives the same model.  Each recurrence of the mirror packs the frames
@@ -18,8 +28,10 @@
 """
 
 import contextlib
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -42,19 +54,60 @@ def test_gain_leaves_features_unchanged(tiny_corpus, tmp_path, gain):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=u.key)
 
 
-def test_swapping_pair_sides_leaves_eval_report(tiny_corpus, tiny_features, tmp_path):
-    train_pairs = corpus.build_solo_pairs(tiny_corpus, 1, 4)
-    params = tr.train(tr.TrainConfig(epochs=2, seed=1), train_pairs, [], tiny_features).params
-    model = tmp_path / "model.artm"
-    net.save_checkpoint(params, model)
-    features = tmp_path / "features"
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A 4-speaker corpus with two interactive sessions, its feature files,
+    and a model trained on its solo sentences 1-4 (it scores every speaker).
+    Returns the manifest, the feature directory and the checkpoint."""
+    root = tmp_path_factory.mktemp("metamorphic")
+    cfg = corpus.SynthConfig(n_speakers=4, n_sentences=6, lam=0.5, interactive_sessions=2)
+    manifest = corpus.generate_synthetic_corpus(cfg, seed=11, out_dir=root / "corpus")
+    features = root / "features"
     features.mkdir()
     store = dsp.FeatureStore(features)
-    for key, frames in tiny_features.items():
-        dsp.write_features(frames, store.path_for(key))
+    frames = {}
+    for u in manifest.utterances:
+        frames[u.key] = dsp.extract_features(manifest.resolve(u.audio_path), dsp.MfccConfig())
+        dsp.write_features(frames[u.key], store.path_for(u.key))
+    train_pairs = corpus.build_solo_pairs(manifest, 1, 4)
+    params = tr.train(tr.TrainConfig(epochs=10, lr0=3e-3, seed=1), train_pairs, [], frames).params
+    model = root / "model.artm"
+    net.save_checkpoint(params, model)
+    return manifest, features, model
 
-    pairs = corpus.build_solo_pairs(tiny_corpus, 1, 6)
-    pairs += corpus.build_condition_pairs(tiny_corpus, "interactive", [1])
+
+def _run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def _outputs(manifest, features, model, out):
+    """The bytes of every pairs file, ``eval.json`` and ``analyze`` output that
+    the CLI writes for ``manifest``, by file name under ``out``."""
+    path = out / "manifest.json"
+    out.mkdir()
+    corpus.save_manifest(manifest, path)
+    for condition, selection in (
+        ("solo", ("--range", "1:6")),
+        ("interactive", ("--sessions", "1,2")),
+        ("imitation", ("--sessions", "1")),
+    ):
+        pairs = out / f"{condition}.json"
+        _run("pairs", "--manifest", path, "--condition", condition, *selection, "--out", pairs)
+        _run("eval", "--model", model, "--pairs", pairs, "--features", features,
+             "--report", out / f"{condition}_eval.json")
+    _run("analyze", "--model", model, "--manifest", path, "--features", features,
+         "--sessions", "1,2", "--out", out / "analysis")
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json" and "config" not in p.name
+    }
+
+
+def test_swapping_pair_sides_leaves_eval_report(pipeline, tmp_path):
+    manifest, features, model = pipeline
+    pairs = corpus.build_solo_pairs(manifest, 1, 6)
+    pairs += corpus.build_condition_pairs(manifest, "interactive", [1])
     swapped = [p._replace(left=p.right, right=p.left) for p in pairs]
     assert swapped != pairs
     reports = []
@@ -62,10 +115,52 @@ def test_swapping_pair_sides_leaves_eval_report(tiny_corpus, tiny_features, tmp_
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"pairs": [p._asdict() for p in side]}))
         report = tmp_path / f"{name}_eval.json"
-        argv = ["eval", "--model", str(model), "--pairs", str(path)]
-        assert cli.main([*argv, "--features", str(features), "--report", str(report)]) == 0
+        _run("eval", "--model", model, "--pairs", path, "--features", features, "--report", report)
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_shuffling_the_manifest_leaves_every_output(pipeline, tmp_path):
+    manifest, features, model = pipeline
+    utterances = list(manifest.utterances)
+    np.random.default_rng(3).shuffle(utterances)
+    shuffled = dataclasses.replace(manifest, utterances=utterances)
+    want = _outputs(manifest, features, model, tmp_path / "ordered")
+    got = _outputs(shuffled, features, model, tmp_path / "shuffled")
+    assert "analysis/report.json" in want and len(want) == 9
+    for name in want:
+        assert got[name] == want[name], name
+
+
+RENAMED = {"S01": "Z9", "S02": "B7", "S03": "Y1", "S04": "A0"}  # reverses the id order
+
+
+def test_renaming_speakers_permutes_speaker_scores(pipeline, tmp_path):
+    manifest, features, model = pipeline
+    renamed = corpus.Manifest(
+        speakers=[RENAMED[s] for s in manifest.speakers],
+        dyads=[(RENAMED[a], RENAMED[b]) for a, b in manifest.dyads],
+        utterances=[
+            dataclasses.replace(u, speaker_id=RENAMED[u.speaker_id]) for u in manifest.utterances
+        ],
+    )
+    renamed_features = tmp_path / "features"
+    renamed_features.mkdir()
+    store, renamed_store = dsp.FeatureStore(features), dsp.FeatureStore(renamed_features)
+    for u, v in zip(manifest.utterances, renamed.utterances):
+        shutil.copyfile(store.path_for(u.key), renamed_store.path_for(v.key))
+    reports = []
+    for m, feats, out in ((manifest, features, "ids"), (renamed, renamed_features, "renamed")):
+        outputs = _outputs(m, feats, model, tmp_path / out)
+        reports.append(json.loads(outputs["analysis/report.json"]))
+    want, got = (r["speaker_scores"] for r in reports)
+    assert len(want) == 4 and "imitation_ability_norm" in want["S01"]
+    assert list(got) == sorted(RENAMED[s] for s in want)
+    for field in want["S01"]:
+        raw = np.array([want[s][field.removesuffix("_norm")] for s in want])
+        tol = 4e-12 / np.ptp(raw) if field.endswith("_norm") else 1e-12
+        for s in want:
+            assert abs(got[RENAMED[s]][field] - want[s][field]) <= tol, (s, field)
 
 
 def _mirror(tensors: dict, d_hidden: int) -> dict:
