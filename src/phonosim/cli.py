@@ -96,9 +96,7 @@ def _load_config(cls, what: str, path: str | None):
         raise PhonosimError(f"bad {what} {path}: unknown field {reprlib.repr(min(unknown))}")
     try:
         return cls(**values)
-    except PhonosimError as exc:  # a value the config rejects
-        if not path:
-            raise
+    except PhonosimError as exc:  # a value in the file that the config rejects
         raise PhonosimError(f"bad {what} {path}: {exc}") from None
 
 

@@ -15,11 +15,12 @@ forward and two backward.  BPTT stops carrying a row once its chained
 gradient is at most ``BPTT_FLOOR`` = 2**-64 of the largest the batch
 injected, 11 bits below what float64 resolves of it; since rows are
 longest first, the rows still carried at a step are one slice.  Every
-state is kept.  Every batch, training or inference, packs and runs each
-direction through ``_direction``, in the packed inputs, states and BPTT
-scratch of ``run_buffers``: one allocation for all the batches of a run,
-or one for a batch run on its own.  The public per-utterance functions
-wrap that kernel with a batch of one.
+state is kept.  Every batch, training or inference, enters through
+``_embed_forward``, which checks its shapes once, and packs and runs each
+direction in ``_direction``, in the packed inputs, states and BPTT scratch
+of ``run_buffers``: one allocation for all the batches of a run, or one
+for a batch run on its own.  The public per-utterance functions are
+``_embed_forward`` batches of one.
 
 In training, a ``BackwardWorker`` process, forked with the training
 matrices, can pack and run the backward direction while the caller runs
@@ -135,7 +136,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _pack(feats: list[np.ndarray], d_in: int, reverse: bool, buf):
     """Packed batch in the layout of PyTorch's ``PackedSequence``: row ``j``
-    is ``feats[j]``, and ``feats`` come longest first.
+    is ``feats[j]``; ``feats`` come longest first, their shapes checked in ``_embed_forward``.
 
     Returns ``x``, ``(N, d_in)`` float64 over the batch's ``N`` frames, a
     view of the start of the flat ``buf``; ``active``, the number of rows
@@ -145,14 +146,7 @@ def _pack(feats: list[np.ndarray], d_in: int, reverse: bool, buf):
     position in ``x`` of each row's last frame.  Row ``j``'s frame ``t`` is
     ``x[off[t] + j]``, each row time-reversed when ``reverse``.
     """
-    for f in feats:
-        if f.ndim != 2 or f.shape[1] != d_in:
-            raise DataError(
-                f"feature matrix of shape {f.shape}, model expects (frames, {d_in})"
-            )
-    lengths = np.array([f.shape[0] for f in feats], dtype=np.intp)
-    if (lengths < 1).any():
-        raise DataError("utterance with zero frames")
+    lengths = np.array([len(f) for f in feats], dtype=np.intp)
     n = len(feats)
     lmax = int(lengths[0])
     active = n - np.cumsum(np.bincount(lengths, minlength=lmax + 1))
@@ -190,14 +184,16 @@ def run_buffers(dims: ModelDims, feats, max_rows: int):
     )
 
 
-def _run_direction(x, w, u, b, active, off, last, h):
-    """One tanh recurrence over a ``_pack`` batch, its states into ``h``
-    (``(N, dh)``, the layout of ``x``); returns each row's final state.
-
-    The input projection ``x @ w.T + b`` is one product over every frame;
-    step ``t`` then adds ``h_{t-1} @ u.T`` to its live rows and takes the
-    ``tanh``, three NumPy calls whatever the row count.
-    """
+def _direction(batch, w, u, b, reverse: bool, buf):
+    """Pack ``batch``, longest first, into the ``(x, h, g)`` triple ``buf``
+    and run one tanh recurrence, its states into ``h`` in the layout of
+    ``x``; returns each row's final state and the run ``(x, h, active, off,
+    g)`` that ``_direction_backward`` takes.  The input projection ``x @
+    w.T + b`` is one product over every frame; step ``t`` then adds
+    ``h_{t-1} @ u.T`` to its live rows and takes the ``tanh``, three NumPy
+    calls whatever the row count."""
+    x, active, off, last = _pack(batch, w.shape[1], reverse, buf[0])
+    h = _rows(buf[1], len(x), w.shape[0])
     np.dot(x, w.T, out=h)
     h += b
     ut = np.ascontiguousarray(u.T)
@@ -210,16 +206,7 @@ def _run_direction(x, w, u, b, active, off, last, h):
         ht += np.dot(prev[:k], ut, out=rec[:k])
         np.tanh(ht, out=ht)
         prev = ht
-    return h[last]
-
-
-def _direction(batch, w, u, b, reverse: bool, buf):
-    """Pack ``batch``, longest first, into the ``(x, h, g)`` triple ``buf``
-    and run one direction; returns each row's final state and the run
-    ``(x, h, active, off, g)`` that ``_direction_backward`` takes."""
-    x, active, off, last = _pack(batch, w.shape[1], reverse, buf[0])
-    h = _rows(buf[1], len(x), w.shape[0])
-    return _run_direction(x, w, u, b, active, off, last, h), (x, h, active, off, buf[2])
+    return h[last], (x, h, active, off, buf[2])
 
 
 def _direction_backward(x, h, active, off, g, u, d_final):
@@ -296,9 +283,16 @@ def _embed_forward(
     when one is given, which ``_embed_backward`` then uses too.  The batch
     packs and runs in ``buffers``, from ``run_buffers``; None makes them for
     this batch alone.
-    Raises ``DataError`` for a feature matrix that is not ``(frames, d_in)``.
+    Raises ``DataError`` for a matrix that is not ``(frames, d_in)`` with frames >= 1.
     """
-    distinct = sorted({id(f): f for f in feats}.values(), key=len, reverse=True)
+    unique = {id(f): f for f in feats}.values()
+    d_in = params.dims.d_in
+    for f in unique:
+        if f.ndim != 2 or f.shape[1] != d_in:
+            raise DataError(f"feature matrix of shape {f.shape}, model expects (frames, {d_in})")
+    if not all(len(f) for f in unique):
+        raise DataError("utterance with zero frames")
+    distinct = sorted(unique, key=len, reverse=True)
     row = {id(f): j for j, f in enumerate(distinct)}
     rows = np.array([row[id(f)] for f in feats])
     buf_f, buf_b = buffers or run_buffers(params.dims, distinct, len(distinct))
@@ -510,10 +504,8 @@ def rnn_forward(params: ModelParams, frames: np.ndarray, true_length: int) -> np
     recurrences start from zero state: the forward one before t=1, the
     backward one after t=true_length.
     """
-    batch = [_true_frames(frames, true_length)]
-    buf_f, buf_b = run_buffers(params.dims, batch, 1)
-    hf = _direction(batch, params.wf, params.uf, params.bf, False, buf_f)[1][1]
-    hb = _direction(batch, params.wb, params.ub, params.bb, True, buf_b)[1][1]
+    _, cache = _embed_forward(params, [_true_frames(frames, true_length)], training=False)
+    (_, hf, *_), (_, hb, *_) = cache["runs"]
     # one row, so the states are in time order, the backward ones reversed
     return np.hstack([hf, hb[::-1]])
 

@@ -109,8 +109,9 @@ def pair_forward_backward(
 ):
     """Training-mode loss, gradients, batch-norm batch statistics, and similarities.
 
-    ``dropout_masks`` has one row per utterance in interleaved
-    (left0, right0, left1, right1, ...) order; both Siamese branches
+    ``right_feats`` and ``labels`` hold one entry per pair and
+    ``dropout_masks`` one ``2 * d_hidden`` row per utterance, in interleaved
+    (left0, right0, left1, right1, ...) order, else ``DataError``; both Siamese branches
     accumulate into the same gradient tensors.  A matrix object that fills
     several slots runs through the recurrences and BPTT once.  A
     ``net.BackwardWorker`` as ``worker``, forked with these matrices, runs
@@ -122,6 +123,11 @@ def pair_forward_backward(
     if n_pairs == 0:
         raise DataError("empty pair batch")
     labels = np.asarray(labels, dtype=np.float64)
+    if len(right_feats) != n_pairs or labels.shape != (n_pairs,):
+        raise DataError(f"{n_pairs} left, {len(right_feats)} right feats, labels {labels.shape}")
+    mask_shape = (2 * n_pairs, 2 * params.dims.d_hidden)
+    if dropout_masks is not None and np.shape(dropout_masks) != mask_shape:
+        raise DataError(f"dropout masks of shape {np.shape(dropout_masks)}, expected {mask_shape}")
     feats = [f for pair in zip(left_feats, right_feats) for f in pair]
     e, cache = _embed_forward(
         params, feats, training=True, dropout_masks=dropout_masks, worker=worker,
@@ -433,9 +439,12 @@ def gradient_check(
     (1e-5), under dropout 0.2 and an L1 weight of 1e-4.  Weights within
     ``10 * eps`` of 0 are moved to ``+-10 * eps``, so no difference
     straddles the kink of the L1 term at 0.  Over ``GRADCHECK_MAX_VALUES``
-    trainable values, ``DataError`` before any tensor is allocated.
+    trainable values, or ``lengths`` not an even number of positive
+    lengths, ``DataError`` before any tensor is allocated.
     """
     check_seed(seed)
+    if not lengths or len(lengths) % 2 or min(lengths) < 1:
+        raise DataError(f"lengths {lengths} are not an even number of positive lengths")
     shapes = _tensor_shapes(dims)
     values = sum(math.prod(shapes[name]) for name in TRAINABLE_TENSORS)
     if values > GRADCHECK_MAX_VALUES:

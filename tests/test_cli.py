@@ -172,10 +172,18 @@ def test_analyze_outputs(pipeline):
     assert "condition_stats" in doc and "speaker_scores" in doc
 
 
-def test_gradcheck_command(capsys):
+def test_gradcheck_command(capsys, monkeypatch):
+    """The check passes; under a tolerance of 0, which no relative error is
+    below, it fails with exit 2 and an error line naming the worst error."""
     assert cli.main(["gradcheck", "--dims", "5,4,3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "gradient check passed" in out
+    worst = max(float(line.split()[-1]) for line in out.splitlines()[:-1])
+    monkeypatch.setattr(training, "GRADCHECK_TOLERANCE", 0.0)
+    assert cli.main(["gradcheck", "--dims", "5,4,3", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: gradient check failed: worst relative error {worst:.3e} >= 0.0\n"
+    )
 
 
 def test_gradcheck_bad_dims():

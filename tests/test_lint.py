@@ -1,14 +1,14 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
-function packs and runs a recurrence, one function chains the feature front
-end, ``train`` takes a logarithm only in ``bce_loss``, ``net`` and
-``train`` take a norm only in ``net.cosine_rows``, one function packs a
-checkpoint record's header, only ``corpus`` and the pairs-file reader
-construct a ``PairExample``, only ``net`` calls ``id()``, no module imports
-``multiprocessing`` when it is imported, no module draws from NumPy's global
-random state, and no module imports SciPy, which ``pyproject.toml`` lists
-only as a test dependency."""
+function packs and runs a recurrence, one function checks a batch's
+shapes, one function chains the feature front end, ``train`` takes a
+logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
+``net.cosine_rows``, one function packs a checkpoint record's header, only
+``corpus`` and the pairs-file reader construct a ``PairExample``, only
+``net`` calls ``id()``, no module imports ``multiprocessing`` when it is
+imported, no module draws from NumPy's global random state, and no module
+imports SciPy, which ``pyproject.toml`` lists only as a test dependency."""
 
 import ast
 import re
@@ -67,26 +67,40 @@ def _private_definitions(tree) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def _callers(node, where, name):
-    """The qualified name of the function (or class or module) around each
-    call of ``name``, bare or as an attribute (``os.fork()`` or
-    ``fork()``), under ``node``."""
+def _scoped(node, where):
+    """Each node under ``node``, with the qualified name of the function
+    (or class or module) around it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _callers(child, f"{where}.{child.name}", name)
+            yield from _scoped(child, f"{where}.{child.name}")
             continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            if name in (getattr(func, "attr", None), getattr(func, "id", None)):
-                yield where
-        yield from _callers(child, where, name)
+        yield where, child
+        yield from _scoped(child, where)
+
+
+def _package_nodes():
+    for module, tree in MODULES.items():
+        yield from _scoped(tree, module.removesuffix(".py"))
 
 
 def _package_callers(name) -> set[str]:
+    """Where ``name`` is called, bare or as an attribute (``os.fork()`` or
+    ``fork()``)."""
     return {
-        caller
-        for module, tree in MODULES.items()
-        for caller in _callers(tree, module.removesuffix(".py"), name)
+        where
+        for where, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    }
+
+
+def _package_raisers(text) -> set[str]:
+    """Where a ``raise`` holds a string with ``text`` in it."""
+    return {
+        where
+        for where, node in _package_nodes()
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and text in str(c.value) for c in ast.walk(node))
     }
 
 
@@ -135,22 +149,29 @@ def test_one_function_forks():
     assert len(callers) == 1, sorted(callers)
 
 
-@pytest.mark.parametrize("kernel", ["_pack", "_run_direction"])
+@pytest.mark.parametrize("kernel", ["_pack"])
 def test_one_function_packs_and_runs(kernel):
     """Every batch, training or inference, in process or in the backward
-    worker, packs and runs each direction through ``net._direction``, so
-    the kernel has one batch path."""
+    worker, packs and runs each direction in ``net._direction``, so the
+    kernel has one batch path."""
     assert _package_callers(kernel) == {"net._direction"}
 
 
-def test_three_functions_hand_the_kernel_a_batch():
-    """A batch's row order is set in ``net._embed_forward``; the backward
-    worker packs its rows in the order it is sent them, and
-    ``rnn_forward``'s batch has one row.  A new caller of ``_direction``
-    must set its batch's row order too, so it is reviewed here."""
-    assert _package_callers("_direction") == {
-        "net._embed_forward", "net.BackwardWorker._serve", "net.rnn_forward"
-    }
+def test_two_functions_hand_the_kernel_a_batch():
+    """A batch's row order is set in ``net._embed_forward``, and the
+    backward worker packs its rows in the order it is sent them; every
+    other batch, ``rnn_forward``'s one row too, goes through
+    ``_embed_forward``.  A new caller of ``_direction`` must set its
+    batch's row order too, so it is reviewed here."""
+    assert _package_callers("_direction") == {"net._embed_forward", "net.BackwardWorker._serve"}
+
+
+def test_batch_shapes_are_checked_once():
+    """Each batch's matrices are checked in ``net._embed_forward``, once,
+    before the rows are sorted and the backward worker is sent them, so
+    ``_pack`` and the worker only ever meet a well-formed batch."""
+    for message in ("model expects (frames", "utterance with zero frames"):
+        assert _package_raisers(message) == {"net._embed_forward"}
 
 
 def test_two_functions_run_bptt():

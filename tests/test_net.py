@@ -153,7 +153,11 @@ def test_pack_layout(reverse):
 def test_kernel_rejects_wrong_feature_width(small_params):
     rng = np.random.default_rng(5)
     good = rng.normal(size=(6, 5))
-    for bad in (rng.normal(size=(4, 3)), rng.normal(size=5), rng.normal(size=(2, 4, 5))):
+    bads = (
+        rng.normal(size=(4, 3)), rng.normal(size=5), rng.normal(size=(2, 4, 5)),
+        np.array(1.0), np.zeros((0, 5)),
+    )
+    for bad in bads:
         with pytest.raises(DataError):
             net._embed_forward(small_params, [good, bad], training=False)
     with pytest.raises(DataError):

@@ -129,7 +129,8 @@ def test_gradient_check_all_tensors_under_tolerance():
 
 def test_gradient_check_refuses_large_dims_before_allocating(monkeypatch):
     """200,200,200 gives 281,600 trainable values, over GRADCHECK_MAX_VALUES:
-    ``DataError`` before ``init_params`` allocates a tensor."""
+    ``DataError`` before ``init_params`` allocates a tensor.  So do lengths
+    that do not make whole pairs, such as (7, 5, 6), whose 6 has no partner."""
 
     def init_params(*args):
         pytest.fail("gradient_check allocated the model")
@@ -137,6 +138,9 @@ def test_gradient_check_refuses_large_dims_before_allocating(monkeypatch):
     monkeypatch.setattr(tr, "init_params", init_params)
     with pytest.raises(DataError, match="281600 trainable values"):
         tr.gradient_check(net.ModelDims(200, 200, 200))
+    for lengths in ((7, 5, 6), (7,), (), (7, 0)):
+        with pytest.raises(DataError, match="not an even number of positive lengths"):
+            tr.gradient_check(lengths=lengths)
 
 
 def test_l1_penalty_additivity(small_params):
@@ -386,6 +390,30 @@ def test_repeated_matrices_gradient_central_differences():
 def test_empty_batch_errors(small_params):
     with pytest.raises(DataError):
         tr.pair_forward_backward(small_params, [], [], np.array([]))
+    with pytest.raises(DataError, match="empty score set"):
+        tr.metrics_from_scores([], [])
+    with pytest.raises(DataError, match="empty pair set"):
+        tr.evaluate(small_params, [], {})
+
+
+def test_pair_batch_needs_one_entry_per_pair(small_params):
+    """Right matrices, labels and dropout masks match the pairs, or
+    ``DataError``: a one-element ``labels`` or a one-row mask is not
+    broadcast over every pair.  A 0-d matrix is a ``DataError`` too."""
+    rng = np.random.default_rng(31)
+    (a, b), (c, d) = _random_pair(rng), _random_pair(rng)
+    good = dict(
+        left_feats=[a, c], right_feats=[b, d], labels=np.array([1.0, 0.0]),
+        dropout_masks=np.ones((4, 2 * small_params.dims.d_hidden)),
+    )
+    tr.pair_forward_backward(small_params, **good)
+    for bad in (
+        dict(labels=[1.0]), dict(labels=[1.0, 0.0, 1.0]), dict(labels=[[1.0], [0.0]]),
+        dict(right_feats=[b]), dict(dropout_masks=good["dropout_masks"][:1]),
+        dict(dropout_masks=good["dropout_masks"][:, 1:]), dict(left_feats=[a, np.array(1.0)]),
+    ):
+        with pytest.raises(DataError):
+            tr.pair_forward_backward(small_params, **(good | bad))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +666,7 @@ def test_config_validation():
         tr.TrainConfig(l1_coeff=-1.0)
     for bad in (
         {"epochs": 0}, {"epochs": "5"}, {"epochs": True}, {"batch_size": 2.5},
-        {"seed": -3}, {"lr0": float("nan")}, {"lr0": 10**400},
+        {"seed": -3}, {"lr0": float("nan")}, {"lr0": 10**400}, {"lr0": -1.0},
     ):
         with pytest.raises(DataError):
             tr.TrainConfig(**bad)
@@ -943,9 +971,9 @@ def test_train_reads_each_key_once(monkeypatch):
 
 @needs_fork
 def test_train_zero_frame_matrix_leaves_no_worker(monkeypatch):
-    """The worker packs its batch as the caller packs its own, so both meet
-    a zero-frame matrix; train raises the caller's DataError and leaves no
-    child."""
+    """The caller rejects a zero-frame matrix in ``_embed_forward``, before
+    the worker is sent the batch's rows; train raises that DataError and
+    leaves no child."""
     made = _recording_workers(monkeypatch)
     set_cpus(monkeypatch, 2)
     rng = np.random.default_rng(4)
@@ -1023,18 +1051,19 @@ def _recording_buffer_bases(monkeypatch):
     """A weak reference to the base array of this process's first
     recurrence, and for each recurrence whether its packed input and its
     states are views of that same base."""
-    caller, run = os.getpid(), net._run_direction
+    caller, direction = os.getpid(), net._direction
     base, same = [], []
 
-    def recording(x, w, u, b, active, off, last, h):
+    def recording(batch, w, u, b, reverse, buf):
+        final, run = direction(batch, w, u, b, reverse, buf)
         if os.getpid() == caller:
-            buf = h.base
-            if not base and buf is not None:
-                base.append(weakref.ref(buf))
-            same.append(bool(base) and x.base is buf is base[0]())
-        return run(x, w, u, b, active, off, last, h)
+            x, h = run[:2]
+            if not base and h.base is not None:
+                base.append(weakref.ref(h.base))
+            same.append(bool(base) and x.base is h.base is base[0]())
+        return final, run
 
-    monkeypatch.setattr(net, "_run_direction", recording)
+    monkeypatch.setattr(net, "_direction", recording)
     return base, same
 
 
