@@ -267,6 +267,17 @@ def _direction_backward(x, h, active, off, g, u, d_final):
     return dl.T @ np.take(x, at, axis=0), du, dl.sum(axis=0)
 
 
+def _check_matrices(feats, d_in: int) -> None:
+    """Raise ``DataError`` unless every matrix in the collection ``feats`` is
+    ``(frames, d_in)`` with frames >= 1; the one check of whether a matrix
+    fits the model."""
+    for f in feats:
+        if f.ndim != 2 or f.shape[1] != d_in:
+            raise DataError(f"feature matrix of shape {f.shape}, model expects (frames, {d_in})")
+    if not all(len(f) for f in feats):
+        raise DataError("utterance with zero frames")
+
+
 def _embed_forward(
     params: ModelParams, feats, training: bool, dropout_masks=None, worker=None, buffers=None
 ):
@@ -282,16 +293,11 @@ def _embed_forward(
     batch's backward direction runs in ``worker`` (a ``BackwardWorker``)
     when one is given, which ``_embed_backward`` then uses too.  The batch
     packs and runs in ``buffers``, from ``run_buffers``; None makes them for
-    this batch alone.
-    Raises ``DataError`` for a matrix that is not ``(frames, d_in)`` with frames >= 1.
+    this batch alone.  ``_check_matrices`` checks the distinct matrices
+    once, before their rows are sorted or the worker is sent them.
     """
     unique = {id(f): f for f in feats}.values()
-    d_in = params.dims.d_in
-    for f in unique:
-        if f.ndim != 2 or f.shape[1] != d_in:
-            raise DataError(f"feature matrix of shape {f.shape}, model expects (frames, {d_in})")
-    if not all(len(f) for f in unique):
-        raise DataError("utterance with zero frames")
+    _check_matrices(unique, params.dims.d_in)
     distinct = sorted(unique, key=len, reverse=True)
     row = {id(f): j for j, f in enumerate(distinct)}
     rows = np.array([row[id(f)] for f in feats])

@@ -22,6 +22,7 @@ from .net import (
     ModelParams,
     TRAINABLE_TENSORS,
     WEIGHT_TENSORS,
+    _check_matrices,
     _embed_backward,
     _embed_forward,
     _tensor_shapes,
@@ -336,9 +337,11 @@ def train(
     The shuffle, dropout masks, and initialization are all keyed to
     ``config.seed``; identical config and seed reproduce the history
     exactly.  The checkpoint with the best validation accuracy is retained
-    alongside the final parameters.  Without ``init`` the model's input
-    width is the features'.  Each training and validation utterance is
-    read from ``store`` once, by key.
+    alongside the final parameters.  Each training and validation
+    utterance is read from ``store`` once, by key.  The model's input width
+    is ``init``'s, else the first training matrix's; a matrix that is not
+    ``(frames >= 1, width)`` raises ``DataError`` before the model is made
+    and the backward worker forks.
     """
     train_pairs = list(train_pairs)
     val_pairs = list(val_pairs) if val_pairs else []
@@ -357,21 +360,11 @@ def train(
     feats = {k: store[k] for k in dict.fromkeys(k for p in train_pairs for k in p[:2])}
     lefts = [feats[p[0]] for p in train_pairs]
     rights = [feats[p[1]] for p in train_pairs]
-    widths = sorted({f.shape[1] for f in feats.values()})
-    if len(widths) > 1:
-        raise DataError(f"training features differ in width: {widths} columns")
-    d_in = widths[0]
-    if init is not None and init.dims.d_in != d_in:
-        raise DataError(
-            f"training features have {d_in} columns, the initial model "
-            f"expects {init.dims.d_in}"
-        )
     # validation reads its matrices here, so a missing or misshapen one
     # fails before the first epoch
     val_feats = {k: store[k] for k in dict.fromkeys(k for p in val_pairs for k in p[:2])}
-    val_widths = sorted({f.shape[1] for f in val_feats.values()} - {d_in})
-    if val_widths:
-        raise DataError(f"validation features have {val_widths} columns, training ones {d_in}")
+    d_in = init.dims.d_in if init is not None else lefts[0].shape[-1]
+    _check_matrices([*feats.values(), *val_feats.values()], d_in)
     max_rows = min(2 * config.batch_size, len(feats))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB0B]))

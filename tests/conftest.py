@@ -1,14 +1,19 @@
-"""Shared fixtures: a tiny synthetic corpus with in-memory features, the
-usable-CPU patch, a spy on the frames BPTT carried, the deadline check for
-tests that fork, the no-child-left check after every test, a WAV writer for
-files built by hand, and the hypothesis strategies that fuzz the JSON input
-files."""
+"""One BLAS thread, and shared fixtures: a tiny synthetic corpus with
+in-memory features, the usable-CPU patch, a spy on the frames BPTT carried,
+the deadline check for tests that fork, the no-child-left check after every
+test, a WAV writer for files built by hand, and the hypothesis strategies
+that fuzz the JSON input files."""
 
 import contextlib
 import json
 import os
 import signal
 import struct
+
+# BLAS runs one thread, as the CLI sets it: the SHA-256 pins hold the bytes
+# of one thread's sums, so these are set, not defaulted, before NumPy loads
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np
 import pytest

@@ -1,9 +1,9 @@
 """Static checks on the package source, with the standard library's ``ast``:
 every module-level import is used by its module, every private module-level
 function or constant is used by some module, one function forks, one
-function packs and runs a recurrence, one function checks a batch's
-shapes, one function chains the feature front end, ``train`` takes a
-logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
+function packs and runs a recurrence, one function checks whether a matrix
+fits the model, one function chains the feature front end, ``train`` takes
+a logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
 ``net.cosine_rows``, one function packs a checkpoint record's header, only
 ``corpus`` and the pairs-file reader construct a ``PairExample``, only
 ``net`` calls ``id()``, no module imports ``multiprocessing`` when it is
@@ -167,11 +167,18 @@ def test_two_functions_hand_the_kernel_a_batch():
 
 
 def test_batch_shapes_are_checked_once():
-    """Each batch's matrices are checked in ``net._embed_forward``, once,
-    before the rows are sorted and the backward worker is sent them, so
-    ``_pack`` and the worker only ever meet a well-formed batch."""
+    """One function, ``net._check_matrices``, decides whether a matrix fits
+    the model.  ``net._embed_forward`` calls it once per batch, before the
+    rows are sorted and the backward worker is sent them, so ``_pack`` and
+    the worker only ever meet a well-formed batch; ``train.train`` calls it
+    once over its training and validation matrices, before it makes the
+    model or forks the worker.  No other width check is left in the source."""
     for message in ("model expects (frames", "utterance with zero frames"):
-        assert _package_raisers(message) == {"net._embed_forward"}
+        assert _package_raisers(message) == {"net._check_matrices"}
+    assert _package_callers("_check_matrices") == {"net._embed_forward", "train.train"}
+    source = "".join(path.read_text() for path in Path(phonosim.__file__).parent.glob("*.py"))
+    for message in ("differ in width", "the initial model expects", "validation features have"):
+        assert message not in source
 
 
 def test_two_functions_run_bptt():

@@ -81,8 +81,8 @@ def test_pair_loss_is_mean_bce_plus_l1_bit_for_bit(small_params):
 
 # SHA-256 of the loss, every gradient, the batch-norm batch statistics and
 # the similarities of the batches below, taken from the code that wrote the
-# cosine out inside pair_forward_backward
-PAIR_STEP_DIGEST = "67d67e63db9c5fc3524c03833f2385ff47408b32d68a5086d92e84595c236489"
+# cosine out inside pair_forward_backward, with BLAS on one thread
+PAIR_STEP_DIGEST = "157c7606025b656942fa3c6fd675a85e5ae01c3b70febed201217e8876066db2"
 
 
 def test_pair_step_bytes_are_pinned():
@@ -818,26 +818,38 @@ def test_train_validation_features_read_before_first_step(
     assert steps == []
     narrow = dict(tiny_features)
     narrow[val_key] = np.zeros((5, 36))
-    with pytest.raises(DataError, match=r"validation features have \[36\] columns"):
+    with pytest.raises(DataError, match=r"shape \(5, 36\), model expects \(frames, 39\)"):
         tr.train(cfg, train_pairs, val_pairs, narrow)
     assert steps == []
 
 
 def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, monkeypatch):
-    """Mixed feature widths, or features of another width than the initial
-    model, fail before the backward worker starts, naming every width."""
+    """Mixed feature widths, features of another width than the initial
+    model, or a 1-D matrix among the training or the validation features
+    fail with the kernel's message, before any Adam step and before the
+    backward worker starts."""
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
-    started = []
+    started, steps = [], []
     monkeypatch.setattr(tr, "backward_worker", lambda *args: started.append(args))
-    mixed = dict(tiny_features)
-    mixed[train_pairs[-1].right] = np.zeros((5, 36))
+    monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
+    train_keys = {k for p in train_pairs for k in p[:2]}
+    val_key = next(k for p in val_pairs for k in p[:2] if k not in train_keys)
+    first, last = train_pairs[0].left, train_pairs[-1].right
+    assert first != last
     cfg = tr.TrainConfig(epochs=1)
-    with pytest.raises(DataError, match=r"differ in width: \[36, 39\]"):
-        tr.train(cfg, train_pairs, val_pairs, mixed)
+    flat = r"shape \(39,\), model expects \(frames, 39\)"
+    for key, bad, message in (
+        (last, np.zeros((5, 36)), r"shape \(5, 36\), model expects \(frames, 39\)"),
+        (first, np.zeros(39), flat),
+        (last, np.zeros(39), flat),
+        (val_key, np.zeros(39), flat),
+    ):
+        with pytest.raises(DataError, match=message):
+            tr.train(cfg, train_pairs, val_pairs, {**tiny_features, key: bad})
     init = net.init_params(net.ModelDims(36), seed=0)
-    with pytest.raises(DataError, match="have 39 columns, the initial model expects 36"):
+    with pytest.raises(DataError, match=r"shape \(\d+, 39\), model expects \(frames, 36\)"):
         tr.train(cfg, train_pairs, val_pairs, tiny_features, init=init)
-    assert started == []
+    assert started == [] and steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +983,8 @@ def test_train_reads_each_key_once(monkeypatch):
 
 @needs_fork
 def test_train_zero_frame_matrix_leaves_no_worker(monkeypatch):
-    """The caller rejects a zero-frame matrix in ``_embed_forward``, before
-    the worker is sent the batch's rows; train raises that DataError and
-    leaves no child."""
+    """train rejects a zero-frame matrix before it calls ``backward_worker``,
+    so no worker is made and no child is forked."""
     made = _recording_workers(monkeypatch)
     set_cpus(monkeypatch, 2)
     rng = np.random.default_rng(4)
@@ -981,7 +992,7 @@ def test_train_zero_frame_matrix_leaves_no_worker(monkeypatch):
     pairs = [("a", "c", 1), ("a", "b", 0), ("c", "a", 0)]
     with deadline(30), pytest.raises(DataError, match="utterance with zero frames"):
         tr.train(tr.TrainConfig(epochs=1), pairs, [], store)
-    assert [type(m) for m in made] == [net.BackwardWorker]
+    assert made == []
 
 
 @needs_fork
