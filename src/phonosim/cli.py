@@ -57,25 +57,21 @@ def _parse_sessions(text: str) -> list[int]:
 
 def _load_pairs_file(path: str) -> list[corpus.PairExample]:
     doc = read_json(path, "pairs file")
-    try:
+    try:  # a key the pairs do not use is ignored, so older files still load
         pairs = [
-            corpus.PairExample(p["left"], p["right"], p["label"], p["condition"])
+            corpus.PairExample(*(p[f] for f in corpus.PairExample._fields))
             for p in doc["pairs"]
         ]
     except (KeyError, TypeError) as exc:
         raise PhonosimError(f"malformed pairs file {path}: {exc!r}")
     if not pairs:
         raise PhonosimError(f"pairs file {path} holds no pairs")
-    for i, (left, right, label, condition) in enumerate(pairs):
+    for i, (left, right, label) in enumerate(pairs):
         if not (isinstance(left, str) and isinstance(right, str)):
             raise PhonosimError(f"pairs file {path}: pair {i} has a non-string key")
         if type(label) is not int or label not in (0, 1):
             raise PhonosimError(
                 f"pairs file {path}: pair {i} has label {reprlib.repr(label)}, expected 0 or 1"
-            )
-        if condition not in corpus.CONDITIONS:
-            raise PhonosimError(
-                f"pairs file {path}: pair {i} has unknown condition {reprlib.repr(condition)}"
             )
     # a key names its feature file; keys themselves hold "__"
     for key in dict.fromkeys(k for p in pairs for k in p[:2]):

@@ -58,7 +58,6 @@ class PairExample(NamedTuple):
     left: str
     right: str
     label: int  # 1 = same speaker, 0 = different speakers (one dyad)
-    condition: str
 
 
 @dataclass
@@ -213,13 +212,13 @@ def build_solo_pairs(m: Manifest, sentence_lo: int, sentence_hi: int) -> list[Pa
     solo = _solo(m, sentence_lo, sentence_hi)
     by_speaker = {spk: list(g) for spk, g in itertools.groupby(solo, key=lambda u: u.speaker_id)}
     pairs = [
-        PairExample(a.key, b.key, 1, "solo")
+        PairExample(a.key, b.key, 1)
         for utts in by_speaker.values()
         for a, b in itertools.combinations(utts, 2)
     ]
     for a, b in m.dyads:
         left, right = by_speaker.get(a, []), by_speaker.get(b, [])
-        pairs += [PairExample(ua.key, ub.key, 0, "solo") for ua in left for ub in right]
+        pairs += [PairExample(ua.key, ub.key, 0) for ua in left for ub in right]
     if not pairs:
         raise DataError(f"no solo pairs in sentence range {sentence_lo}:{sentence_hi}")
     return pairs
@@ -242,7 +241,7 @@ def build_condition_pairs(
         raise DataError(f"no utterances for condition {condition!r} in sessions {missing}")
 
     pairs = [
-        PairExample(a.key, b.key, 1, condition)
+        PairExample(a.key, b.key, 1)
         for a, b in zip(utts, utts[1:])
         if (a.speaker_id, a.session) == (b.speaker_id, b.session)
     ]
@@ -252,7 +251,7 @@ def build_condition_pairs(
     for a, b in m.dyads:
         for s in range(1, SCRIPT_SENTENCES + 1):
             left, right = by_spk_sent.get((a, s), []), by_spk_sent.get((b, s), [])
-            pairs += [PairExample(ua.key, ub.key, 0, condition) for ua in left for ub in right]
+            pairs += [PairExample(ua.key, ub.key, 0) for ua in left for ub in right]
     return pairs
 
 
@@ -263,11 +262,11 @@ def cross_condition_pairs(
     ``sentence_lo`` to ``sentence_hi`` against a later condition.
 
     These same-speaker pairs measure how far a speaker drifts from their own
-    solo baseline; the pair carries the later condition's tag.
+    solo baseline.
     """
     solo = {(u.speaker_id, u.sentence_index): u for u in _solo(m, sentence_lo, sentence_hi)}
     return [
-        PairExample(base.key, u.key, 1, condition)
+        PairExample(base.key, u.key, 1)
         for u in _select(m, condition, sessions)
         if (base := solo.get((u.speaker_id, u.sentence_index))) is not None
     ]

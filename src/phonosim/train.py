@@ -363,7 +363,8 @@ def train(
     # validation reads its matrices here, so a missing or misshapen one
     # fails before the first epoch
     val_feats = {k: store[k] for k in dict.fromkeys(k for p in val_pairs for k in p[:2])}
-    d_in = init.dims.d_in if init is not None else lefts[0].shape[-1]
+    # 0, which no matrix fits, when the first training matrix has no axes
+    d_in = init.dims.d_in if init is not None else (lefts[0].shape or (0,))[-1]
     _check_matrices([*feats.values(), *val_feats.values()], d_in)
     max_rows = min(2 * config.batch_size, len(feats))
     params = init.copy() if init is not None else init_params(ModelDims(d_in), config.seed)

@@ -473,9 +473,15 @@ def test_solo_range_narrows_both_baselines(tiny_corpus, tiny_features, monkeypat
     params = net.init_params(net.ModelDims(), seed=0)
     analysis.build_report(params, tiny_corpus, tiny_features, sessions=[1], solo_range=(4, 6))
     utt = {u.key: u for u in tiny_corpus.utterances}
-    vs_solo = [p for p in scored if p.condition != "solo" and utt[p.left].condition == "solo"]
-    assert {p.condition for p in vs_solo} == {"interactive", "imitation"}
-    assert {utt[p.left].sentence_index for p in vs_solo} == {4, 5, 6}
+    vs_solo = [
+        (utt[p.left], utt[p.right]) for p in scored
+        if utt[p.left].condition == "solo" and utt[p.right].condition != "solo"
+    ]
+    # a solo reading, then the same speaker's reading of that sentence later
+    for base, later in vs_solo:
+        assert (base.speaker_id, base.sentence_index) == (later.speaker_id, later.sentence_index)
+    assert {later.condition for _, later in vs_solo} == {"interactive", "imitation"}
+    assert {base.sentence_index for base, _ in vs_solo} == {4, 5, 6}
     solo = {utt[k].sentence_index for p in scored for k in p[:2] if utt[k].condition == "solo"}
     assert solo == {4, 5, 6}
 

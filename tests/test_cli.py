@@ -109,7 +109,7 @@ def test_pairs_file_format(pipeline):
     # 2 speakers x C(4,2) positives + 16 negatives
     assert len(doc["pairs"]) == 2 * 6 + 16
     sample = doc["pairs"][0]
-    assert set(sample) == {"left", "right", "label", "condition"}
+    assert set(sample) == set(corpus.PairExample._fields)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +130,10 @@ def test_pairs_file_loads_back(pipeline, tmp_path, condition, flags):
     loaded = cli._load_pairs_file(out)
     assert loaded == built and len(built) > 0
     assert all(type(p) is corpus.PairExample for p in loaded)
+    # a file written before pairs dropped their condition tag loads the same
+    old = tmp_path / "old_pairs.json"
+    old.write_text(json.dumps({"pairs": [{**p._asdict(), "condition": condition} for p in built]}))
+    assert cli._load_pairs_file(str(old)) == built
 
 
 def test_file_output_without_extension(pipeline, tmp_path):
@@ -146,7 +150,8 @@ def test_file_output_without_extension(pipeline, tmp_path):
     ]) == 0
     assert len(json.loads(pairs.read_text())["pairs"]) == 2 * 6 + 16
     assert "auc" in json.loads(report.read_text())
-    assert json.loads((tmp_path / "pairs.config.json").read_text())["out"] == str(pairs)
+    pairs_config = json.loads((tmp_path / "pairs.config.json").read_text())
+    assert pairs_config["out"] == str(pairs) and pairs_config["condition"] == "solo"
     assert json.loads((tmp_path / "report.config.json").read_text())["report"] == str(report)
 
 
@@ -467,14 +472,14 @@ def test_bad_train_config_exit_code(pipeline, tmp_path, capsys, config, named):
     "entry",
     [
         {"label": "x"}, {"label": 2}, {"label": True}, {"label": 1.0}, {"left": 5},
-        {"condition": None}, {"condition": "dialogue"},
+        {"right": None},
     ],
 )
 def test_bad_pairs_entry_exit_code(pipeline, tmp_path, capsys, entry):
     doc = json.loads(Path(pipeline["pairs"]).read_text())
     doc["pairs"][1].update(entry)
-    if entry.get("condition", "") is None:  # a missing condition
-        del doc["pairs"][1]["condition"]
+    if entry.get("right", "") is None:  # a missing key
+        del doc["pairs"][1]["right"]
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
@@ -878,9 +883,7 @@ def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content
 _LONG = "x" * 200_000
 _LONG_VALUE = {
     "manifest": {"speakers": _LONG, "dyads": [], "utterances": []},
-    "pairs": {"pairs": [{"left": "a", "right": "b", "label": _LONG, "condition": "solo"}]},
-    "pairs-condition": {"pairs": [{"left": "a", "right": "b", "label": 1,
-                                   "condition": _LONG}]},
+    "pairs": {"pairs": [{"left": "a", "right": "b", "label": _LONG}]},
     "train-config": {"epochs": _LONG},
     "mfcc-config": {_LONG: 1},
 }
@@ -893,7 +896,7 @@ def test_long_value_error_is_short(pipeline, tmp_path, capsys, case):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(_LONG_VALUE[case]))
     out = tmp_path / "out"
-    assert cli.main(_reading(pipeline, case.removesuffix("-condition"), path, out)) == 2
+    assert cli.main(_reading(pipeline, case, path, out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
     assert len(err.encode()) < 1024
@@ -1152,16 +1155,14 @@ try:
 
     from conftest import any_json, json_file_bytes, valid_or_any
 
-    # near-valid pairs files: the right keys, each value valid or any JSON value
+    # near-valid pairs files: the fields of a pair, each value valid or any
+    # JSON value, and maybe an unknown key
+    _pair = corpus.PairExample("A__solo__1__001", "B__solo__1__001", 1)
     _near_pairs = st.fixed_dictionaries({
         "pairs": st.lists(
             st.fixed_dictionaries(
-                {
-                    "left": valid_or_any("A__solo__1__001"),
-                    "right": valid_or_any("B__solo__1__001"),
-                    "label": valid_or_any(1),
-                    "condition": valid_or_any("solo"),
-                },
+                {f: valid_or_any(v) for f, v in _pair._asdict().items()},
+                optional={"bogus": any_json},
             ) | any_json,
             max_size=3,
         ) | any_json,

@@ -5,10 +5,11 @@ function packs and runs a recurrence, one function checks whether a matrix
 fits the model, one function chains the feature front end, ``train`` takes
 a logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
 ``net.cosine_rows``, one function packs a checkpoint record's header, only
-``corpus`` and the pairs-file reader construct a ``PairExample``, only
-``net`` calls ``id()``, no module imports ``multiprocessing`` when it is
-imported, no module draws from NumPy's global random state, and no module
-imports SciPy, which ``pyproject.toml`` lists only as a test dependency."""
+``corpus`` and the pairs-file reader construct a ``PairExample``, no
+module spells out a ``PairExample`` field's name, only ``net`` calls
+``id()``, no module imports ``multiprocessing`` when it is imported, no
+module draws from NumPy's global random state, and no module imports
+SciPy, which ``pyproject.toml`` lists only as a test dependency."""
 
 import ast
 import re
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import phonosim
+from phonosim import corpus
 
 MODULES = {
     path.name: ast.parse(path.read_text(), str(path))
@@ -228,6 +230,20 @@ def test_pairs_are_built_in_corpus():
     callers = _package_callers("PairExample")
     assert {c for c in callers if not c.startswith("corpus.")} == {"cli._load_pairs_file"}
     assert {"corpus.build_solo_pairs", "corpus.cross_condition_pairs"} <= callers
+
+
+def test_pairs_file_layout_is_stated_once():
+    """A pairs-file entry holds the fields of ``corpus.PairExample``, which
+    ``cli`` writes with ``_asdict`` and reads by ``_fields``, so no module
+    spells out a field's name."""
+    assert corpus.PairExample._fields == ("left", "right", "label")
+    strings = {
+        node.value
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert strings.isdisjoint(corpus.PairExample._fields)
 
 
 def test_only_the_kernel_calls_id():

@@ -825,9 +825,9 @@ def test_train_validation_features_read_before_first_step(
 
 def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, monkeypatch):
     """Mixed feature widths, features of another width than the initial
-    model, or a 1-D matrix among the training or the validation features
-    fail with the kernel's message, before any Adam step and before the
-    backward worker starts."""
+    model, a 0-d array as the first training matrix, or a 1-D matrix among
+    the training or the validation features fail with the kernel's message,
+    before any Adam step and before the backward worker starts."""
     train_pairs, val_pairs = _quick_pairs(tiny_corpus)
     started, steps = [], []
     monkeypatch.setattr(tr, "backward_worker", lambda *args: started.append(args))
@@ -840,6 +840,7 @@ def test_train_feature_widths_checked_before_worker(tiny_corpus, tiny_features, 
     flat = r"shape \(39,\), model expects \(frames, 39\)"
     for key, bad, message in (
         (last, np.zeros((5, 36)), r"shape \(5, 36\), model expects \(frames, 39\)"),
+        (first, np.zeros(()), r"shape \(\), model expects"),
         (first, np.zeros(39), flat),
         (last, np.zeros(39), flat),
         (val_key, np.zeros(39), flat),
