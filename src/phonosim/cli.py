@@ -79,6 +79,13 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
     return pairs
 
 
+def _check_output(flag: str, path: str, directory: bool) -> None:
+    """Before a stage loads its inputs: an existing ``path`` must be a
+    directory if the stage writes one (``directory``), else not one."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise PhonosimError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+
+
 def _load_config(cls, what: str, path: str | None):
     """A ``cls`` from the JSON object in ``path``; its defaults if there is
     no file."""
@@ -148,6 +155,7 @@ def _cmd_pairs(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    _check_output("--out", args.out, directory=True)
     cfg = _load_config(training.TrainConfig, "training config", args.config)
     if args.seed is not None:  # a flag, so its error does not name the file
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -161,15 +169,12 @@ def _cmd_train(args) -> None:
     net.save_checkpoint(result.params, os.path.join(args.out, "model_final.artm"))
     with open(os.path.join(args.out, "history.json"), "w") as fh:
         json.dump(result.history, fh, indent=1)
-    last = result.history[-1]
-    print(
-        f"trained {cfg.epochs} epochs, final train accuracy "
-        f"{last['train_accuracy']:.3f}",
-        file=sys.stderr,
-    )
+    accuracy = result.history[-1]["train_accuracy"]
+    print(f"trained {cfg.epochs} epochs, final train accuracy {accuracy:.3f}", file=sys.stderr)
 
 
 def _cmd_eval(args) -> None:
+    _check_output("--report", args.report, directory=False)
     params = net.load_checkpoint(args.model)
     pairs = _load_pairs_file(args.pairs)
     store = dsp.FeatureStore(args.features)
@@ -184,6 +189,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    _check_output("--out", args.out, directory=True)
     params = net.load_checkpoint(args.model)
     manifest = corpus.load_manifest(args.manifest)
     store = dsp.FeatureStore(args.features)

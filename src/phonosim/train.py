@@ -39,6 +39,9 @@ THRESHOLD = 0.5
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba, 2015)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the learning rate's factor per epoch, the L1 weight on the weight
+# matrices, and the dropout rate on the final hidden states in training
+LR_DECAY, L1_COEFF, DROPOUT_RATE = 0.95, 1e-5, 0.2
 
 # phonosim gradcheck fails at or above this worst relative error
 GRADCHECK_TOLERANCE = 1e-4
@@ -56,9 +59,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     lr0: float = 1e-3
-    lr_decay: float = 0.95
-    l1_coeff: float = 1e-5
-    dropout_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -68,14 +68,8 @@ class TrainConfig:
         check_seed(self.seed)
         if self.lr0 < 0:
             raise DataError("lr0 must be >= 0")
-        if not 0 < self.lr_decay <= 1:
-            raise DataError("lr_decay must lie in (0, 1]")
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
-        if not 0 <= self.dropout_rate < 1:
-            raise DataError("dropout_rate must lie in [0, 1)")
-        if self.l1_coeff < 0:
-            raise DataError("l1_coeff must be >= 0")
 
 
 def bce_loss(similarity: np.ndarray | float, label: np.ndarray | float) -> np.ndarray | float:
@@ -90,12 +84,10 @@ def bce_loss(similarity: np.ndarray | float, label: np.ndarray | float) -> np.nd
 # the Siamese pair loss
 
 
-def _dropout_masks(rng, n_utterances: int, params: ModelParams, rate: float):
-    """Inverted-dropout masks over the final hidden states; None at rate 0."""
-    if rate == 0.0:
-        return None
+def _dropout_masks(rng, n_utterances: int, params: ModelParams):
+    """Inverted-dropout masks over the final hidden states at ``DROPOUT_RATE``."""
     shape = (n_utterances, 2 * params.dims.d_hidden)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE)
 
 
 def pair_forward_backward(
@@ -332,7 +324,7 @@ def train(
     store,
     init: ModelParams | None = None,
 ) -> TrainResult:
-    """Mini-batch Adam training with per-epoch learning-rate decay.
+    """Mini-batch Adam training; the learning rate decays by ``LR_DECAY`` per epoch.
 
     The shuffle, dropout masks, and initialization are all keyed to
     ``config.seed``; identical config and seed reproduce the history
@@ -379,15 +371,15 @@ def train(
         # the kernel's buffers for every batch of the run, freed on return
         buffers = run_buffers(params.dims, feats.values(), max_rows)
         for epoch in range(config.epochs):
-            lr = config.lr0 * config.lr_decay**epoch
+            lr = config.lr0 * LR_DECAY**epoch
             order = rng.permutation(len(labels))
             total_loss = 0.0
             for bi, start in enumerate(range(0, len(order), config.batch_size)):
                 idx = order[start : start + config.batch_size]
-                masks = _dropout_masks(rng, 2 * len(idx), params, config.dropout_rate)
+                masks = _dropout_masks(rng, 2 * len(idx), params)
                 loss, grads, (mu, var), sims[idx] = pair_forward_backward(
                     params, [lefts[i] for i in idx], [rights[i] for i in idx],
-                    labels[idx], config.l1_coeff, masks, worker, buffers,
+                    labels[idx], L1_COEFF, masks, worker, buffers,
                 )
                 if not np.isfinite(loss):
                     raise DataError(f"non-finite loss at epoch {epoch}, batch {bi}")
@@ -430,7 +422,7 @@ def gradient_check(
     weights put every embedding near 0.5, driving the cosine similarity to
     ~1 where the 1/(1-p) cross-entropy factor amplifies roundoff and
     drowns small finite differences.  The differences step by ``eps``
-    (1e-5), under dropout 0.2 and an L1 weight of 1e-4.  Weights within
+    (1e-5), under ``DROPOUT_RATE`` and an L1 weight of 1e-4.  Weights within
     ``10 * eps`` of 0 are moved to ``+-10 * eps``, so no difference
     straddles the kink of the L1 term at 0.  Over ``GRADCHECK_MAX_VALUES``
     trainable values, or ``lengths`` not an even number of positive
@@ -443,7 +435,7 @@ def gradient_check(
     values = sum(math.prod(shapes[name]) for name in TRAINABLE_TENSORS)
     if values > GRADCHECK_MAX_VALUES:
         raise DataError(f"{values} trainable values, more than gradcheck's {GRADCHECK_MAX_VALUES}")
-    eps, dropout_rate, l1_coeff = 1e-5, 0.2, 1e-4
+    eps, l1_coeff = 1e-5, 1e-4
     rng = np.random.default_rng(seed)
     params = init_params(dims, seed)
     for name in WEIGHT_TENSORS + ("bf", "bb", "by", "be"):
@@ -456,7 +448,7 @@ def gradient_check(
     feats = [rng.normal(size=(t, dims.d_in)) for t in lengths]
     lefts, rights = feats[0::2], feats[1::2]
     labels = np.array([(1 if i % 2 == 0 else 0) for i in range(n_pairs)], dtype=float)
-    masks = _dropout_masks(rng, 2 * n_pairs, params, dropout_rate)
+    masks = _dropout_masks(rng, 2 * n_pairs, params)
 
     def loss_of(p):
         loss, _, _, _ = pair_forward_backward(p, lefts, rights, labels, l1_coeff, masks)

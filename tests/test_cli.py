@@ -452,6 +452,8 @@ def test_features_loads_no_scipy(pipeline, tmp_path):
     [
         ('{"epochs": 0}', "epochs"), ('{"epochs": "5"}', "epochs"),
         ('{"seed": -3}', "seed"), ('{"adam_beta1": 1.0}', "adam_beta1"),
+        ('{"lr_decay": 0.95}', "lr_decay"), ('{"l1_coeff": 1e-5}', "l1_coeff"),
+        ('{"dropout_rate": 0.2}', "dropout_rate"),
         ('{"batch_size": 2.5}', "batch_size"), ('{"lr0": NaN}', "lr0"),
         ("[1, 2]", "training config"),
     ],
@@ -830,6 +832,46 @@ def test_train_batch_size_past_pair_count(pipeline, tmp_path):
         "train", "--features", pipeline["features"], "--pairs", pipeline["pairs"],
         "--config", str(config), "--out", str(tmp_path / "model"),
     ]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag, existing",
+    [("train", "--out", "file"), ("eval", "--report", "directory"), ("analyze", "--out", "file")],
+)
+def test_output_of_the_wrong_kind_fails_first(
+    pipeline, tmp_path, capsys, monkeypatch, command, flag, existing
+):
+    """A --out that is a file where the stage writes a directory, or a
+    --report that is a directory, exits 2 naming the flag and the path
+    before any input is loaded or the stage runs."""
+
+    def called(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for module, name in (
+        (training, "train"), (training, "evaluate"), (cli.analysis, "build_report"),
+        (cli, "_load_pairs_file"), (net, "load_checkpoint"), (corpus, "load_manifest"),
+    ):
+        monkeypatch.setattr(module, name, called)
+    out = tmp_path / "outfile"
+    if existing == "file":
+        out.write_text("kept")
+    else:
+        out.mkdir()
+    features, pairs = pipeline["features"], pipeline["pairs"]
+    model = os.path.join(pipeline["model_dir"], "model.artm")
+    manifest = os.path.join(pipeline["corpus"], "manifest.json")
+    argv = {
+        "train": ["--features", features, "--pairs", pairs],
+        "eval": ["--model", model, "--pairs", pairs, "--features", features],
+        "analyze": [
+            "--model", model, "--manifest", manifest, "--features", features, "--sessions", "1"
+        ],
+    }[command]
+    assert cli.main([command, *argv, flag, str(out)]) == 2
+    assert f"error: {flag} {out} is" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["outfile"]
+    assert out.is_dir() if existing == "directory" else out.read_text() == "kept"
 
 
 def test_analyze_empty_solo_range_exit_code(pipeline, tmp_path, capsys):

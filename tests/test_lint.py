@@ -6,19 +6,21 @@ fits the model, one function chains the feature front end, ``train`` takes
 a logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
 ``net.cosine_rows``, one function packs a checkpoint record's header, only
 ``corpus`` and the pairs-file reader construct a ``PairExample``, no
-module spells out a ``PairExample`` field's name, only ``net`` calls
-``id()``, no module imports ``multiprocessing`` when it is imported, no
-module draws from NumPy's global random state, and no module imports
-SciPy, which ``pyproject.toml`` lists only as a test dependency."""
+module spells out a ``PairExample`` field's name, every config field is
+read outside its class, only ``net`` calls ``id()``, no module imports
+``multiprocessing`` when it is imported, no module draws from NumPy's
+global random state, and no module imports SciPy, which
+``pyproject.toml`` lists only as a test dependency."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 import phonosim
-from phonosim import corpus
+from phonosim import corpus, dsp, train
 
 MODULES = {
     path.name: ast.parse(path.read_text(), str(path))
@@ -244,6 +246,23 @@ def test_pairs_file_layout_is_stated_once():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert strings.isdisjoint(corpus.PairExample._fields)
+
+
+def test_every_config_field_is_read():
+    """A config field is a value a run varies, so some code outside the
+    config's own class reads it as an attribute; a field that nothing reads
+    belongs in a constant or nowhere."""
+    unread = []
+    for config in (train.TrainConfig, corpus.SynthConfig, dsp.MfccConfig):
+        own = f"{config.__module__.removeprefix('phonosim.')}.{config.__name__}"
+        read = {
+            node.attr
+            for where, node in _package_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and where != own and not where.startswith(own + ".")
+        }
+        unread += [f"{own}.{f.name}" for f in dataclasses.fields(config) if f.name not in read]
+    assert unread == []
 
 
 def test_only_the_kernel_calls_id():

@@ -11,6 +11,8 @@ Oracles:
 """
 
 import collections
+import contextlib
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -72,7 +74,7 @@ def test_pair_loss_is_mean_bce_plus_l1_bit_for_bit(small_params):
     lefts = [rng.normal(size=(t, 5)) for t in (6, 3, 8, 5)]
     rights = [rng.normal(size=(t, 5)) for t in (4, 7, 2, 9)]
     labels = np.array([1.0, 0.0, 1.0, 0.0])
-    masks = tr._dropout_masks(rng, 8, small_params, 0.2)
+    masks = tr._dropout_masks(rng, 8, small_params)
     l1 = 1e-4
     loss, _, _, g = tr.pair_forward_backward(small_params, lefts, rights, labels, l1, masks)
     penalty = l1 * sum(np.abs(getattr(small_params, n)).sum() for n in net.WEIGHT_TENSORS)
@@ -99,7 +101,7 @@ def test_pair_step_bytes_are_pinned():
         feats = [rng.normal(size=(t, dims.d_in)) for t in rng.integers(1, 151, 2 * n_pairs)]
         feats[-1] = feats[0]
         labels = (rng.random(n_pairs) < 0.5).astype(np.float64)
-        masks = tr._dropout_masks(rng, 2 * n_pairs, p, 0.2)
+        masks = tr._dropout_masks(rng, 2 * n_pairs, p)
         loss, grads, (mu, var), g = tr.pair_forward_backward(
             p, feats[0::2], feats[1::2], labels, 1e-5, masks
         )
@@ -655,15 +657,20 @@ def test_metrics_per_class_definitions():
 # scoring and the training loop (uses the session-scope tiny corpus)
 
 
+def test_train_config_holds_only_what_a_run_varies(small_params):
+    """The learning-rate decay, L1 weight and dropout rate are constants;
+    every training batch gets dropout masks."""
+    assert [f.name for f in dataclasses.fields(tr.TrainConfig)] == [
+        "epochs", "batch_size", "lr0", "seed"
+    ]
+    assert (tr.LR_DECAY, tr.L1_COEFF, tr.DROPOUT_RATE) == (0.95, 1e-5, 0.2)
+    masks = tr._dropout_masks(np.random.default_rng(0), 6, small_params)
+    assert masks.shape == (6, 8) and set(np.unique(masks)) == {0.0, 1 / 0.8}
+
+
 def test_config_validation():
     with pytest.raises(DataError):
-        tr.TrainConfig(lr_decay=0.0)
-    with pytest.raises(DataError):
         tr.TrainConfig(batch_size=0)
-    with pytest.raises(DataError):
-        tr.TrainConfig(dropout_rate=1.0)
-    with pytest.raises(DataError):
-        tr.TrainConfig(l1_coeff=-1.0)
     for bad in (
         {"epochs": 0}, {"epochs": "5"}, {"epochs": True}, {"batch_size": 2.5},
         {"seed": -3}, {"lr0": float("nan")}, {"lr0": 10**400}, {"lr0": -1.0},
@@ -913,23 +920,26 @@ def test_train_worker_bit_identical_to_inline(tiny_corpus, tiny_features, monkey
 
 
 @needs_fork
-def test_train_without_dropout_worker_bit_identical_to_inline(
-    tiny_corpus, tiny_features, monkeypatch
-):
-    """At dropout rate 0 every batch runs without masks, with the worker
-    and in process alike."""
-    masks = []
-    dropout_masks = tr._dropout_masks
-
-    def recording(*args):
-        masks.append(dropout_masks(*args))
-        return masks[-1]
-
-    monkeypatch.setattr(tr, "_dropout_masks", recording)
-    train_pairs, val_pairs = _quick_pairs(tiny_corpus)
-    cfg = tr.TrainConfig(epochs=2, batch_size=5, seed=4, dropout_rate=0.0)
-    _forked_and_inline(monkeypatch, cfg, train_pairs, val_pairs, tiny_features)
-    assert masks and all(m is None for m in masks)
+def test_train_without_dropout_worker_bit_identical_to_inline():
+    """A training-mode step without dropout masks gives the same bytes with
+    the worker as in process: the loss, every gradient, the batch-norm
+    statistics and the similarities.  The batch mixes 1 to 120 frames and
+    holds one matrix in two slots."""
+    dims = net.ModelDims()
+    p = net.init_params(dims, seed=7)
+    rng = np.random.default_rng(8)
+    feats = [rng.normal(size=(t, dims.d_in)) for t in (3, 120, 57, 8, 90, 1)]
+    feats[-1] = feats[0]
+    labels = np.array([1.0, 0.0, 1.0])
+    results = []
+    for forked in (True, False):
+        worker = net.BackwardWorker(dims, feats, len(feats)) if forked else None
+        with deadline(30), worker or contextlib.nullcontext() as w:
+            loss, grads, (mu, var), g = tr.pair_forward_backward(
+                p, feats[0::2], feats[1::2], labels, tr.L1_COEFF, dropout_masks=None, worker=w
+            )
+        results.append([np.float64(loss), *(grads[n] for n in net.TRAINABLE_TENSORS), mu, var, g])
+    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
 
 
 class _CopyingStore:
