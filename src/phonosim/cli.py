@@ -80,10 +80,17 @@ def _load_pairs_file(path: str) -> list[corpus.PairExample]:
 
 
 def _check_output(flag: str, path: str, directory: bool) -> None:
-    """Before a stage loads its inputs: an existing ``path`` must be a
-    directory if the stage writes one (``directory``), else not one."""
+    """Before a stage reads any input: an existing ``path`` must be a
+    directory if the stage writes one (``directory``), else not one.  A file
+    needs its parent directory; a directory, whose parents the stage makes,
+    needs its nearest existing ancestor to be a directory."""
     if os.path.exists(path) and os.path.isdir(path) != directory:
         raise PhonosimError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+    ancestor = os.path.dirname(path)
+    while directory and ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor or "."):
+        raise PhonosimError(f"{flag} {path}: {ancestor or '.'} is not an existing directory")
 
 
 def _load_config(cls, what: str, path: str | None):
@@ -104,6 +111,7 @@ def _load_config(cls, what: str, path: str | None):
 
 
 def _cmd_synth(args) -> None:
+    _check_output("--out", args.out, directory=True)
     cfg = corpus.SynthConfig(
         n_speakers=args.speakers,
         n_sentences=args.sentences,
@@ -115,8 +123,8 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_features(args) -> None:
+    _check_output("--out", args.out, directory=True)
     manifest = corpus.load_manifest(args.manifest)
-    cfg = _load_config(dsp.MfccConfig, "MFCC config", args.config)
     store = dsp.FeatureStore(args.out)
     tasks = []  # (WAV path, feature path) of each utterance, checked before any is written
     for u in manifest.utterances:
@@ -126,7 +134,7 @@ def _cmd_features(args) -> None:
 
     def extract(task):
         wav_path, feature_path = task
-        dsp.write_features(dsp.extract_features(wav_path, cfg), feature_path)
+        dsp.write_features(dsp.extract_features(wav_path), feature_path)
 
     os.makedirs(args.out, exist_ok=True)
     run_split(extract, tasks)
@@ -134,6 +142,7 @@ def _cmd_features(args) -> None:
 
 
 def _cmd_pairs(args) -> None:
+    _check_output("--out", args.out, directory=False)
     if args.condition == "solo":
         if args.sessions is not None:
             raise PhonosimError("--sessions applies to interactive/imitation, not solo")
@@ -242,12 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser(
-        "features", help="extract MFCC+delta features (3 * n_ceps columns, 39 by default)"
-    )
+    p = sub.add_parser("features", help="extract 13 MFCCs + deltas + delta-deltas (39 columns)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help='JSON MFCC config, e.g. {"n_ceps": 12}')
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("pairs", help="build labeled verification pairs")

@@ -1,9 +1,9 @@
 """Audio ingestion and the MFCC feature pipeline.
 
 Audio goes in as PCM or IEEE-float WAV, comes out as per-utterance feature
-matrices: ``n_ceps`` static MFCCs + as many deltas + as many delta-deltas
-(13 each, 39 columns, by default), CMVN-normalized, persisted in a small
-binary format (magic ``ARTF``).
+matrices: ``N_CEPS`` (13) static MFCCs + as many deltas + as many
+delta-deltas, 39 columns, CMVN-normalized, persisted in a small binary
+format (magic ``ARTF``).  The front end has no settings.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioError, DataError, FeatureIOError, check_numeric_fields
+from .errors import AudioError, DataError, FeatureIOError
 
 PIPELINE_RATE = 16000
 # lowest WAV rate read: resampling to PIPELINE_RATE then grows a file at most 16x
@@ -27,27 +27,18 @@ FEATURE_MAGIC = b"ARTF"
 
 
 # the front end is fixed: 25 ms Hann frames every 10 ms at PIPELINE_RATE,
-# a 512-point FFT, 40 mel filters over 0-8 kHz, a floored log, and
-# regression deltas over +-DELTA_WINDOW frames
+# a 512-point FFT, 40 mel filters over 0-8 kHz, a floored log, the first
+# 13 DCT-II coefficients, and regression deltas over +-DELTA_WINDOW frames
 WINDOW_SAMPLES = 400
 HOP_SAMPLES = 160
 N_FFT = 512
 N_MELS = 40
+N_CEPS = 13
 PREEMPHASIS = 0.97
 FMIN = 0.0
 FMAX = 8000.0
 LOG_FLOOR = 1e-10
 DELTA_WINDOW = 4
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    n_ceps: int = 13
-
-    def __post_init__(self):
-        check_numeric_fields(self)
-        if not 1 <= self.n_ceps <= N_MELS:
-            raise DataError(f"n_ceps must lie in [1, {N_MELS}], got {self.n_ceps}")
 
 
 @dataclass(frozen=True)
@@ -186,23 +177,23 @@ def mel_filterbank() -> np.ndarray:
     return fb
 
 
-@functools.lru_cache(maxsize=8)
-def _dct_basis(k: int) -> np.ndarray:
-    """The first ``k`` orthonormal DCT-II vectors over ``N_MELS`` points, as columns."""
+@functools.cache
+def _dct_basis() -> np.ndarray:
+    """The first ``N_CEPS`` orthonormal DCT-II vectors over ``N_MELS`` points, as columns."""
     n = N_MELS
-    j = np.arange(k)
+    j = np.arange(N_CEPS)
     basis = np.cos(np.pi / n * np.outer(np.arange(n) + 0.5, j))
     basis *= np.where(j == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
     basis.flags.writeable = False
     return basis
 
 
-def compute_mfcc(w: Waveform, cfg: MfccConfig) -> FeatureMatrix:
-    """Static MFCCs: ``cfg.n_ceps`` coefficients per ``WINDOW_SAMPLES``
-    frame (25 ms), one frame per ``HOP_SAMPLES`` (10 ms).
+def compute_mfcc(w: Waveform) -> FeatureMatrix:
+    """Static MFCCs: ``N_CEPS`` coefficients per ``WINDOW_SAMPLES`` frame
+    (25 ms), one frame per ``HOP_SAMPLES`` (10 ms).
 
     Pipeline: pre-emphasis, Hann window, magnitude FFT, mel filterbank,
-    log (floored), DCT-II (ortho), keep coefficients 0 to n_ceps - 1.  Raises
+    log (floored), DCT-II (ortho), keep coefficients 0 to N_CEPS - 1.  Raises
     ``DataError`` for a waveform that is not at ``PIPELINE_RATE``.
     """
     if w.sample_rate != PIPELINE_RATE:
@@ -218,7 +209,7 @@ def compute_mfcc(w: Waveform, cfg: MfccConfig) -> FeatureMatrix:
 
     spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
     energies = np.log(np.maximum(spec @ mel_filterbank().T, LOG_FLOOR))
-    ceps = energies @ _dct_basis(cfg.n_ceps)
+    ceps = energies @ _dct_basis()
     return FeatureMatrix(frames=ceps)
 
 
@@ -257,10 +248,10 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(frames=out)
 
 
-def extract_features(path: str | os.PathLike, cfg: MfccConfig) -> np.ndarray:
-    """The ``(T, 3 * cfg.n_ceps)`` features of a WAV file: :func:`load_audio`,
+def extract_features(path: str | os.PathLike) -> np.ndarray:
+    """The ``(T, 3 * N_CEPS)`` features of a WAV file: :func:`load_audio`,
     then :func:`compute_mfcc`, :func:`append_deltas` and :func:`cmvn`."""
-    return cmvn(append_deltas(compute_mfcc(load_audio(path), cfg))).frames
+    return cmvn(append_deltas(compute_mfcc(load_audio(path)))).frames
 
 
 def write_features(frames: np.ndarray, path: str | os.PathLike) -> None:

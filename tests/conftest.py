@@ -35,9 +35,8 @@ def tiny_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def tiny_features(tiny_corpus):
     """CMVN-normalized 39-dim features for every tiny-corpus utterance."""
-    cfg = dsp.MfccConfig()
     return {
-        u.key: dsp.extract_features(tiny_corpus.resolve(u.audio_path), cfg)
+        u.key: dsp.extract_features(tiny_corpus.resolve(u.audio_path))
         for u in tiny_corpus.utterances
     }
 

@@ -37,9 +37,8 @@ SEED = 7
 
 
 def _features(manifest):
-    cfg = dsp.MfccConfig()
     return {
-        u.key: dsp.extract_features(manifest.resolve(u.audio_path), cfg)
+        u.key: dsp.extract_features(manifest.resolve(u.audio_path))
         for u in manifest.utterances
     }
 

@@ -90,7 +90,7 @@ def test_trace_probes_count_what_they_name(tiny_corpus, tiny_features, tmp_path)
 
     samples = np.random.default_rng(0).normal(size=12_345)
     w = dsp.Waveform(samples=samples, sample_rate=dsp.PIPELINE_RATE)
-    _, counts = probed("dsp.compute_mfcc", dsp.compute_mfcc, w, dsp.MfccConfig())
+    _, counts = probed("dsp.compute_mfcc", dsp.compute_mfcc, w)
     n_frames = dsp.frame_count(len(samples), dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES)
     assert counts == {"frames": n_frames}
     path = tmp_path / "a.wav"

@@ -268,17 +268,16 @@ def test_non_finite_feature_exit_code(pipeline, tmp_path, capsys):
 
 
 def test_features_reject_mismatched_sample_rate(pipeline, tmp_path, capsys):
-    """Features run at dsp.PIPELINE_RATE; there is no sample_rate setting."""
+    """Features run at dsp.PIPELINE_RATE; there is no sample_rate setting,
+    nor a --config to pass one in (exit 1)."""
     config = tmp_path / "mfcc.json"
     config.write_text(json.dumps({"sample_rate": 8000}))
     out = tmp_path / "features"
     assert cli.main([
         "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
         "--config", str(config), "--out", str(out),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(config) in err
-    assert "unknown field 'sample_rate'" in err
+    ]) == 1
+    assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -502,15 +501,17 @@ def test_bad_pairs_entry_exit_code(pipeline, tmp_path, capsys, entry):
     ],
 )
 def test_bad_mfcc_config_exit_code(pipeline, tmp_path, capsys, config):
+    """The front end has no settings: features takes no --config, so an
+    MFCC config of any content is an unknown argument (exit 1), and nothing
+    is written."""
     path = tmp_path / "mfcc.json"
     path.write_text(config)
     out = tmp_path / "features"
     assert cli.main([
         "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
         "--config", str(path), "--out", str(out),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and str(path) in err
+    ]) == 1
+    assert f"unrecognized arguments: --config {path}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -553,15 +554,22 @@ def test_bad_gradcheck_tolerance_exit_code(capsys, tolerance):
     ids=["train-threshold", "train-adam_beta1", "mfcc-window", "mfcc-n_mels", "mfcc-delta_window"],
 )
 def test_removed_setting_rejected(pipeline, tmp_path, capsys, reader, setting):
-    """The threshold, Adam and MFCC-frame values are constants: a config field
-    that sets one is an unknown field (exit 2, naming field and file)."""
+    """The threshold, Adam and MFCC values are constants: a training config
+    field that sets one is an unknown field (exit 2, naming field and file),
+    and features takes no config file at all (exit 1)."""
     out = tmp_path / "out"
     path = tmp_path / "config.json"
     path.write_text(setting)
-    assert cli.main(_reading(pipeline, reader, path, out)) == 2
-    (name,) = json.loads(setting)
-    err = capsys.readouterr().err
-    assert f"unknown field {name!r}" in err and str(path) in err
+    if reader == "train-config":
+        assert cli.main(_reading(pipeline, reader, path, out)) == 2
+        (name,) = json.loads(setting)
+        err = capsys.readouterr().err
+        assert f"unknown field {name!r}" in err and str(path) in err
+    else:
+        manifest = os.path.join(pipeline["corpus"], "manifest.json")
+        argv = ["features", "--manifest", manifest, "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -647,15 +655,13 @@ def test_train_seed_flag_error_names_no_file(pipeline, tmp_path, capsys):
 
 
 def test_n_ceps_sets_feature_width(pipeline, tmp_path, capsys):
-    """n_ceps 12 writes 36-column features; train sizes its model from
-    them, and eval rejects them for the pipeline's 39-input model."""
-    config = tmp_path / "mfcc.json"
-    config.write_text('{"n_ceps": 12}')
+    """The model's width comes from the feature files, which carry theirs:
+    train sizes its model from 36-column features, and eval rejects them
+    for the pipeline's 39-input model."""
     features = tmp_path / "features"
-    assert cli.main([
-        "features", "--manifest", os.path.join(pipeline["corpus"], "manifest.json"),
-        "--config", str(config), "--out", str(features),
-    ]) == 0
+    features.mkdir()
+    for path in Path(pipeline["features"]).glob("*.artf"):
+        dsp.write_features(dsp.read_features(path).frames[:, :36], features / path.name)
     widths = {dsp.read_features(p).frames.shape[1] for p in features.glob("*.artf")}
     assert widths == {36}
     model = tmp_path / "model"
@@ -834,34 +840,56 @@ def test_train_batch_size_past_pair_count(pipeline, tmp_path):
     ]) == 0
 
 
+_WRITING_STAGES = [
+    ("synth", "--out", True), ("features", "--out", True), ("pairs", "--out", False),
+    ("train", "--out", True), ("eval", "--report", False), ("analyze", "--out", True),
+]
+
+
 @pytest.mark.parametrize(
     "command, flag, existing",
-    [("train", "--out", "file"), ("eval", "--report", "directory"), ("analyze", "--out", "file")],
+    [(c, f, "file" if d else "directory") for c, f, d in _WRITING_STAGES]
+    + [(c, f, "under-a-file") for c, f, _ in _WRITING_STAGES]
+    + [(c, f, "no-parent") for c, f, d in _WRITING_STAGES if not d],
 )
 def test_output_of_the_wrong_kind_fails_first(
     pipeline, tmp_path, capsys, monkeypatch, command, flag, existing
 ):
-    """A --out that is a file where the stage writes a directory, or a
-    --report that is a directory, exits 2 naming the flag and the path
-    before any input is loaded or the stage runs."""
+    """An output path that the stage cannot write exits 2 naming the flag
+    and the path before any input is read or the stage runs, and writes
+    nothing: an existing path of the other kind (a file where the stage
+    writes a directory, a directory where it writes a file), a path under
+    a file, or a file whose parent directory does not exist."""
 
     def called(*args, **kwargs):
         raise AssertionError("ran before the output path was checked")
 
     for module, name in (
-        (training, "train"), (training, "evaluate"), (cli.analysis, "build_report"),
+        (corpus, "generate_synthetic_corpus"), (dsp, "extract_features"),
+        (corpus, "build_solo_pairs"), (training, "train"), (training, "evaluate"),
+        (cli.analysis, "build_report"),
         (cli, "_load_pairs_file"), (net, "load_checkpoint"), (corpus, "load_manifest"),
     ):
         monkeypatch.setattr(module, name, called)
-    out = tmp_path / "outfile"
-    if existing == "file":
-        out.write_text("kept")
-    else:
-        out.mkdir()
+    afile, adir = tmp_path / "afile", tmp_path / "adir"
+    afile.write_text("kept")
+    adir.mkdir()
+    out, message = {
+        "file": (afile, f"{afile} is not a directory"),
+        "directory": (adir, f"{adir} is a directory"),
+        "under-a-file": (afile / "out", f"{afile / 'out'}: {afile} is not an existing directory"),
+        "no-parent": (
+            tmp_path / "nodir" / "out",
+            f"{tmp_path / 'nodir' / 'out'}: {tmp_path / 'nodir'} is not an existing directory",
+        ),
+    }[existing]
     features, pairs = pipeline["features"], pipeline["pairs"]
     model = os.path.join(pipeline["model_dir"], "model.artm")
     manifest = os.path.join(pipeline["corpus"], "manifest.json")
     argv = {
+        "synth": ["--speakers", "2"],
+        "features": ["--manifest", manifest],
+        "pairs": ["--manifest", manifest, "--condition", "solo"],
         "train": ["--features", features, "--pairs", pairs],
         "eval": ["--model", model, "--pairs", pairs, "--features", features],
         "analyze": [
@@ -869,9 +897,9 @@ def test_output_of_the_wrong_kind_fails_first(
         ],
     }[command]
     assert cli.main([command, *argv, flag, str(out)]) == 2
-    assert f"error: {flag} {out} is" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["outfile"]
-    assert out.is_dir() if existing == "directory" else out.read_text() == "kept"
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+    assert afile.read_text() == "kept" and os.listdir(adir) == []
 
 
 def test_analyze_empty_solo_range_exit_code(pipeline, tmp_path, capsys):
@@ -897,20 +925,17 @@ _BAD_JSON = {
 
 def _reading(pipeline, input_kind, path, out):
     """The argv of a command that reads ``path`` as ``input_kind`` and writes ``out``."""
-    manifest = os.path.join(pipeline["corpus"], "manifest.json")
     train = ["train", "--features", pipeline["features"], "--out", str(out)]
     return {
         "manifest": ["pairs", "--manifest", str(path), "--condition", "solo",
                      "--out", str(out)],
         "pairs": [*train, "--pairs", str(path)],
         "train-config": [*train, "--pairs", pipeline["pairs"], "--config", str(path)],
-        "mfcc-config": ["features", "--manifest", manifest, "--config", str(path),
-                        "--out", str(out)],
     }[input_kind]
 
 
 @pytest.mark.parametrize("content", list(_BAD_JSON))
-@pytest.mark.parametrize("input_kind", ["manifest", "pairs", "train-config", "mfcc-config"])
+@pytest.mark.parametrize("input_kind", ["manifest", "pairs", "train-config"])
 def test_bad_json_file_exit_code(pipeline, tmp_path, capsys, input_kind, content):
     """Every JSON input exits 2 naming the file, and writes nothing."""
     path = tmp_path / "input.json"
@@ -927,7 +952,6 @@ _LONG_VALUE = {
     "manifest": {"speakers": _LONG, "dyads": [], "utterances": []},
     "pairs": {"pairs": [{"left": "a", "right": "b", "label": _LONG}]},
     "train-config": {"epochs": _LONG},
-    "mfcc-config": {_LONG: 1},
 }
 
 
@@ -1233,8 +1257,8 @@ try:
 
     @pytest.mark.parametrize(
         "cls, what",
-        [(training.TrainConfig, "training config"), (dsp.MfccConfig, "MFCC config")],
-        ids=["train", "mfcc"],
+        [(training.TrainConfig, "training config")],
+        ids=["train"],
     )
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonosim import corpus
+from phonosim import cli, corpus
 from phonosim.errors import DataError, ManifestError
 
 from conftest import deadline, metadata_manifest, set_cpus
@@ -445,6 +445,43 @@ def test_generate_bytes_pinned(tmp_path):
     )
     corpus.generate_synthetic_corpus(cfg, 4, tmp_path)
     assert _digests(tmp_path) == GOLDEN_DIGESTS
+
+
+# Recorded at ad24147, while the MFCC count was still the setting n_ceps:
+# making it the constant dsp.N_CEPS changed no byte.
+GOLDEN_FEATURE_DIGESTS = {
+    "S01__imitation__1__001.artf": "98cfbe46da5c09e9b450f32cc5f304a8b666e41bdba20d05e3a9c6ff6d353603",
+    "S01__imitation__1__002.artf": "cfe82612606581f49bcba4a4bb793c59284d8cb26233142978f9de0203ead9f3",
+    "S01__imitation__1__003.artf": "4be727114a4863404af1bef9a85841d678a9f051cbee039ab20f794b44386d35",
+    "S01__interactive__1__001.artf": "7cff403d8dfa0ca4a543c4d8b2e5ef37f8f753f80eea7130c13ebe65be7a73d0",
+    "S01__interactive__1__002.artf": "b8a6034e4009aa2794dfdf6b49ad7ee89c2dee13f04cb6dbadce335b713f3038",
+    "S01__interactive__1__003.artf": "d3bda4de815af86080957c258aad4abe54bbc392ef9d9124da08f256bf151b3a",
+    "S01__solo__1__001.artf": "0ce552d7e4a9ba20fe84c66967aa8d67a14ee84a70db4a863af568839b999b69",
+    "S01__solo__1__002.artf": "5ca2a4060e51b2e5e0565284f4c179a5aee985aca271a31364a434c792c08b04",
+    "S01__solo__1__003.artf": "c765344f20c5720df7dac6d04037c8495f57deff0d053e58be497fd9ea32e9ec",
+    "S02__imitation__1__001.artf": "29d61ae83df4dcfc4bd57622d456a7c8120e6e9aa7e9379f50c815ce1f14799f",
+    "S02__imitation__1__002.artf": "e0c89a348347d3399c6dba62888337dd38674e85c932a04bb2a3ddbf1fdcdf1e",
+    "S02__imitation__1__003.artf": "4f5fbeb63a172770c6895b26f64376d4272e9592194c0930fe4ead5f40e3585c",
+    "S02__interactive__1__001.artf": "045ea2f1d10810840e8acb32da6e5e4bd7b56f2d5a8886acf96a8cde3b16b751",
+    "S02__interactive__1__002.artf": "01c4e098ad446790a29c471b86cecd33f25026864cf150d47312d6c560593812",
+    "S02__interactive__1__003.artf": "8d7ec3ba6c96c2e73fc5004d8756679295694e4afab6ba67cd422f2ed31683ed",
+    "S02__solo__1__001.artf": "49b5d93e8351306c44b5b545583e2ad1baed6e433461ff13ea9a14a3816c9bc5",
+    "S02__solo__1__002.artf": "a2a700767aa5c4568c43fffafc76022e392164c378ccb51c576cd28a49a4b8c1",
+    "S02__solo__1__003.artf": "6024e31ab47126bb3c63737463b5c86e250aba8a2f37299d5930f7fe33d0e425",
+}
+
+
+def test_features_bytes_pinned(tmp_path):
+    """Every feature file that ``phonosim features`` writes for the corpus
+    of ``test_generate_bytes_pinned``, byte for byte."""
+    cfg = corpus.SynthConfig(
+        n_speakers=2, n_sentences=3, lam=0.5, interactive_sessions=1
+    )
+    corpus.generate_synthetic_corpus(cfg, 4, tmp_path / "corpus")
+    manifest = str(tmp_path / "corpus" / "manifest.json")
+    assert cli.main(["features", "--manifest", manifest, "--out", str(tmp_path / "f")]) == 0
+    digests = _digests(tmp_path / "f")
+    assert {k: v for k, v in digests.items() if k.endswith(".artf")} == GOLDEN_FEATURE_DIGESTS
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

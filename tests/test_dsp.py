@@ -8,7 +8,6 @@ Frozen values:
   - resampling 8 kHz -> 16 kHz maps N samples to 2N - 1
 """
 
-import dataclasses
 import struct
 import wave
 
@@ -47,14 +46,14 @@ def test_frame_count_matches_enumeration_oracle():
 
 def test_compute_mfcc_frame_count_and_dim():
     w = dsp.Waveform(samples=np.random.default_rng(0).normal(size=16000), sample_rate=16000)
-    f = dsp.compute_mfcc(w, dsp.MfccConfig())
+    f = dsp.compute_mfcc(w)
     assert f.frames.shape == (98, 13)
 
 
 def test_compute_mfcc_rejects_other_rates():
     w = dsp.Waveform(samples=np.zeros(8000), sample_rate=8000)
     with pytest.raises(DataError, match="needs 16000 Hz audio, waveform is 8000 Hz"):
-        dsp.compute_mfcc(w, dsp.MfccConfig())
+        dsp.compute_mfcc(w)
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +262,13 @@ def test_mel_filterbank_built_once_and_read_only():
         fb[0, 0] = 1.0
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"n_ceps": 0}, {"n_ceps": -1}, {"n_ceps": 41}, {"n_ceps": 2**63},
-        {"n_ceps": 10**400}, {"n_ceps": 13.0}, {"n_ceps": np.float64(13)},
-        {"n_ceps": True}, {"n_ceps": False}, {"n_ceps": "13"}, {"n_ceps": None},
-        {"n_ceps": [13]}, {"n_ceps": float("nan")}, {"n_ceps": float("inf")},
-        {"n_ceps": 1e305}, {"n_ceps": 12.5},
-    ],
-)
-def test_mfcc_config_rejects_unusable_values(bad):
-    with pytest.raises(DataError):
-        dsp.MfccConfig(**bad)
-
-
-def test_mfcc_config_holds_only_n_ceps():
-    """The front end is fixed; n_ceps is the one MFCC setting."""
-    assert [f.name for f in dataclasses.fields(dsp.MfccConfig)] == ["n_ceps"]
-    assert dsp.MfccConfig(np.int64(40)).n_ceps == 40
-    assert not hasattr(dsp.MfccConfig(), "delta_window")
-    assert dsp.DELTA_WINDOW == 4
+def test_front_end_has_no_settings():
+    """The front end is fixed: 13 MFCCs and deltas over +-4 frames, with no
+    config object; the one 40 x 13 DCT basis is built once."""
+    assert (dsp.N_CEPS, dsp.DELTA_WINDOW) == (13, 4)
+    assert not hasattr(dsp, "MfccConfig")
+    assert dsp._dct_basis().shape == (dsp.N_MELS, dsp.N_CEPS)
+    assert dsp._dct_basis() is dsp._dct_basis()
 
 
 def _delta_oracle(c, n):
@@ -319,7 +304,7 @@ def test_append_deltas_keeps_statics_and_width():
 
 
 def test_append_deltas_any_width():
-    """n_ceps sets the width: 12 static columns give 36."""
+    """Deltas follow the width they are given: 12 static columns give 36."""
     rng = np.random.default_rng(6)
     c = rng.normal(size=(10, 12))
     out = dsp.append_deltas(dsp.FeatureMatrix(frames=c)).frames
@@ -334,7 +319,7 @@ def test_mfcc_matches_naive_per_frame_oracle():
 
     rng = np.random.default_rng(5)
     x = rng.normal(size=4000) * 0.2
-    got = dsp.compute_mfcc(dsp.Waveform(samples=x, sample_rate=16000), dsp.MfccConfig()).frames
+    got = dsp.compute_mfcc(dsp.Waveform(samples=x, sample_rate=16000)).frames
 
     emph = np.concatenate(([x[0]], x[1:] - 0.97 * x[:-1]))
     fb = dsp.mel_filterbank()
@@ -352,17 +337,16 @@ def test_mfcc_matches_scipy_dct_on_random_waveforms():
     from scipy.fft import dct
 
     rng = np.random.default_rng(12)
-    for cfg in (dsp.MfccConfig(), dsp.MfccConfig(n_ceps=12)):
-        for n in (400, 4321, 16000):
-            x = rng.normal(size=n) * rng.uniform(0.01, 0.5)
-            got = dsp.compute_mfcc(dsp.Waveform(samples=x, sample_rate=16000), cfg).frames
-            win, hop = dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES
-            emph = np.concatenate(([x[0]], x[1:] - dsp.PREEMPHASIS * x[:-1]))
-            idx = np.arange(win)[None, :] + hop * np.arange(1 + (n - win) // hop)[:, None]
-            spec = np.abs(np.fft.rfft(emph[idx] * np.hanning(win), n=dsp.N_FFT, axis=1))
-            energies = np.log(np.maximum(spec @ dsp.mel_filterbank().T, dsp.LOG_FLOOR))
-            want = dct(energies, type=2, norm="ortho", axis=1)[:, : cfg.n_ceps]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for n in (400, 4321, 16000):
+        x = rng.normal(size=n) * rng.uniform(0.01, 0.5)
+        got = dsp.compute_mfcc(dsp.Waveform(samples=x, sample_rate=16000)).frames
+        win, hop = dsp.WINDOW_SAMPLES, dsp.HOP_SAMPLES
+        emph = np.concatenate(([x[0]], x[1:] - dsp.PREEMPHASIS * x[:-1]))
+        idx = np.arange(win)[None, :] + hop * np.arange(1 + (n - win) // hop)[:, None]
+        spec = np.abs(np.fft.rfft(emph[idx] * np.hanning(win), n=dsp.N_FFT, axis=1))
+        energies = np.log(np.maximum(spec @ dsp.mel_filterbank().T, dsp.LOG_FLOOR))
+        want = dct(energies, type=2, norm="ortho", axis=1)[:, : dsp.N_CEPS]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +374,13 @@ def test_cmvn_constant_column_mean_subtracted_only():
     assert np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("n_ceps", [13, 12])
-def test_extract_features_is_the_front_end_chain(tiny_corpus, n_ceps):
+def test_extract_features_is_the_front_end_chain(tiny_corpus):
     """load -> MFCC -> deltas -> CMVN, byte for byte, on every tiny-corpus WAV."""
-    cfg = dsp.MfccConfig(n_ceps)
     for u in tiny_corpus.utterances:
         path = tiny_corpus.resolve(u.audio_path)
-        want = dsp.cmvn(dsp.append_deltas(dsp.compute_mfcc(dsp.load_audio(path), cfg))).frames
-        got = dsp.extract_features(path, cfg)
-        assert got.shape == (want.shape[0], 3 * n_ceps)
+        want = dsp.cmvn(dsp.append_deltas(dsp.compute_mfcc(dsp.load_audio(path)))).frames
+        got = dsp.extract_features(path)
+        assert got.shape == (want.shape[0], 39)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 

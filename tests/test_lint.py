@@ -7,7 +7,8 @@ a logarithm only in ``bce_loss``, ``net`` and ``train`` take a norm only in
 ``net.cosine_rows``, one function packs a checkpoint record's header, only
 ``corpus`` and the pairs-file reader construct a ``PairExample``, no
 module spells out a ``PairExample`` field's name, every config field is
-read outside its class, only ``net`` calls ``id()``, no module imports
+read outside its class, every CLI stage that writes checks its output path
+first, only ``net`` calls ``id()``, no module imports
 ``multiprocessing`` when it is imported, no module draws from NumPy's
 global random state, and no module imports SciPy, which
 ``pyproject.toml`` lists only as a test dependency."""
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import phonosim
-from phonosim import corpus, dsp, train
+from phonosim import corpus, train
 
 MODULES = {
     path.name: ast.parse(path.read_text(), str(path))
@@ -253,7 +254,7 @@ def test_every_config_field_is_read():
     config's own class reads it as an attribute; a field that nothing reads
     belongs in a constant or nowhere."""
     unread = []
-    for config in (train.TrainConfig, corpus.SynthConfig, dsp.MfccConfig):
+    for config in (train.TrainConfig, corpus.SynthConfig):
         own = f"{config.__module__.removeprefix('phonosim.')}.{config.__name__}"
         read = {
             node.attr
@@ -263,6 +264,25 @@ def test_every_config_field_is_read():
         }
         unread += [f"{own}.{f.name}" for f in dataclasses.fields(config) if f.name not in read]
     assert unread == []
+
+
+def test_every_writing_stage_checks_its_output_first():
+    """A CLI stage that writes (a ``cli._cmd_*`` that reads ``args.out`` or
+    ``args.report``) first calls ``_check_output`` on that path, so a path
+    it cannot write fails before any input is read or any work runs."""
+    checked = set()
+    for node in MODULES["cli.py"].body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")):
+            continue
+        for attr in {
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in ("out", "report")
+            and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }:
+            call = f"_check_output('--{attr}', args.{attr}, directory="
+            assert ast.unparse(node.body[0]).startswith(call), node.name
+            checked.add(node.name.removeprefix("_cmd_"))
+    assert checked == {"synth", "features", "pairs", "train", "eval", "analyze"}
 
 
 def test_only_the_kernel_calls_id():

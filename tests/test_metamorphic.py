@@ -44,13 +44,12 @@ from conftest import carried_frames, wav_bytes
 
 @pytest.mark.parametrize("gain", [0.5, 0.05, 1e-3])
 def test_gain_leaves_features_unchanged(tiny_corpus, tmp_path, gain):
-    cfg = dsp.MfccConfig()
     for u in tiny_corpus.utterances:
         x = dsp.load_audio(tiny_corpus.resolve(u.audio_path)).samples
         paths = tmp_path / "one.wav", tmp_path / "scaled.wav"
         for path, samples in zip(paths, (x, gain * x)):
             path.write_bytes(wav_bytes(samples.astype("<f8").tobytes(), tag=3, width=8))
-        want, got = (dsp.extract_features(path, cfg) for path in paths)
+        want, got = (dsp.extract_features(path) for path in paths)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=u.key)
 
 
@@ -67,7 +66,7 @@ def pipeline(tmp_path_factory):
     store = dsp.FeatureStore(features)
     frames = {}
     for u in manifest.utterances:
-        frames[u.key] = dsp.extract_features(manifest.resolve(u.audio_path), dsp.MfccConfig())
+        frames[u.key] = dsp.extract_features(manifest.resolve(u.audio_path))
         dsp.write_features(frames[u.key], store.path_for(u.key))
     train_pairs = corpus.build_solo_pairs(manifest, 1, 4)
     params = tr.train(tr.TrainConfig(epochs=10, lr0=3e-3, seed=1), train_pairs, [], frames).params
